@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dynamics import INTEGRATORS, StepPolicy
-from .errors import ConfigParseError, ConfigRangeError
-from .scenarios import SCENARIO_NAMES, ScenarioSpec
+from .dynamics import StepPolicy
+from .errors import (ConfigParseError, ConfigRangeError, ParameterRangeError,
+                     check_range)
+from .scenarios import ScenarioSpec, check_scenario
 from .spectral import Grid
 from .state import PhysicsParams
 
@@ -67,6 +68,26 @@ class SimulationConfig:
     snapshot_every: int = 0
     output_dir: str = "."
     oversample_linf: bool = False
+
+    def __post_init__(self):
+        """Range-check every value.  Grid, physics, step policy and scenario
+        values are checked by their own types; a scenario parameter's
+        error is renamed to its dotted config key."""
+        grid = self.grid()
+        self.params()
+        StepPolicy(t_max=self.t_max, dt=self.dt, cfl_factor=self.cfl_factor,
+                   integrator=self.integrator)
+        try:
+            check_scenario(grid, self.scenario)
+        except ParameterRangeError as exc:
+            raise ParameterRangeError(f"scenario.{exc.name}", exc.expected,
+                                      exc.value) from exc
+        check_range("monitor_max", self.monitor_max, self.monitor_max > 0,
+                    "positive")
+        check_range("record_every", self.record_every, self.record_every >= 1,
+                    ">= 1")
+        check_range("snapshot_every", self.snapshot_every,
+                    self.snapshot_every >= 0, ">= 0")
 
     def grid(self) -> Grid:
         return Grid(self.dim, self.res, self.length)
@@ -128,61 +149,21 @@ def _require(values: dict):
             raise ConfigRangeError(key, "required key missing")
 
 
-def _check_range(key, value, ok, expected):
-    if not ok:
-        raise ConfigRangeError(key, f"must be {expected}, got {value}")
-
-
 def from_values(values: dict) -> SimulationConfig:
-    """Validate a raw key dict and build a SimulationConfig."""
+    """Validate a raw key dict and build a SimulationConfig.  Every range is
+    checked once, by the object that owns the value; a violation becomes a
+    ConfigRangeError naming the config key."""
     _require(values)
-
-    dim = values["dim"]
-    _check_range("dim", dim, dim in (2, 3), "2 or 3")
-    res = values["res"]
-    _check_range("res", res, res >= 8 and (res & (res - 1)) == 0,
-                 "a power of two >= 8")
-    length = values.get("length", 2.0 * math.pi)
-    _check_range("length", length, length > 0, "positive")
-    nu = values.get("nu", 1.0)
-    _check_range("nu", nu, nu > 0, "positive")
-    t_max = values["t_max"]
-    _check_range("t_max", t_max, t_max > 0, "positive")
-    dt = values.get("dt")
-    if dt is not None:
-        _check_range("dt", dt, dt > 0, "positive")
-    cfl = values.get("cfl_factor", 0.5)
-    _check_range("cfl_factor", cfl, 0 < cfl <= 1, "in (0, 1]")
-    integrator = values.get("integrator", "IF-RK4")
-    _check_range("integrator", integrator, integrator in INTEGRATORS,
-                 f"one of {INTEGRATORS}")
-    monitor_max = values.get("monitor_max", 1e18)
-    _check_range("monitor_max", monitor_max, monitor_max > 0, "positive")
-    record_every = values.get("record_every", 10)
-    _check_range("record_every", record_every, record_every >= 1, ">= 1")
-    snapshot_every = values.get("snapshot_every", 0)
-    _check_range("snapshot_every", snapshot_every, snapshot_every >= 0, ">= 0")
-
-    name = values["scenario"]
-    _check_range("scenario", name, name in SCENARIO_NAMES,
-                 f"one of {sorted(SCENARIO_NAMES)}")
-    params = {}
-    for dotted in _SCENARIO_PARAM_KEYS:
-        if dotted in values:
-            params[dotted.split(".", 1)[1]] = values[dotted]
+    fields = {key: value for key, value in values.items()
+              if key != "scenario" and key not in _SCENARIO_PARAM_KEYS}
+    params = {dotted.split(".", 1)[1]: values[dotted]
+              for dotted in _SCENARIO_PARAM_KEYS if dotted in values}
     try:
-        scenario = ScenarioSpec(name, params)
-    except ValueError as exc:
-        raise ConfigRangeError("scenario", str(exc)) from exc
-
-    return SimulationConfig(
-        dim=dim, res=res, scenario=scenario, t_max=t_max, length=length,
-        nu=nu, dt=dt, cfl_factor=cfl, integrator=integrator,
-        monitor_max=monitor_max, record_every=record_every,
-        snapshot_every=snapshot_every,
-        output_dir=values.get("output_dir", "."),
-        oversample_linf=values.get("oversample_linf", False),
-    )
+        return SimulationConfig(
+            scenario=ScenarioSpec(values["scenario"], params), **fields)
+    except ParameterRangeError as exc:
+        raise ConfigRangeError(
+            exc.name, f"must be {exc.expected}, got {exc.value}") from exc
 
 
 def load_config(text: str, overrides=()) -> SimulationConfig:

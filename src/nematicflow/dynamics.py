@@ -19,13 +19,14 @@ renormalization is of the same order as the local truncation error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericalOverflowError
-from .spectral import Field, Grid, linf_norm, project_spec
+from .errors import NumericalOverflowError, check_range
+from .spectral import Field, Grid, _fftn, _ifftn, linf_norm, project_spec
 from .state import FluidState, PhysicsParams, normalize_director
 
 __all__ = ["StepPolicy", "momentum_rhs", "director_rhs", "step", "suggest_dt"]
@@ -44,23 +45,17 @@ class StepPolicy:
     integrator: str = "IF-RK4"
 
     def __post_init__(self):
-        if self.dt is not None and not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.dt is None:
-            if self.cfl_factor is None or not 0 < self.cfl_factor <= 1:
-                raise ValueError(f"cfl_factor must be in (0, 1], got {self.cfl_factor}")
-        if not self.t_max > 0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
-        if self.integrator not in INTEGRATORS:
-            raise ValueError(f"integrator must be one of {INTEGRATORS}")
-
-
-def _ifft(grid: Grid, spec: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(spec, axes=grid.spatial_axes, norm="forward").real
-
-
-def _fft(grid: Grid, phys: np.ndarray) -> np.ndarray:
-    return np.fft.fftn(phys, axes=grid.spatial_axes, norm="forward")
+        if self.dt is not None:
+            check_range("dt", self.dt, 0 < self.dt < math.inf,
+                        "positive and finite")
+        if self.dt is None or self.cfl_factor is not None:
+            check_range("cfl_factor", self.cfl_factor,
+                        self.cfl_factor is not None and 0 < self.cfl_factor <= 1,
+                        "in (0, 1]")
+        check_range("t_max", self.t_max, 0 < self.t_max < math.inf,
+                    "positive and finite")
+        check_range("integrator", self.integrator,
+                    self.integrator in INTEGRATORS, f"one of {INTEGRATORS}")
 
 
 def _nonlinear(grid: Grid, u_spec: np.ndarray, d_spec: np.ndarray,
@@ -77,12 +72,12 @@ def _nonlinear(grid: Grid, u_spec: np.ndarray, d_spec: np.ndarray,
     dim = grid.dim
     mask = grid.dealias_mask
 
-    fields = _ifft(grid, np.concatenate([u_spec, d_spec, -grid.k2 * d_spec]))
+    fields = _ifftn(grid, np.concatenate([u_spec, d_spec, -grid.k2 * d_spec]))
     u, d, lap_d = fields[:dim], fields[dim:dim + 3], fields[dim + 3:]
 
     ud_spec = np.concatenate([u_spec, d_spec])
-    deriv = _ifft(grid, np.stack([1j * grid.k_deriv[i] * ud_spec
-                                  for i in range(dim)]))
+    deriv = _ifftn(grid, np.stack([1j * grid.k_deriv[i] * ud_spec
+                                   for i in range(dim)]))
     grad_u = deriv[:, :dim]     # [j, i] = d u_i / d x_j
     grad_d = deriv[:, dim:]     # [i, m] = d d_m / d x_i
 
@@ -90,13 +85,13 @@ def _nonlinear(grid: Grid, u_spec: np.ndarray, d_spec: np.ndarray,
     force = np.einsum("m...,im...->i...", lap_d, grad_d)
 
     if freeze_director:
-        n_u = project_spec(grid, _fft(grid, -(conv + force)) * mask)
+        n_u = project_spec(grid, _fftn(grid, -(conv + force)) * mask)
         return n_u, np.zeros_like(d_spec)
 
     grad_sq = np.einsum("im...,im...->...", grad_d, grad_d)
     transport = np.einsum("j...,jm...->m...", u, grad_d)
-    products = _fft(grid, np.concatenate([-(conv + force),
-                                          grad_sq * d - transport])) * mask
+    products = _fftn(grid, np.concatenate([-(conv + force),
+                                           grad_sq * d - transport])) * mask
     n_u = project_spec(grid, products[:dim])
     return n_u, products[dim:]
 
@@ -178,7 +173,7 @@ def step(s: FluidState, params: PhysicsParams, dt: float,
 def grad_linf(s: FluidState) -> float:
     """Max pointwise Frobenius norm of grad d."""
     grid = s.grid
-    g = np.stack([_ifft(grid, 1j * grid.k_deriv[i] * s.d.spec)
+    g = np.stack([_ifftn(grid, 1j * grid.k_deriv[i] * s.d.spec)
                   for i in range(grid.dim)])
     return float(np.sqrt(np.max(np.sum(g * g, axis=(0, 1)))))
 

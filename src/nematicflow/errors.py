@@ -14,7 +14,24 @@ class NumericalOverflowError(NematicFlowError):
     or loss of resolution)."""
 
 
-class UnderResolvedError(NematicFlowError, ValueError):
+class ParameterRangeError(NematicFlowError, ValueError):
+    """A model or run parameter is outside its allowed range; carries the
+    parameter's name, the allowed range and the offending value."""
+
+    def __init__(self, name, expected, value):
+        super().__init__(f"{name} must be {expected}, got {value!r}")
+        self.name = name
+        self.expected = expected
+        self.value = value
+
+
+def check_range(name, value, ok, expected) -> None:
+    """Raise ParameterRangeError for `name` unless `ok`."""
+    if not ok:
+        raise ParameterRangeError(name, expected, value)
+
+
+class UnderResolvedError(ParameterRangeError):
     """Requested scenario content is not resolved by the grid."""
 
 

@@ -12,15 +12,16 @@ amplitude is a monitor-growth stress test, not a singularity candidate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnderResolvedError
-from .spectral import Field, Grid, leray_project
+from .errors import UnderResolvedError, check_range
+from .spectral import Field, Grid, _fftn, _ifftn, leray_project
 from .state import FluidState, normalize_director
 
-__all__ = ["ScenarioSpec", "SCENARIO_NAMES", "build_scenario",
+__all__ = ["ScenarioSpec", "SCENARIO_NAMES", "build_scenario", "check_scenario",
            "taylor_green", "winding_director", "random_smooth"]
 
 
@@ -32,10 +33,8 @@ class ScenarioSpec:
     parameters: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.name not in SCENARIO_NAMES:
-            raise ValueError(
-                f"unknown scenario {self.name!r}; known: {sorted(SCENARIO_NAMES)}"
-            )
+        check_range("scenario", self.name, self.name in SCENARIO_NAMES,
+                    f"one of {sorted(SCENARIO_NAMES)}")
 
 
 def taylor_green(grid: Grid, amplitude: float = 1.0) -> FluidState:
@@ -45,8 +44,7 @@ def taylor_green(grid: Grid, amplitude: float = 1.0) -> FluidState:
     the run reduces to plain Navier-Stokes; in 2-D the velocity decays as
     exp(-2 nu t) times the initial profile.
     """
-    if not amplitude > 0:
-        raise ValueError(f"amplitude must be positive, got {amplitude}")
+    _check_amplitude(grid, amplitude)
     x = grid.coords()
     shape = grid.shape
     u = np.zeros((grid.dim,) + shape)
@@ -68,14 +66,8 @@ def winding_director(grid: Grid, k: int = 1) -> FluidState:
     A stationary harmonic map: lap d = -k^2 d and |grad d|^2 = k^2, so the
     heat-flow tendency vanishes, as does the elastic forcing on u.
     """
+    _check_k(grid, k)
     k = int(k)
-    if abs(k) < 1:
-        raise ValueError(f"winding number must satisfy |k| >= 1, got {k}")
-    if abs(k) >= grid.res / 3:
-        raise UnderResolvedError(
-            f"winding number {k} is not resolved at res {grid.res} "
-            f"(need |k| < res/3)"
-        )
     x0 = grid.coords()[0]
     shape = grid.shape
     d = np.zeros((3,) + shape)
@@ -93,11 +85,10 @@ def _smooth_noise(grid: Grid, rng: np.random.Generator, ncomp: int,
     near-cutoff tail would otherwise leave an O(k^2 tail) residual in the
     sphere identity)."""
     white = rng.standard_normal((ncomp,) + grid.shape)
-    spec = np.fft.fftn(white, axes=grid.spatial_axes, norm="forward")
-    k_int = np.sqrt(sum((k / (2.0 * np.pi / grid.length)) ** 2
-                        for k in grid.k_full))
+    spec = _fftn(grid, white)
+    k_int = np.sqrt(sum(k * k for k in grid.k_int))
     spec *= (1.0 + k_int) ** (-slope) * grid.dealias_mask
-    return np.fft.ifftn(spec, axes=grid.spatial_axes, norm="forward").real
+    return _ifftn(grid, spec)
 
 
 def random_smooth(grid: Grid, seed: int = 0, slope: float = 4.0,
@@ -108,12 +99,9 @@ def random_smooth(grid: Grid, seed: int = 0, slope: float = 4.0,
     Both fields are drawn with spectral slope `slope` and rescaled so
     their pointwise maxima equal `amplitude`; the velocity mean is zeroed.
     """
-    if not slope > grid.dim / 2 + 1:
-        raise ValueError(
-            f"slope must exceed dim/2 + 1 = {grid.dim / 2 + 1} for smooth data"
-        )
-    if not amplitude > 0:
-        raise ValueError(f"amplitude must be positive, got {amplitude}")
+    _check_seed(grid, seed)
+    _check_slope(grid, slope)
+    _check_amplitude(grid, amplitude)
     rng = np.random.Generator(np.random.PCG64(int(seed)))
 
     u = _smooth_noise(grid, rng, grid.dim, slope)
@@ -138,38 +126,66 @@ def _half_band_unit(grid: Grid, d: np.ndarray, passes: int = 3) -> np.ndarray:
     discrete sphere identity holds to near roundoff instead of being
     polluted by aliasing of near-cutoff modes."""
     cutoff = (grid.res // 2 - 1) // 2
-    keep = np.ones(grid.shape, dtype=bool)
-    kabs = np.abs(grid.kfreq_int)
-    for ax in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[ax] = grid.res
-        keep &= kabs.reshape(shape) <= cutoff
-    axes = grid.spatial_axes
+    keep = np.ones(grid.spec_shape, dtype=bool)
+    for k in grid.k_int:
+        keep &= np.abs(k) <= cutoff
     for _ in range(passes):
-        spec = np.fft.fftn(d, axes=axes, norm="forward") * keep
-        d = np.fft.ifftn(spec, axes=axes, norm="forward").real
+        d = _ifftn(grid, _fftn(grid, d) * keep)
         d = d / np.sqrt(np.sum(d * d, axis=0))
     return d
 
 
+def _check_amplitude(grid: Grid, amplitude) -> None:
+    check_range("amplitude", amplitude, 0 < amplitude < math.inf,
+                "positive and finite")
+
+
+def _check_k(grid: Grid, k) -> None:
+    check_range("k", k, abs(int(k)) >= 1, "an integer with |k| >= 1")
+    if not abs(int(k)) < grid.res / 3:
+        raise UnderResolvedError("k", f"below res/3 in magnitude to be "
+                                 f"resolved at res {grid.res}", k)
+
+
+def _check_seed(grid: Grid, seed) -> None:
+    check_range("seed", seed, int(seed) >= 0, "a non-negative integer")
+
+
+def _check_slope(grid: Grid, slope) -> None:
+    bound = grid.dim / 2 + 1
+    check_range("slope", slope, bound < slope < math.inf,
+                f"finite and above dim/2 + 1 = {bound} for smooth data")
+
+
+# registered name -> (builder, {parameter: check}); each check raises
+# ParameterRangeError naming the parameter
 _BUILDERS = {
-    "taylor_green": (taylor_green, {"amplitude": "amplitude"}),
-    "winding_director": (winding_director, {"k": "k"}),
-    "random_smooth": (random_smooth,
-                      {"seed": "seed", "slope": "slope", "amplitude": "amplitude"}),
+    "taylor_green": (taylor_green, {"amplitude": _check_amplitude}),
+    "winding_director": (winding_director, {"k": _check_k}),
+    "random_smooth": (random_smooth, {"seed": _check_seed,
+                                      "slope": _check_slope,
+                                      "amplitude": _check_amplitude}),
 }
 
 SCENARIO_NAMES = frozenset(_BUILDERS)
 
 
+def check_scenario(grid: Grid, spec: ScenarioSpec) -> None:
+    """Range-check the parameters `spec` passes to its builder on `grid`,
+    without building the state.  Parameters the builder does not take are
+    left to `build_scenario`."""
+    _, checks = _BUILDERS[spec.name]
+    for key, value in spec.parameters.items():
+        if key in checks:
+            checks[key](grid, value)
+
+
 def build_scenario(grid: Grid, spec: ScenarioSpec) -> FluidState:
     """Instantiate the initial state named by `spec` on `grid`."""
     builder, accepted = _BUILDERS[spec.name]
-    kwargs = {}
-    for key, value in spec.parameters.items():
+    for key in spec.parameters:
         if key not in accepted:
             raise ValueError(
                 f"scenario {spec.name!r} does not take parameter {key!r}"
             )
-        kwargs[accepted[key]] = value
-    return builder(grid, **kwargs)
+    return builder(grid, **spec.parameters)

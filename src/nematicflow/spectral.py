@@ -3,29 +3,47 @@
 Transforms, exact spectral differential operators, Leray projection and
 2/3-rule dealiasing on a uniform grid over [0, L)^dim with dim in {2, 3}.
 
+Half-spectrum layout: every field is real, so its spectrum is Hermitian,
+f_hat(-k) = conj(f_hat(k)), and only half of it is stored.  Spectral arrays
+have shape `Grid.spec_shape`: the leading spatial axes hold all `res` modes
+in FFT order (0, 1, ..., res/2-1, -res/2, ..., -1), the last axis only the
+modes 0, 1, ..., res/2.  `_fftn`/`_ifftn` (numpy's rfftn/irfftn) are the
+one transform pair of the package; every wavenumber table of `Grid` has
+this layout.
+
 Normalization convention: the forward transform divides by the number of
 grid points, so the mode-0 coefficient equals the field mean.  Under this
 convention discrete Parseval reads
 
-    sum_x |f(x)|^2 * cell_volume == volume * sum_k |f_hat(k)|^2.
+    sum_x |f(x)|^2 * cell_volume == volume * sum_k w_k |f_hat(k)|^2
 
-First-derivative wavenumber tables have the Nyquist mode zeroed so that
-derivatives of real fields stay real-to-real symmetric.  The Laplacian and
-direct second derivatives keep the Nyquist contribution.
+with Hermitian weights w_k = 1 on the last-axis columns 0 and res/2 (their
+conjugate partners are stored in the same column) and w_k = 2 on every
+interior column (each stands for itself and its unstored partner).
+
+First-derivative wavenumber tables have the Nyquist mode zeroed on every
+axis, the last one included, so that derivatives of real fields stay
+real-to-real symmetric.  The Laplacian and the pure second derivatives
+keep the Nyquist contribution.
+
+Oversampling (`oversampled_phys`) zero-pads the spectrum with each Nyquist
+mode split evenly between -res/2 and +res/2 of the finer grid, the
+Hermitian part of placing it at -res/2 only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from .errors import check_range
+
 __all__ = [
     "Grid",
     "Field",
-    "transform_forward",
-    "transform_inverse",
     "gradient",
     "laplacian",
     "second_derivative",
@@ -47,13 +65,13 @@ def _axis_profile(values: np.ndarray, axis: int, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid with precomputed wavenumber tables.
+    """Uniform periodic grid with precomputed half-spectrum wavenumber tables.
 
     Parameters
     ----------
     dim : 2 or 3.
     res : samples per axis; power of two, >= 8.
-    length : torus side length (default 2*pi).
+    length : torus side length (default 2*pi); positive and finite.
     """
 
     dim: int
@@ -61,16 +79,21 @@ class Grid:
     length: float = 2.0 * np.pi
 
     def __post_init__(self):
-        if self.dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {self.dim}")
-        if self.res < 8 or (self.res & (self.res - 1)) != 0:
-            raise ValueError(f"res must be a power of two >= 8, got {self.res}")
-        if not self.length > 0:
-            raise ValueError(f"length must be positive, got {self.length}")
+        check_range("dim", self.dim, self.dim in (2, 3), "2 or 3")
+        check_range("res", self.res,
+                    self.res >= 8 and (self.res & (self.res - 1)) == 0,
+                    "a power of two >= 8")
+        check_range("length", self.length,
+                    0 < self.length < math.inf, "positive and finite")
 
     @property
     def shape(self) -> tuple:
         return (self.res,) * self.dim
+
+    @property
+    def spec_shape(self) -> tuple:
+        """Shape of a spectral array: the last axis holds modes 0..res/2."""
+        return (self.res,) * (self.dim - 1) + (self.res // 2 + 1,)
 
     @property
     def spatial_axes(self) -> tuple:
@@ -94,23 +117,30 @@ class Grid:
         return self.length**self.dim
 
     @cached_property
-    def kfreq_int(self) -> np.ndarray:
-        """Integer mode indices in FFT order: 0, 1, ..., res/2-1, -res/2, ..., -1."""
-        return np.rint(np.fft.fftfreq(self.res) * self.res).astype(np.int64)
+    def k_int(self) -> tuple:
+        """Per-axis integer mode indices, broadcastable over `spec_shape`:
+        FFT order 0, 1, ..., res/2-1, -res/2, ..., -1 on the leading axes,
+        0, 1, ..., res/2 on the last."""
+        full = np.rint(np.fft.fftfreq(self.res) * self.res).astype(np.int64)
+        half = np.arange(self.res // 2 + 1)
+        return tuple(
+            _axis_profile(half if ax == self.dim - 1 else full, ax, self.dim)
+            for ax in range(self.dim)
+        )
 
     @cached_property
     def k_full(self) -> tuple:
         """Per-axis physical wavenumbers (2*pi/L scaling), Nyquist included."""
-        k1 = self.kfreq_int * (2.0 * np.pi / self.length)
-        return tuple(_axis_profile(k1, ax, self.dim) for ax in range(self.dim))
+        scale = 2.0 * np.pi / self.length
+        return tuple(k * scale for k in self.k_int)
 
     @cached_property
     def k_deriv(self) -> tuple:
-        """First-derivative wavenumber tables with the Nyquist mode zeroed."""
-        k1 = self.kfreq_int * (2.0 * np.pi / self.length)
-        k1 = k1.copy()
-        k1[self.res // 2] = 0.0
-        return tuple(_axis_profile(k1, ax, self.dim) for ax in range(self.dim))
+        """First-derivative wavenumber tables with the Nyquist mode zeroed
+        on every axis."""
+        nyquist = self.res // 2
+        return tuple(np.where(np.abs(ki) == nyquist, 0.0, k)
+                     for ki, k in zip(self.k_int, self.k_full))
 
     @cached_property
     def k2(self) -> np.ndarray:
@@ -119,18 +149,21 @@ class Grid:
         return sum(k * k for k in self.k_full)
 
     @cached_property
-    def k2_deriv(self) -> np.ndarray:
-        """|k|^2 built from the derivative tables (used by spectral Poisson
-        inversions so they stay consistent with gradient/divergence)."""
-        return sum(k * k for k in self.k_deriv)
+    def inv_k2(self) -> np.ndarray:
+        """1/|k|^2 built from the derivative tables, so that spectral Poisson
+        inversions (the Leray projection, the pressure solve) stay consistent
+        with gradient/divergence; 0 where that |k|^2 vanishes (mode 0 and
+        pure Nyquist modes)."""
+        k2 = sum(k * k for k in self.k_deriv)
+        return np.divide(1.0, k2, out=np.zeros(self.spec_shape), where=k2 > 0)
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """Boolean mask keeping modes with |k_j| <= res/3 on every axis."""
         cutoff = self.res / 3.0
-        keep = np.ones(self.shape, dtype=bool)
-        for ax in range(self.dim):
-            keep &= _axis_profile(np.abs(self.kfreq_int), ax, self.dim) <= cutoff
+        keep = np.ones(self.spec_shape, dtype=bool)
+        for k in self.k_int:
+            keep &= np.abs(k) <= cutoff
         return keep
 
     def coords(self) -> tuple:
@@ -140,21 +173,34 @@ class Grid:
 
 
 def _fftn(grid: Grid, phys: np.ndarray) -> np.ndarray:
-    return np.fft.fftn(phys, axes=grid.spatial_axes, norm="forward")
+    """Forward transform of real (ncomp, *shape) data to its half spectrum."""
+    return np.fft.rfftn(phys, axes=grid.spatial_axes, norm="forward")
 
 
 def _ifftn(grid: Grid, spec: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(spec, axes=grid.spatial_axes, norm="forward").real
+    """Inverse of `_fftn`: a half spectrum back to real physical values."""
+    return np.fft.irfftn(spec, s=grid.shape, axes=grid.spatial_axes,
+                         norm="forward")
+
+
+def _coerce(data, dtype, shape: tuple) -> np.ndarray:
+    arr = np.asarray(data, dtype=dtype)
+    if arr.shape == shape:
+        arr = arr[np.newaxis]
+    if arr.ndim != len(shape) + 1 or arr.shape[1:] != shape:
+        raise ValueError(f"array shape {arr.shape} does not match {shape}")
+    return arr
 
 
 class Field:
     """Scalar or multi-component field with paired physical and spectral
     representations.
 
-    Data layout is (ncomp, res, ..., res); scalar inputs without a component
-    axis are promoted to ncomp = 1.  Representations are computed lazily and
-    cached, so a Field is cheap to pass around and never transforms twice.
-    Operations treat Fields as immutable values.
+    Physical data has layout (ncomp, *grid.shape), spectral data
+    (ncomp, *grid.spec_shape); inputs without a component axis are promoted
+    to ncomp = 1.  Representations are computed lazily and cached, so a
+    Field is cheap to pass around and never transforms twice.  Operations
+    treat Fields as immutable values.
     """
 
     __slots__ = ("grid", "_phys", "_spec")
@@ -163,18 +209,10 @@ class Field:
         if phys is None and spec is None:
             raise ValueError("Field needs a physical or spectral array")
         self.grid = grid
-        self._phys = self._coerce(phys, np.float64) if phys is not None else None
-        self._spec = self._coerce(spec, np.complex128) if spec is not None else None
-
-    def _coerce(self, data, dtype) -> np.ndarray:
-        arr = np.asarray(data, dtype=dtype)
-        if arr.shape == self.grid.shape:
-            arr = arr[np.newaxis]
-        if arr.ndim != self.grid.dim + 1 or arr.shape[1:] != self.grid.shape:
-            raise ValueError(
-                f"array shape {arr.shape} does not match grid shape {self.grid.shape}"
-            )
-        return arr
+        self._phys = (_coerce(phys, np.float64, grid.shape)
+                      if phys is not None else None)
+        self._spec = (_coerce(spec, np.complex128, grid.spec_shape)
+                      if spec is not None else None)
 
     @classmethod
     def from_phys(cls, grid: Grid, phys) -> "Field":
@@ -213,18 +251,6 @@ class Field:
         return self._spec
 
 
-def transform_forward(f: Field) -> Field:
-    """Return `f` with the spectral representation materialized."""
-    f.spec
-    return f
-
-
-def transform_inverse(f: Field) -> Field:
-    """Return `f` with the physical representation materialized."""
-    f.phys
-    return f
-
-
 def gradient(f: Field, axis: int) -> Field:
     """Partial derivative along `axis` by multiplication with i*k in
     spectral space (Nyquist derivative zeroed)."""
@@ -239,13 +265,16 @@ def laplacian(f: Field) -> Field:
 
 
 def second_derivative(f: Field, axis_a: int, axis_b: int) -> Field:
-    """Direct second derivative d^2 f / dx_a dx_b, Nyquist retained so that
-    the trace reproduces `laplacian` exactly."""
+    """Direct second derivative d^2 f / dx_a dx_b.  Pure derivatives keep
+    the Nyquist mode, so that the trace reproduces `laplacian` exactly;
+    mixed ones are the composition of two first derivatives (Nyquist
+    zeroed), whose multiplier is even in k as a real result needs."""
     grid = f.grid
     for ax in (axis_a, axis_b):
         if not 0 <= ax < grid.dim:
             raise ValueError(f"axis {ax} out of range for dim {grid.dim}")
-    return Field.from_spec(grid, -grid.k_full[axis_a] * grid.k_full[axis_b] * f.spec)
+    k = grid.k_full if axis_a == axis_b else grid.k_deriv
+    return Field.from_spec(grid, -k[axis_a] * k[axis_b] * f.spec)
 
 
 def divergence(v: Field) -> Field:
@@ -284,13 +313,8 @@ def project_spec(grid: Grid, v_spec: np.ndarray) -> np.ndarray:
     Nyquist modes) pass through unchanged.
     """
     k = grid.k_deriv
-    k2 = grid.k2_deriv
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_k2 = np.where(k2 > 0, 1.0 / np.where(k2 > 0, k2, 1.0), 0.0)
-    kdotv = sum(k[j] * v_spec[j] for j in range(grid.dim))
-    return np.stack(
-        [v_spec[j] - k[j] * kdotv * inv_k2 for j in range(grid.dim)]
-    )
+    kdotv = sum(k[j] * v_spec[j] for j in range(grid.dim)) * grid.inv_k2
+    return np.stack([v_spec[j] - k[j] * kdotv for j in range(grid.dim)])
 
 
 def leray_project(v: Field) -> Field:
@@ -313,16 +337,27 @@ def l2_norm(f: Field) -> float:
 
 def oversampled_phys(f: Field, factor: int = 2) -> np.ndarray:
     """Physical samples on a `factor`-times finer grid via spectral
-    zero-padding.  Used for sharper L-infinity estimates near singular times."""
+    zero-padding.  Used for sharper L-infinity estimates near singular times.
+
+    Each Nyquist mode of `f` is split evenly between -res/2 and +res/2 of
+    the finer grid: half of the spectrum is padded with the Nyquist rows of
+    the leading axes at -res/2 and the last axis's Nyquist column left out,
+    the other half with those rows at +res/2 and the column kept.  This is
+    the real part of padding the full spectrum with every Nyquist at -res/2.
+    """
     grid = f.grid
     fine = Grid(grid.dim, grid.res * factor, grid.length)
-    axes = grid.spatial_axes
-    small = np.fft.fftshift(f.spec, axes=axes)
-    big = np.zeros((f.ncomp,) + fine.shape, dtype=np.complex128)
-    lo = (fine.res - grid.res) // 2
-    sl = (slice(None),) + (slice(lo, lo + grid.res),) * grid.dim
-    big[sl] = small
-    big = np.fft.ifftshift(big, axes=axes)
+    half = grid.res // 2
+    idx = np.arange(grid.res)
+    minus = np.where(idx < half, idx, idx + fine.res - grid.res)
+    plus = np.where(idx <= half, idx, idx + fine.res - grid.res)
+    cols = np.arange(half + 1)
+    lead = grid.dim - 1
+    big = np.zeros((f.ncomp,) + fine.spec_shape, dtype=np.complex128)
+    spec = 0.5 * f.spec
+    big[(slice(None),) + np.ix_(*[plus] * lead, cols)] = spec
+    spec[..., half] = 0.0
+    big[(slice(None),) + np.ix_(*[minus] * lead, cols)] += spec
     return _ifftn(fine, big)
 
 

@@ -9,11 +9,12 @@ is unit length at every grid point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateDirectorError
+from .errors import DegenerateDirectorError, check_range
 from .spectral import Field, Grid, dealias, gradient, laplacian
 
 __all__ = ["PhysicsParams", "FluidState", "normalize_director",
@@ -31,8 +32,7 @@ class PhysicsParams:
     nu: float = 1.0
 
     def __post_init__(self):
-        if not self.nu > 0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
+        check_range("nu", self.nu, 0 < self.nu < math.inf, "positive and finite")
 
 
 @dataclass(frozen=True)
@@ -99,9 +99,7 @@ def recover_pressure(s: FluidState, params: PhysicsParams) -> Field:
     grid = s.grid
     rhs = advection(grid, s.u, s.u).spec[: grid.dim] + elastic_force(s).spec
     div_spec = sum(1j * grid.k_deriv[j] * rhs[j] for j in range(grid.dim))
-    k2 = grid.k2_deriv
-    p_spec = np.where(k2 > 0, div_spec / np.where(k2 > 0, k2, 1.0), 0.0)
-    return Field.from_spec(grid, p_spec[np.newaxis])
+    return Field.from_spec(grid, (div_spec * grid.inv_k2)[np.newaxis])
 
 
 def constraint_residual(s: FluidState) -> tuple:

@@ -67,7 +67,11 @@ def check_spectral():
     rng = np.random.Generator(np.random.PCG64(1))
     rand = Field.from_phys(grid, rng.standard_normal(grid.shape))
     phys_sq = grid.cell_volume * np.sum(rand.phys**2)
-    spec_sq = grid.volume * np.sum(np.abs(rand.spec) ** 2)
+    # Hermitian weights: each interior half-spectrum column also stands for
+    # its unstored conjugate partner
+    weights = np.full(grid.spec_shape, 2.0)
+    weights[:, [0, grid.res // 2]] = 1.0
+    spec_sq = grid.volume * np.sum(weights * np.abs(rand.spec) ** 2)
     err = abs(phys_sq - spec_sq) / phys_sq
     results.append(_check("Parseval identity", err, 1e-10))
 

@@ -40,6 +40,27 @@ def test_invalid_config_value(config_file, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override,key", [
+    ("nu=inf", "nu"),
+    ("length=inf", "length"),
+    ("t_max=inf", "t_max"),
+    ("dt=nan", "dt"),
+    ("scenario.amplitude=inf", "scenario.amplitude"),
+    ("scenario.amplitude=-1", "scenario.amplitude"),
+])
+def test_non_finite_or_negative_value_is_config_error(tmp_path, capsys,
+                                                      override, key):
+    # rejected before the run starts: never reported as a blow-up (exit 1)
+    path = tmp_path / "tg.cfg"
+    path.write_text("dim = 2\nres = 16\nscenario = taylor_green\n"
+                    f"t_max = 0.01\ndt = 0.005\noutput_dir = {tmp_path}\n")
+    assert main(["run", "--config", str(path), "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert key in err
+    assert not (tmp_path / "timeseries.csv").exists()
+
+
 def test_malformed_config_text(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("dim: 2\n")

@@ -97,6 +97,18 @@ class TestLoadConfig:
             "scenario.k = 2\nt_max = 1\n")
         assert config.scenario.parameters == {"k": 2}
 
+    @pytest.mark.parametrize("scenario,override,key", [
+        ("winding_director", "scenario.k=0", "scenario.k"),
+        ("winding_director", "scenario.k=22", "scenario.k"),  # res/3 at 64
+        ("random_smooth", "scenario.slope=2", "scenario.slope"),
+        ("random_smooth", "scenario.seed=-1", "scenario.seed"),
+        ("random_smooth", "scenario.amplitude=nan", "scenario.amplitude"),
+    ])
+    def test_scenario_parameter_checked_at_load(self, scenario, override, key):
+        with pytest.raises(ConfigRangeError) as err:
+            load_config(MINIMAL, overrides=[f"scenario={scenario}", override])
+        assert err.value.key == key
+
     def test_foreign_scenario_parameter_rejected_at_build(self):
         config = load_config(MINIMAL, overrides=["scenario.k=2"])
         from nematicflow.scenarios import build_scenario

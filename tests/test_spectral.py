@@ -5,7 +5,8 @@ import pytest
 
 from nematicflow.spectral import (Field, Grid, curl, dealias, divergence,
                                   gradient, l2_norm, laplacian, leray_project,
-                                  linf_norm, second_derivative)
+                                  linf_norm, oversampled_phys,
+                                  second_derivative)
 
 
 @pytest.fixture
@@ -70,18 +71,26 @@ class TestTransforms:
         assert err < 1e-12
 
     def test_parseval(self, grid2):
+        # Hermitian weights: an interior column of the half spectrum also
+        # stands for its unstored conjugate partner
         f = random_field(grid2, seed=4)
+        weights = np.full(grid2.spec_shape, 2.0)
+        weights[:, [0, grid2.res // 2]] = 1.0
         phys_sq = grid2.cell_volume * np.sum(f.phys**2)
-        spec_sq = grid2.volume * np.sum(np.abs(f.spec) ** 2)
+        spec_sq = grid2.volume * np.sum(weights * np.abs(f.spec) ** 2)
         assert abs(phys_sq - spec_sq) / phys_sq < 1e-10
 
     def test_conjugate_symmetry(self, grid2):
+        # the stored half plus its conjugate mirror is the full spectrum
         f = random_field(grid2, seed=5)
-        spec = f.spec[0]
-        mirrored = spec
-        for ax in range(2):
-            mirrored = np.roll(np.flip(mirrored, axis=ax), 1, axis=ax)
-        assert np.max(np.abs(spec - np.conj(mirrored))) < 1e-13
+        half = f.spec[0]
+        res = grid2.res
+        cols = np.arange(res // 2 + 1, res)
+        full = np.empty((res, res), dtype=complex)
+        full[:, : res // 2 + 1] = half
+        full[:, cols] = np.conj(half[(-np.arange(res)) % res][:, res - cols])
+        expected = np.fft.fftn(f.phys[0], norm="forward")
+        assert np.max(np.abs(full - expected)) < 1e-13
 
     def test_bad_shape_rejected(self, grid2):
         with pytest.raises(ValueError):
@@ -132,6 +141,17 @@ class TestDerivatives:
             for b in range(2):
                 hess_sq += l2_norm(second_derivative(f, a, b)) ** 2
         assert abs(lap_sq - hess_sq) / lap_sq < 1e-10
+
+
+    def test_mixed_derivative_is_composed_first_derivatives(self, grid3):
+        # the mixed multiplier k_a k_b is odd in each wavenumber, so on a
+        # Nyquist mode, its own conjugate partner, it must vanish as in the
+        # first derivatives; white noise has content there on every axis
+        f = random_field(grid3, seed=7)
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            composed = gradient(gradient(f, a), b).phys
+            assert np.max(np.abs(second_derivative(f, a, b).phys
+                                 - composed)) < 1e-11
 
 
 class TestVectorOps:
@@ -221,8 +241,9 @@ class TestDealias:
     def test_survivors_at_res_16(self):
         grid = Grid(2, 16)
         kept = grid.dealias_mask
-        kabs = np.abs(grid.kfreq_int)
-        expected = (kabs[:, None] <= 5) & (kabs[None, :] <= 5)
+        kabs = np.abs(np.fft.fftfreq(16) * 16)
+        kabs_last = np.fft.rfftfreq(16) * 16
+        expected = (kabs[:, None] <= 5) & (kabs_last[None, :] <= 5)
         assert np.array_equal(kept, expected)
 
 
@@ -243,3 +264,19 @@ class TestNorms:
         x0, _ = grid2.coords()
         f = Field.from_phys(grid2, np.sin(x0) + np.zeros(grid2.shape))
         assert abs(linf_norm(f, oversample=True) - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("dim,res", [(2, 16), (3, 8)])
+    def test_oversampled_matches_one_sided_padding(self, dim, res):
+        # reference: the full complex spectrum zero-padded with every
+        # Nyquist mode at -res/2, real part of the inverse; white noise
+        # carries Nyquist content on every axis
+        grid = Grid(dim, res)
+        f = random_field(grid, ncomp=2, seed=12)
+        axes = grid.spatial_axes
+        spec = np.fft.fftshift(np.fft.fftn(f.phys, axes=axes, norm="forward"),
+                               axes=axes)
+        big = np.zeros((2,) + (2 * res,) * dim, dtype=complex)
+        big[(slice(None),) + (slice(res // 2, res // 2 + res),) * dim] = spec
+        expected = np.fft.ifftn(np.fft.ifftshift(big, axes=axes), axes=axes,
+                                norm="forward").real
+        assert np.max(np.abs(oversampled_phys(f) - expected)) < 1e-13
