@@ -47,11 +47,10 @@ def _cmd_run(args) -> int:
         return 2
     try:
         config = load_config(text, overrides=args.overrides)
+        report = run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    report = run(config)
     rec = report.final_record
     print(f"halt_reason = {report.halt_reason}")
     print(f"final_time = {report.final_time:.9g}")

@@ -15,6 +15,12 @@ singular time.
 The second-derivative L^2 norm of the director is evaluated as the L^2
 norm of its Laplacian; the two agree exactly for periodic fields and the
 identity is exercised by the test suite.
+
+A record is one transform pass over the state: two batched inverse
+transforms, [grad u] and [grad d, lap d], plus one dealiased round trip
+for the cubic term of the dissipation.  The monitor maxima max|omega| and
+max|grad d| are computed once per state and memoized on it, so a record
+after `blowup_integrand` on the same state does not transform grad d again.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ from dataclasses import dataclass, fields as dataclass_fields
 import numpy as np
 
 from .errors import EnvelopeUndefinedError
-from .spectral import Field, curl, dealias, gradient, l2_norm, laplacian, linf_norm
-from .state import FluidState, constraint_residual
+from .spectral import Field, _fftn, _ifftn, curl, first_derivatives, linf_norm
+from .state import FluidState, _director_derivatives, _sphere_residuals
 
 __all__ = [
     "DiagnosticsRecord",
@@ -65,21 +71,33 @@ class DiagnosticsRecord:
         return tuple(getattr(self, name) for name in self.field_names())
 
 
-def _grad_d_field(s: FluidState) -> Field:
-    """All dim*3 first derivatives of the director stacked as one field,
-    so component-magnitude norms give the Frobenius norm of grad d."""
-    grid = s.grid
-    spec = np.concatenate([1j * grid.k_deriv[i] * s.d.spec
-                           for i in range(grid.dim)])
-    return Field.from_spec(grid, spec)
+def _monitor_field(s: FluidState, name: str) -> Field:
+    """omega ("omega") or the stacked components of grad d ("grad_d")."""
+    if name == "omega":
+        return curl(s.u)
+    spec = first_derivatives(s.grid, s.d.spec)
+    return Field.from_spec(s.grid, spec.reshape((-1,) + s.grid.spec_shape))
+
+
+def _sup_norms(s: FluidState, names: tuple, oversample: bool) -> tuple:
+    """Max pointwise magnitudes of the named `_monitor_field`s of `s`, on
+    its grid or, with `oversample`, on the 2x finer one.  Memoized on the
+    state; each one not yet known costs one inverse transform, whose
+    arrays die before the next one is made."""
+    for name in names:
+        if (name, oversample) not in s._maxima:
+            s._maxima[name, oversample] = linf_norm(
+                _monitor_field(s, name), oversample=oversample)
+    return tuple(s._maxima[name, oversample] for name in names)
 
 
 def blowup_integrand(s: FluidState, oversample: bool = False) -> float:
     """Pointwise-supremum integrand of the blow-up monitor."""
-    g = linf_norm(_grad_d_field(s), oversample=oversample)
     if s.grid.dim == 2:
+        (g,) = _sup_norms(s, ("grad_d",), oversample)
         return g * g
-    return linf_norm(curl(s.u), oversample=oversample) + g * g
+    omega, g = _sup_norms(s, ("omega", "grad_d"), oversample)
+    return omega + g * g
 
 
 def accumulate_monitor(prev: DiagnosticsRecord, curr_integrand: float,
@@ -90,31 +108,49 @@ def accumulate_monitor(prev: DiagnosticsRecord, curr_integrand: float,
     return prev.monitor_accum + 0.5 * dt * (prev.monitor_integrand + curr_integrand)
 
 
-def _heat_flow_tendency(s: FluidState) -> Field:
-    """lap d + |grad d|^2 d, the dissipative director tendency at u = 0."""
+def _record_fields(s: FluidState) -> dict:
+    """Every record field but t and the monitor values; memoizes the grid
+    maxima of omega and grad d on `s`.  The director tension is
+    lap d + |grad d|^2 d with the cubic term dealiased."""
     grid = s.grid
-    grad_sq = np.zeros(grid.shape)
-    for i in range(grid.dim):
-        g = gradient(s.d, i).phys
-        grad_sq += np.sum(g * g, axis=0)
-    cubic = dealias(Field.from_phys(grid, grad_sq * s.d.phys))
-    return Field.from_spec(grid, laplacian(s.d).spec + cubic.spec)
+    cell = grid.cell_volume
+    grad_u = _ifftn(grid, first_derivatives(grid, s.u.spec))
+    grad_d, lap_d = _director_derivatives(s)
+    if grid.dim == 2:
+        omega = (grad_u[0, 1] - grad_u[1, 0])[np.newaxis]
+    else:
+        omega = np.stack([grad_u[1, 2] - grad_u[2, 1],
+                          grad_u[2, 0] - grad_u[0, 2],
+                          grad_u[0, 1] - grad_u[1, 0]])
+    for name, phys in (("omega", omega), ("grad_d", grad_d)):
+        if (name, False) not in s._maxima:
+            s._maxima[name, False] = linf_norm(
+                Field.from_phys(grid, phys.reshape((-1,) + grid.shape)))
+    d = s.d.phys
+    grad_sq = np.einsum("im...,im...->...", grad_d, grad_d)
+    cubic = _fftn(grid, grad_sq * d) * grid.dealias_mask
+    tension = lap_d + _ifftn(grid, cubic)
+    u_sq = float(np.sum(s.u.phys**2))
+    grad_d_sq = float(np.sum(grad_sq))
+    norm_err, identity_err = _sphere_residuals(d, grad_sq, lap_d)
+    return dict(
+        u_l2=math.sqrt(cell * u_sq),
+        grad_d_l2=math.sqrt(cell * grad_d_sq),
+        omega_l2=math.sqrt(cell * float(np.sum(omega**2))),
+        hess_d_l2=math.sqrt(cell * float(np.sum(lap_d**2))),
+        energy=cell * u_sq + cell * grad_d_sq,
+        dissipation=2.0 * cell * (float(np.sum(grad_u**2))
+                                  + float(np.sum(tension**2))),
+        sphere_norm_err=norm_err,
+        sphere_identity_err=identity_err,
+    )
 
 
 def energy_and_dissipation(s: FluidState) -> tuple:
     """(E, D): kinetic-plus-elastic energy and twice the instantaneous
     dissipation rate, integrated over one torus cell."""
-    grid = s.grid
-    cell = grid.cell_volume
-    energy = cell * float(np.sum(s.u.phys**2))
-    grad_u = Field.from_spec(grid, np.concatenate(
-        [1j * grid.k_deriv[i] * s.u.spec for i in range(grid.dim)]))
-    grad_u_sq = float(np.sum(grad_u.phys**2))
-    gd = _grad_d_field(s)
-    energy += cell * float(np.sum(gd.phys**2))
-    tension = _heat_flow_tendency(s)
-    dissipation = 2.0 * cell * (grad_u_sq + float(np.sum(tension.phys**2)))
-    return energy, dissipation
+    fields = _record_fields(s)
+    return fields["energy"], fields["dissipation"]
 
 
 def energy_residual(history) -> float:
@@ -141,7 +177,8 @@ def lemma21_norms(s: FluidState) -> tuple:
     The latter equals the L^2 norm of the full second-derivative tensor of
     d for periodic fields, so the Hessian is never assembled.
     """
-    return l2_norm(curl(s.u)), l2_norm(laplacian(s.d))
+    fields = _record_fields(s)
+    return fields["omega_l2"], fields["hess_d_l2"]
 
 
 def gronwall_envelope(history) -> float:
@@ -177,22 +214,9 @@ def measure(s: FluidState, monitor_integrand: float,
             monitor_accum: float, oversample: bool = False) -> DiagnosticsRecord:
     """Evaluate every recorded norm of the current state.  The monitor
     values are accumulated by the caller (they need the step history)."""
-    omega = curl(s.u)
-    grad_d = _grad_d_field(s)
-    energy, dissipation = energy_and_dissipation(s)
-    norm_err, identity_err = constraint_residual(s)
-    return DiagnosticsRecord(
-        t=s.t,
-        u_l2=l2_norm(s.u),
-        grad_d_l2=l2_norm(grad_d),
-        omega_l2=l2_norm(omega),
-        omega_linf=linf_norm(omega, oversample=oversample),
-        grad_d_linf=linf_norm(grad_d, oversample=oversample),
-        hess_d_l2=l2_norm(laplacian(s.d)),
-        energy=energy,
-        dissipation=dissipation,
-        monitor_integrand=monitor_integrand,
-        monitor_accum=monitor_accum,
-        sphere_norm_err=norm_err,
-        sphere_identity_err=identity_err,
-    )
+    fields = _record_fields(s)  # first: it memoizes the grid maxima
+    omega_linf, grad_d_linf = _sup_norms(s, ("omega", "grad_d"), oversample)
+    return DiagnosticsRecord(t=s.t, omega_linf=omega_linf,
+                             grad_d_linf=grad_d_linf,
+                             monitor_integrand=monitor_integrand,
+                             monitor_accum=monitor_accum, **fields)

@@ -26,7 +26,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalOverflowError, check_range
-from .spectral import Field, Grid, _fftn, _ifftn, linf_norm, project_spec
+from .spectral import (Field, Grid, _fftn, _ifftn, first_derivatives,
+                       linf_norm, project_spec)
 from .state import FluidState, PhysicsParams, normalize_director
 
 __all__ = ["StepPolicy", "momentum_rhs", "director_rhs", "step", "suggest_dt"]
@@ -75,9 +76,9 @@ def _nonlinear(grid: Grid, u_spec: np.ndarray, d_spec: np.ndarray,
     fields = _ifftn(grid, np.concatenate([u_spec, d_spec, -grid.k2 * d_spec]))
     u, d, lap_d = fields[:dim], fields[dim:dim + 3], fields[dim + 3:]
 
-    ud_spec = np.concatenate([u_spec, d_spec])
-    deriv = _ifftn(grid, np.stack([1j * grid.k_deriv[i] * ud_spec
-                                   for i in range(dim)]))
+    # the concatenated spectra die before the transform: a lower peak
+    deriv = _ifftn(grid, first_derivatives(
+        grid, np.concatenate([u_spec, d_spec])))
     grad_u = deriv[:, :dim]     # [j, i] = d u_i / d x_j
     grad_d = deriv[:, dim:]     # [i, m] = d d_m / d x_i
 
@@ -173,9 +174,8 @@ def step(s: FluidState, params: PhysicsParams, dt: float,
 def grad_linf(s: FluidState) -> float:
     """Max pointwise Frobenius norm of grad d."""
     grid = s.grid
-    g = np.stack([_ifftn(grid, 1j * grid.k_deriv[i] * s.d.spec)
-                  for i in range(grid.dim)])
-    return float(np.sqrt(np.max(np.sum(g * g, axis=(0, 1)))))
+    g = first_derivatives(grid, s.d.spec)
+    return linf_norm(Field.from_spec(grid, g.reshape((-1,) + grid.spec_shape)))
 
 
 def suggest_dt(s: FluidState, policy: StepPolicy) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnderResolvedError, check_range
+from .errors import ConfigRangeError, UnderResolvedError, check_range
 from .spectral import Field, Grid, _fftn, _ifftn, leray_project
 from .state import FluidState, normalize_director
 
@@ -185,7 +185,7 @@ def build_scenario(grid: Grid, spec: ScenarioSpec) -> FluidState:
     builder, accepted = _BUILDERS[spec.name]
     for key in spec.parameters:
         if key not in accepted:
-            raise ValueError(
-                f"scenario {spec.name!r} does not take parameter {key!r}"
-            )
+            raise ConfigRangeError(
+                f"scenario.{key}",
+                f"scenario {spec.name!r} does not take this parameter")
     return builder(grid, **spec.parameters)

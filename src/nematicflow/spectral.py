@@ -33,6 +33,7 @@ Hermitian part of placing it at -res/2 only.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,6 +46,7 @@ __all__ = [
     "Grid",
     "Field",
     "gradient",
+    "first_derivatives",
     "laplacian",
     "second_derivative",
     "divergence",
@@ -141,6 +143,11 @@ class Grid:
         nyquist = self.res // 2
         return tuple(np.where(np.abs(ki) == nyquist, 0.0, k)
                      for ki, k in zip(self.k_int, self.k_full))
+
+    @cached_property
+    def ik_deriv(self) -> tuple:
+        """The first-derivative multipliers i*k of `k_deriv`."""
+        return tuple(1j * k for k in self.k_deriv)
 
     @cached_property
     def k2(self) -> np.ndarray:
@@ -256,7 +263,19 @@ def gradient(f: Field, axis: int) -> Field:
     spectral space (Nyquist derivative zeroed)."""
     if not 0 <= axis < f.grid.dim:
         raise ValueError(f"axis {axis} out of range for dim {f.grid.dim}")
-    return Field.from_spec(f.grid, 1j * f.grid.k_deriv[axis] * f.spec)
+    return Field.from_spec(f.grid, f.grid.ik_deriv[axis] * f.spec)
+
+
+def first_derivatives(grid: Grid, spec: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """All first derivatives of a (ncomp, *spec_shape) spectrum, written
+    into `out` of shape (dim, ncomp, *spec_shape) (allocated when None):
+    out[j, c] is the spectrum of d f_c / dx_j."""
+    if out is None:
+        out = np.empty((grid.dim,) + spec.shape, dtype=np.complex128)
+    for j, ik in enumerate(grid.ik_deriv):
+        np.multiply(ik, spec, out=out[j])
+    return out
 
 
 def laplacian(f: Field) -> Field:
@@ -282,7 +301,7 @@ def divergence(v: Field) -> Field:
     grid = v.grid
     if v.ncomp != grid.dim:
         raise ValueError(f"divergence needs {grid.dim} components, got {v.ncomp}")
-    spec = sum(1j * grid.k_deriv[j] * v.spec[j] for j in range(grid.dim))
+    spec = sum(grid.ik_deriv[j] * v.spec[j] for j in range(grid.dim))
     return Field.from_spec(grid, spec[np.newaxis])
 
 
@@ -291,7 +310,7 @@ def curl(v: Field) -> Field:
     grid = v.grid
     if v.ncomp != grid.dim:
         raise ValueError(f"curl needs {grid.dim} components, got {v.ncomp}")
-    ik = tuple(1j * k for k in grid.k_deriv)
+    ik = grid.ik_deriv
     s = v.spec
     if grid.dim == 2:
         out = (ik[0] * s[1] - ik[1] * s[0])[np.newaxis]
@@ -341,23 +360,25 @@ def oversampled_phys(f: Field, factor: int = 2) -> np.ndarray:
 
     Each Nyquist mode of `f` is split evenly between -res/2 and +res/2 of
     the finer grid: half of the spectrum is padded with the Nyquist rows of
-    the leading axes at -res/2 and the last axis's Nyquist column left out,
-    the other half with those rows at +res/2 and the column kept.  This is
-    the real part of padding the full spectrum with every Nyquist at -res/2.
+    the leading axes at +res/2, the other half with those rows at -res/2
+    and the last axis's Nyquist column left out.  This is the real part of
+    padding the full spectrum with every Nyquist at -res/2.
     """
     grid = f.grid
     fine = Grid(grid.dim, grid.res * factor, grid.length)
     half = grid.res // 2
-    idx = np.arange(grid.res)
-    minus = np.where(idx < half, idx, idx + fine.res - grid.res)
-    plus = np.where(idx <= half, idx, idx + fine.res - grid.res)
-    cols = np.arange(half + 1)
-    lead = grid.dim - 1
+    shift = fine.res - grid.res
     big = np.zeros((f.ncomp,) + fine.spec_shape, dtype=np.complex128)
     spec = 0.5 * f.spec
-    big[(slice(None),) + np.ix_(*[plus] * lead, cols)] = spec
-    spec[..., half] = 0.0
-    big[(slice(None),) + np.ix_(*[minus] * lead, cols)] += spec
+    for split in (half + 1, half):  # Nyquist rows at +res/2, then -res/2
+        # rows below `split` keep their index, the others move up by `shift`
+        halves = ((0, split, 0), (split, grid.res, shift))
+        for rows in itertools.product(halves, repeat=grid.dim - 1):
+            src = tuple(slice(a, b) for a, b, _ in rows)
+            dst = tuple(slice(a + s, b + s) for a, b, s in rows)
+            big[(slice(None),) + dst + (slice(0, half + 1),)] += \
+                spec[(slice(None),) + src]
+        spec[..., half] = 0.0
     return _ifftn(fine, big)
 
 
@@ -366,4 +387,4 @@ def linf_norm(f: Field, oversample: bool = False) -> float:
     across components.  With `oversample`, evaluated on a 2x zero-padded
     grid instead."""
     phys = oversampled_phys(f) if oversample else f.phys
-    return float(np.sqrt(np.max(np.sum(phys**2, axis=0))))
+    return float(np.sqrt(np.max(np.einsum("i...,i...->...", phys, phys))))

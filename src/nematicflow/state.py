@@ -10,12 +10,13 @@ is unit length at every grid point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DegenerateDirectorError, check_range
-from .spectral import Field, Grid, dealias, gradient, laplacian
+from .spectral import (Field, Grid, _ifftn, dealias, first_derivatives,
+                       gradient, laplacian)
 
 __all__ = ["PhysicsParams", "FluidState", "normalize_director",
            "recover_pressure", "constraint_residual"]
@@ -44,6 +45,10 @@ class FluidState:
     u: Field
     d: Field
     t: float = 0.0
+    # monitor maxima memoized by `diagnostics`; init=False, so that
+    # `dataclasses.replace` starts every new state with an empty memo
+    _maxima: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         if self.u.ncomp != self.grid.dim:
@@ -98,8 +103,29 @@ def recover_pressure(s: FluidState, params: PhysicsParams) -> Field:
     """
     grid = s.grid
     rhs = advection(grid, s.u, s.u).spec[: grid.dim] + elastic_force(s).spec
-    div_spec = sum(1j * grid.k_deriv[j] * rhs[j] for j in range(grid.dim))
+    div_spec = sum(grid.ik_deriv[j] * rhs[j] for j in range(grid.dim))
     return Field.from_spec(grid, (div_spec * grid.inv_k2)[np.newaxis])
+
+
+def _director_derivatives(s: FluidState) -> tuple:
+    """(grad d, lap d) on the grid from one inverse transform of their
+    stacked spectra; grad_d[i, m] = d d_m / d x_i."""
+    grid = s.grid
+    spec = np.empty((3 * grid.dim + 3,) + grid.spec_shape, dtype=np.complex128)
+    first_derivatives(grid, s.d.spec,
+                      out=spec[3:].reshape((grid.dim, 3) + grid.spec_shape))
+    np.multiply(-grid.k2, s.d.spec, out=spec[:3])
+    phys = _ifftn(grid, spec)
+    return phys[3:].reshape((grid.dim, 3) + grid.shape), phys[:3]
+
+
+def _sphere_residuals(d: np.ndarray, grad_sq: np.ndarray,
+                     lap_d: np.ndarray) -> tuple:
+    """(max | |d|-1 |, max | |grad d|^2 + d . lap d |) from physical values;
+    `grad_sq` is the pointwise |grad d|^2."""
+    mag_err = float(np.max(np.abs(np.sqrt(np.sum(d * d, axis=0)) - 1.0)))
+    identity = grad_sq + np.sum(d * lap_d, axis=0)
+    return mag_err, float(np.max(np.abs(identity)))
 
 
 def constraint_residual(s: FluidState) -> tuple:
@@ -108,11 +134,6 @@ def constraint_residual(s: FluidState) -> tuple:
     The second entry is the discrete residual of the sphere identity that
     holds exactly for smooth unit-length directors.
     """
-    d = s.d.phys
-    mag_err = float(np.max(np.abs(np.sqrt(np.sum(d * d, axis=0)) - 1.0)))
-    grad_sq = np.zeros(s.grid.shape)
-    for i in range(s.grid.dim):
-        g = gradient(s.d, i).phys
-        grad_sq += np.sum(g * g, axis=0)
-    identity = grad_sq + np.sum(d * laplacian(s.d).phys, axis=0)
-    return mag_err, float(np.max(np.abs(identity)))
+    grad_d, lap_d = _director_derivatives(s)
+    grad_sq = np.einsum("im...,im...->...", grad_d, grad_d)
+    return _sphere_residuals(s.d.phys, grad_sq, lap_d)

@@ -61,6 +61,19 @@ def test_non_finite_or_negative_value_is_config_error(tmp_path, capsys,
     assert not (tmp_path / "timeseries.csv").exists()
 
 
+def test_foreign_scenario_parameter_is_config_error(tmp_path, capsys):
+    # accepted at load, rejected when the run builds the scenario: still a
+    # config error (exit 2), never a suspected blow-up (exit 1)
+    path = tmp_path / "tg.cfg"
+    path.write_text("dim = 2\nres = 16\nscenario = taylor_green\n"
+                    f"t_max = 0.01\ndt = 0.005\noutput_dir = {tmp_path}\n")
+    assert main(["run", "--config", str(path), "--set", "scenario.k=2"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "scenario.k" in err
+    assert not (tmp_path / "timeseries.csv").exists()
+
+
 def test_malformed_config_text(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("dim: 2\n")

@@ -1,18 +1,21 @@
 """Tests for the monitor integrand, energy budget and envelope fit."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from nematicflow import spectral
 from nematicflow.diagnostics import (DiagnosticsRecord, accumulate_monitor,
                                      blowup_integrand, energy_and_dissipation,
                                      energy_residual, gronwall_envelope,
                                      lemma21_norms, measure)
 from nematicflow.errors import EnvelopeUndefinedError
-from nematicflow.scenarios import taylor_green, winding_director
-from nematicflow.spectral import Field, Grid
-from nematicflow.state import FluidState
+from nematicflow.scenarios import random_smooth, taylor_green, winding_director
+from nematicflow.spectral import (Field, Grid, curl, dealias, gradient,
+                                  l2_norm, laplacian, linf_norm)
+from nematicflow.state import FluidState, constraint_residual
 
 
 @pytest.fixture
@@ -47,6 +50,12 @@ class TestIntegrand:
         s = FluidState(grid, Field.from_phys(grid, u),
                        winding_director(grid, k=1).d)
         assert abs(blowup_integrand(s) - 2.0) < 1e-11
+
+    def test_memo_is_not_carried_to_a_new_state(self, grid):
+        s = winding_director(grid, k=1)
+        assert abs(blowup_integrand(s) - 1.0) < 1e-12
+        s2 = replace(s, d=winding_director(grid, k=2).d)
+        assert abs(blowup_integrand(s2) - 4.0) < 1e-11
 
     def test_oversampling_agrees_on_resolved_data(self, grid):
         s = winding_director(grid, k=1)
@@ -164,3 +173,75 @@ class TestMeasure:
         rec = make_record(1.5)
         assert rec.as_tuple()[0] == 1.5
         assert len(rec.as_tuple()) == len(names)
+
+
+def _grad_d_oracle(s):
+    """All first derivatives of d stacked as one field, axis by axis."""
+    return Field.from_phys(s.grid, np.concatenate(
+        [gradient(s.d, i).phys for i in range(s.grid.dim)]))
+
+
+def _energy_oracle(s):
+    """(E, D) assembled term by term from the spectral operators."""
+    grid = s.grid
+    cell = grid.cell_volume
+    grad_u = [gradient(s.u, i).phys for i in range(grid.dim)]
+    grad_d = [gradient(s.d, i).phys for i in range(grid.dim)]
+    grad_sq = sum(np.sum(g * g, axis=0) for g in grad_d)
+    cubic = dealias(Field.from_phys(grid, grad_sq * s.d.phys))
+    tension = Field.from_spec(grid, laplacian(s.d).spec + cubic.spec).phys
+    energy = cell * (np.sum(s.u.phys**2) + np.sum(grad_sq))
+    dissipation = 2.0 * cell * (sum(np.sum(g * g) for g in grad_u)
+                                + np.sum(tension**2))
+    return energy, dissipation
+
+
+class TestRecordOracle:
+    @pytest.mark.parametrize("oversample", [False, True])
+    @pytest.mark.parametrize("dim,res", [(2, 32), (3, 16)])
+    def test_every_field_matches_its_operator(self, dim, res, oversample):
+        s = random_smooth(Grid(dim, res), seed=5)
+        rec = measure(s, 0.25, 0.5, oversample=oversample)
+        omega, grad_d = curl(s.u), _grad_d_oracle(s)
+        energy, dissipation = energy_and_dissipation(s)
+        norm_err, identity_err = constraint_residual(s)
+        expected = {
+            "u_l2": l2_norm(s.u),
+            "grad_d_l2": l2_norm(grad_d),
+            "omega_l2": l2_norm(omega),
+            "omega_linf": linf_norm(omega, oversample=oversample),
+            "grad_d_linf": linf_norm(grad_d, oversample=oversample),
+            "hess_d_l2": l2_norm(laplacian(s.d)),
+            "energy": energy,
+            "dissipation": dissipation,
+        }
+        for name, value in expected.items():
+            assert getattr(rec, name) == pytest.approx(value, rel=1e-12), name
+        assert (energy, dissipation) == pytest.approx(_energy_oracle(s),
+                                                      rel=1e-12)
+        assert (rec.t, rec.monitor_integrand, rec.monitor_accum) == \
+            (s.t, 0.25, 0.5)
+        assert abs(rec.sphere_norm_err - norm_err) < 1e-12
+        assert abs(rec.sphere_identity_err - identity_err) < 1e-12
+
+    @pytest.mark.parametrize("dim,res", [(2, 32), (3, 16)])
+    def test_oversampled_grad_d_transformed_once(self, dim, res, monkeypatch):
+        fine_shape = (2 * res,) * dim
+        fine_batches = []
+        inverse = spectral._ifftn
+
+        def counting(grid, spec):
+            if grid.shape == fine_shape:
+                fine_batches.append(spec.shape[0])
+            return inverse(grid, spec)
+
+        monkeypatch.setattr(spectral, "_ifftn", counting)
+        s = random_smooth(Grid(dim, res), seed=5)
+        integrand = blowup_integrand(s, oversample=True)
+        rec = measure(s, integrand, 0.0, oversample=True)
+        # grad d (3 dim components) once; omega once, with its components
+        assert sorted(fine_batches) == sorted([3 * dim, 1 if dim == 2 else 3])
+        if dim == 2:
+            assert integrand == rec.grad_d_linf ** 2
+        else:
+            assert integrand == rec.omega_linf + rec.grad_d_linf ** 2

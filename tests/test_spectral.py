@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from nematicflow.spectral import (Field, Grid, curl, dealias, divergence,
-                                  gradient, l2_norm, laplacian, leray_project,
-                                  linf_norm, oversampled_phys,
-                                  second_derivative)
+                                  first_derivatives, gradient, l2_norm,
+                                  laplacian, leray_project, linf_norm,
+                                  oversampled_phys, second_derivative)
 
 
 @pytest.fixture
@@ -152,6 +152,17 @@ class TestDerivatives:
             composed = gradient(gradient(f, a), b).phys
             assert np.max(np.abs(second_derivative(f, a, b).phys
                                  - composed)) < 1e-11
+
+
+    @pytest.mark.parametrize("dim,res", [(2, 16), (3, 8)])
+    def test_first_derivatives_match_gradient(self, dim, res):
+        grid = Grid(dim, res)
+        f = random_field(grid, ncomp=3, seed=4)
+        out = np.full((dim, 3) + grid.spec_shape, np.nan, dtype=complex)
+        assert first_derivatives(grid, f.spec, out=out) is out
+        for j in range(dim):
+            assert np.array_equal(out[j], gradient(f, j).spec)
+        assert np.array_equal(first_derivatives(grid, f.spec), out)
 
 
 class TestVectorOps:
