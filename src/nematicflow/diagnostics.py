@@ -16,10 +16,10 @@ The second-derivative L^2 norm of the director is evaluated as the L^2
 norm of its Laplacian; the two agree exactly for periodic fields and the
 identity is exercised by the test suite.
 
-A record is one transform pass over the state: two batched inverse
-transforms, [grad u] and [grad d, lap d], plus one dealiased round trip
-for the cubic term of the dissipation.  The monitor maxima max|omega| and
-max|grad d| are computed once per state and memoized on it, so a record
+Every grid maximum and grid sum comes from the state's one transform pass
+(`state._pass`), which the first stage of the next time step also uses; a
+record adds only one dealiased round trip for the cubic term of the
+dissipation.  Oversampled maxima are memoized on the state, so a record
 after `blowup_integrand` on the same state does not transform grad d again.
 """
 
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import EnvelopeUndefinedError
 from .spectral import Field, _fftn, _ifftn, curl, first_derivatives, linf_norm
-from .state import FluidState, _director_derivatives, _sphere_residuals
+from .state import FluidState, _pass, constraint_residual
 
 __all__ = [
     "DiagnosticsRecord",
@@ -71,33 +71,28 @@ class DiagnosticsRecord:
         return tuple(getattr(self, name) for name in self.field_names())
 
 
-def _monitor_field(s: FluidState, name: str) -> Field:
-    """omega ("omega") or the stacked components of grad d ("grad_d")."""
-    if name == "omega":
-        return curl(s.u)
-    spec = first_derivatives(s.grid, s.d.spec)
-    return Field.from_spec(s.grid, spec.reshape((-1,) + s.grid.spec_shape))
-
-
-def _sup_norms(s: FluidState, names: tuple, oversample: bool) -> tuple:
-    """Max pointwise magnitudes of the named `_monitor_field`s of `s`, on
-    its grid or, with `oversample`, on the 2x finer one.  Memoized on the
-    state; each one not yet known costs one inverse transform, whose
-    arrays die before the next one is made."""
-    for name in names:
-        if (name, oversample) not in s._maxima:
-            s._maxima[name, oversample] = linf_norm(
-                _monitor_field(s, name), oversample=oversample)
-    return tuple(s._maxima[name, oversample] for name in names)
+def _sup_norm(s: FluidState, name: str, oversample: bool) -> float:
+    """Max pointwise magnitude of omega ("omega") or grad d ("grad_d"):
+    on the grid from the state's pass or, with `oversample`, on the 2x finer
+    grid, memoized on the state."""
+    if not oversample:
+        return _pass(s)[name + "_max"]
+    key = name + "_fine"
+    if key not in s._memo:
+        grid = s.grid
+        f = curl(s.u) if name == "omega" else Field.from_spec(
+            grid, first_derivatives(grid, s.d.spec).reshape(
+                (-1,) + grid.spec_shape))
+        s._memo[key] = linf_norm(f, oversample=True)
+    return s._memo[key]
 
 
 def blowup_integrand(s: FluidState, oversample: bool = False) -> float:
     """Pointwise-supremum integrand of the blow-up monitor."""
+    g = _sup_norm(s, "grad_d", oversample)
     if s.grid.dim == 2:
-        (g,) = _sup_norms(s, ("grad_d",), oversample)
         return g * g
-    omega, g = _sup_norms(s, ("omega", "grad_d"), oversample)
-    return omega + g * g
+    return _sup_norm(s, "omega", oversample) + g * g
 
 
 def accumulate_monitor(prev: DiagnosticsRecord, curr_integrand: float,
@@ -109,37 +104,22 @@ def accumulate_monitor(prev: DiagnosticsRecord, curr_integrand: float,
 
 
 def _record_fields(s: FluidState) -> dict:
-    """Every record field but t and the monitor values; memoizes the grid
-    maxima of omega and grad d on `s`.  The director tension is
-    lap d + |grad d|^2 d with the cubic term dealiased."""
+    """Every record field but t and the monitor values, from the state's
+    pass and one dealiased round trip of the cubic term of the director
+    tension lap d + |grad d|^2 d."""
     grid = s.grid
     cell = grid.cell_volume
-    grad_u = _ifftn(grid, first_derivatives(grid, s.u.spec))
-    grad_d, lap_d = _director_derivatives(s)
-    if grid.dim == 2:
-        omega = (grad_u[0, 1] - grad_u[1, 0])[np.newaxis]
-    else:
-        omega = np.stack([grad_u[1, 2] - grad_u[2, 1],
-                          grad_u[2, 0] - grad_u[0, 2],
-                          grad_u[0, 1] - grad_u[1, 0]])
-    for name, phys in (("omega", omega), ("grad_d", grad_d)):
-        if (name, False) not in s._maxima:
-            s._maxima[name, False] = linf_norm(
-                Field.from_phys(grid, phys.reshape((-1,) + grid.shape)))
-    d = s.d.phys
-    grad_sq = np.einsum("im...,im...->...", grad_d, grad_d)
-    cubic = _fftn(grid, grad_sq * d) * grid.dealias_mask
-    tension = lap_d + _ifftn(grid, cubic)
-    u_sq = float(np.sum(s.u.phys**2))
-    grad_d_sq = float(np.sum(grad_sq))
-    norm_err, identity_err = _sphere_residuals(d, grad_sq, lap_d)
+    memo = _pass(s)
+    cubic = _fftn(grid, memo["grad_sq"] * s.d.phys) * grid.dealias_mask
+    tension = memo["lap_d"] + _ifftn(grid, cubic)
+    norm_err, identity_err = constraint_residual(s)
     return dict(
-        u_l2=math.sqrt(cell * u_sq),
-        grad_d_l2=math.sqrt(cell * grad_d_sq),
-        omega_l2=math.sqrt(cell * float(np.sum(omega**2))),
-        hess_d_l2=math.sqrt(cell * float(np.sum(lap_d**2))),
-        energy=cell * u_sq + cell * grad_d_sq,
-        dissipation=2.0 * cell * (float(np.sum(grad_u**2))
+        u_l2=math.sqrt(cell * memo["u_sq"]),
+        grad_d_l2=math.sqrt(cell * memo["grad_d_sq"]),
+        omega_l2=math.sqrt(cell * memo["omega_sq"]),
+        hess_d_l2=math.sqrt(cell * memo["lap_d_sq"]),
+        energy=cell * memo["u_sq"] + cell * memo["grad_d_sq"],
+        dissipation=2.0 * cell * (memo["grad_u_sq"]
                                   + float(np.sum(tension**2))),
         sphere_norm_err=norm_err,
         sphere_identity_err=identity_err,
@@ -214,9 +194,8 @@ def measure(s: FluidState, monitor_integrand: float,
             monitor_accum: float, oversample: bool = False) -> DiagnosticsRecord:
     """Evaluate every recorded norm of the current state.  The monitor
     values are accumulated by the caller (they need the step history)."""
-    fields = _record_fields(s)  # first: it memoizes the grid maxima
-    omega_linf, grad_d_linf = _sup_norms(s, ("omega", "grad_d"), oversample)
-    return DiagnosticsRecord(t=s.t, omega_linf=omega_linf,
-                             grad_d_linf=grad_d_linf,
+    return DiagnosticsRecord(t=s.t,
+                             omega_linf=_sup_norm(s, "omega", oversample),
+                             grad_d_linf=_sup_norm(s, "grad_d", oversample),
                              monitor_integrand=monitor_integrand,
-                             monitor_accum=monitor_accum, **fields)
+                             monitor_accum=monitor_accum, **_record_fields(s))

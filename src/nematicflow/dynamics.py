@@ -26,9 +26,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalOverflowError, check_range
-from .spectral import (Field, Grid, _fftn, _ifftn, first_derivatives,
-                       linf_norm, project_spec)
-from .state import FluidState, PhysicsParams, normalize_director
+from .spectral import Field, Grid, _fftn, project_spec
+from .state import (FluidState, PhysicsParams, _grid_products, _pass,
+                    normalize_director)
 
 __all__ = ["StepPolicy", "momentum_rhs", "director_rhs", "step", "suggest_dt"]
 
@@ -66,41 +66,38 @@ def _nonlinear(grid: Grid, u_spec: np.ndarray, d_spec: np.ndarray,
     With freeze_director the director tendency is zero and only the
     elastic forcing of the frozen d acts on u (used for decoupling checks).
 
-    Transforms are batched: one inverse FFT for the fields plus the
-    director Laplacian, one for all first derivatives, one forward FFT for
-    the assembled products.
+    Transforms are batched: two inverse FFTs in `_grid_products`, one
+    forward FFT for the assembled products.
     """
-    dim = grid.dim
-    mask = grid.dealias_mask
-
-    fields = _ifftn(grid, np.concatenate([u_spec, d_spec, -grid.k2 * d_spec]))
-    u, d, lap_d = fields[:dim], fields[dim:dim + 3], fields[dim + 3:]
-
-    # the concatenated spectra die before the transform: a lower peak
-    deriv = _ifftn(grid, first_derivatives(
-        grid, np.concatenate([u_spec, d_spec])))
-    grad_u = deriv[:, :dim]     # [j, i] = d u_i / d x_j
-    grad_d = deriv[:, dim:]     # [i, m] = d d_m / d x_i
-
-    conv = np.einsum("j...,ji...->i...", u, grad_u)
-    force = np.einsum("m...,im...->i...", lap_d, grad_d)
-
-    if freeze_director:
-        n_u = project_spec(grid, _fftn(grid, -(conv + force)) * mask)
-        return n_u, np.zeros_like(d_spec)
-
-    grad_sq = np.einsum("im...,im...->...", grad_d, grad_d)
-    transport = np.einsum("j...,jm...->m...", u, grad_d)
-    products = _fftn(grid, np.concatenate([-(conv + force),
-                                           grad_sq * d - transport])) * mask
-    n_u = project_spec(grid, products[:dim])
-    return n_u, products[dim:]
+    n_u, n_d = _tendencies(grid, _grid_products(
+        grid, u_spec, d_spec, momentum_only=freeze_director))
+    return n_u, (np.zeros_like(d_spec) if freeze_director else n_d)
 
 
-@lru_cache(maxsize=64)
+def _tendencies(grid: Grid, products: np.ndarray) -> tuple:
+    """The forward half of `_nonlinear`: the grid products transformed,
+    dealiased, and the momentum part projected."""
+    spec = _fftn(grid, products) * grid.dealias_mask
+    return project_spec(grid, spec[:grid.dim]), spec[grid.dim:]
+
+
+def _stage_one(s: FluidState) -> tuple:
+    """`_nonlinear` of the state's own spectra, from its pass; the forward
+    half is done once and memoized with the pass's arrays.  Bit-identical
+    to `_nonlinear(s.grid, s.u.spec, s.d.spec)`."""
+    memo = s._memo
+    if "tendencies" not in memo:
+        products = _pass(s).pop("products")
+        memo["tendencies"] = _tendencies(s.grid, products)
+    return memo["tendencies"]
+
+
+@lru_cache(maxsize=4)
 def _decay(grid: Grid, coeff: float) -> np.ndarray:
-    """Per-mode diffusion factor exp(-coeff |k|^2); cached because fixed-dt
-    runs reuse the same factors every step."""
+    """Per-mode diffusion factor exp(-coeff |k|^2).  Cached because a
+    fixed-dt run reuses the same two factors every step; four entries hold
+    those and the ones of a shortened final step, while an adaptive run,
+    whose factors change every step, keeps no more."""
     out = np.exp(-coeff * grid.k2)
     out.setflags(write=False)
     return out
@@ -109,14 +106,14 @@ def _decay(grid: Grid, coeff: float) -> np.ndarray:
 def momentum_rhs(s: FluidState, params: PhysicsParams) -> Field:
     """Full momentum tendency P[-(u.grad)u - lap d . grad d] + nu lap u."""
     grid = s.grid
-    n_u, _ = _nonlinear(grid, s.u.spec, s.d.spec)
+    n_u, _ = _stage_one(s)
     return Field.from_spec(grid, n_u - params.nu * grid.k2 * s.u.spec)
 
 
 def director_rhs(s: FluidState) -> Field:
     """Full director tendency lap d + |grad d|^2 d - (u.grad)d."""
     grid = s.grid
-    _, n_d = _nonlinear(grid, s.u.spec, s.d.spec)
+    _, n_d = _stage_one(s)
     return Field.from_spec(grid, n_d - grid.k2 * s.d.spec)
 
 
@@ -138,10 +135,15 @@ def step(s: FluidState, params: PhysicsParams, dt: float,
     def nl(u_spec, d_spec):
         return _nonlinear(grid, u_spec, d_spec, freeze_director=freeze_director)
 
+    if freeze_director:
+        ku1, kd1 = nl(u0, d0)
+    else:
+        ku1, kd1 = _stage_one(s)
+        s._memo.clear()  # its grid arrays would raise the step's peak memory
+
     if integrator == "IF-RK2":
         eu = _decay(grid, params.nu * dt)
         ed = _decay(grid, dt)
-        ku1, kd1 = nl(u0, d0)
         ku2, kd2 = nl(eu * (u0 + dt * ku1), ed * (d0 + dt * kd1))
         u1 = eu * u0 + 0.5 * dt * (eu * ku1 + ku2)
         d1 = ed * d0 + 0.5 * dt * (ed * kd1 + kd2)
@@ -150,7 +152,6 @@ def step(s: FluidState, params: PhysicsParams, dt: float,
         edh = _decay(grid, dt / 2)
         euf = euh * euh
         edf = edh * edh
-        ku1, kd1 = nl(u0, d0)
         ku2, kd2 = nl(euh * (u0 + 0.5 * dt * ku1), edh * (d0 + 0.5 * dt * kd1))
         ku3, kd3 = nl(euh * u0 + 0.5 * dt * ku2, edh * d0 + 0.5 * dt * kd2)
         ku4, kd4 = nl(euf * u0 + dt * euh * ku3, edf * d0 + dt * edh * kd3)
@@ -171,18 +172,12 @@ def step(s: FluidState, params: PhysicsParams, dt: float,
     return normalize_director(out)
 
 
-def grad_linf(s: FluidState) -> float:
-    """Max pointwise Frobenius norm of grad d."""
-    grid = s.grid
-    g = first_derivatives(grid, s.d.spec)
-    return linf_norm(Field.from_spec(grid, g.reshape((-1,) + grid.spec_shape)))
-
-
 def suggest_dt(s: FluidState, policy: StepPolicy) -> float:
     """Next time step: CFL-limited by the transport speeds, capped by the
     remaining time to t_max; fixed-dt policies only apply the cap."""
     remaining = policy.t_max - s.t
     if policy.dt is not None:
         return min(policy.dt, remaining)
-    speed = max(linf_norm(s.u), grad_linf(s), 1.0)
+    memo = _pass(s)
+    speed = max(memo["u_max"], memo["grad_d_max"], 1.0)
     return min(policy.cfl_factor * s.grid.dx / speed, remaining)

@@ -65,7 +65,11 @@ def run(config: SimulationConfig) -> RunReport:
     policy = config.policy()
     state = build_scenario(grid, config.scenario)
 
+    # Each state is transformed once, by its first consumer among
+    # suggest_dt, blowup_integrand and measure; the next step's first stage
+    # reuses that pass.
     oversample = config.oversample_linf
+    dt = suggest_dt(state, policy)
     integrand = diagnostics.blowup_integrand(state, oversample=oversample)
     accum = 0.0
     history = [diagnostics.measure(state, integrand, accum,
@@ -74,7 +78,6 @@ def run(config: SimulationConfig) -> RunReport:
     step_index = 0
 
     while state.t < policy.t_max - 1e-14 * policy.t_max:
-        dt = suggest_dt(state, policy)
         try:
             state = step(state, params, dt, integrator=policy.integrator)
         except NumericalOverflowError:
@@ -84,9 +87,10 @@ def run(config: SimulationConfig) -> RunReport:
             halt = HALT_DEGENERATE
             break
         step_index += 1
+        taken, dt = dt, suggest_dt(state, policy)
         prev_integrand = integrand
         integrand = diagnostics.blowup_integrand(state, oversample=oversample)
-        accum += 0.5 * dt * (prev_integrand + integrand)
+        accum += 0.5 * taken * (prev_integrand + integrand)
 
         record_now = (step_index % config.record_every == 0)
         if record_now or accum > config.monitor_max:

@@ -238,14 +238,6 @@ class Field:
         return (self._phys if self._phys is not None else self._spec).shape[0]
 
     @property
-    def has_phys(self) -> bool:
-        return self._phys is not None
-
-    @property
-    def has_spec(self) -> bool:
-        return self._spec is not None
-
-    @property
     def phys(self) -> np.ndarray:
         if self._phys is None:
             self._phys = _ifftn(self.grid, self._spec)
@@ -266,13 +258,11 @@ def gradient(f: Field, axis: int) -> Field:
     return Field.from_spec(f.grid, f.grid.ik_deriv[axis] * f.spec)
 
 
-def first_derivatives(grid: Grid, spec: np.ndarray,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """All first derivatives of a (ncomp, *spec_shape) spectrum, written
-    into `out` of shape (dim, ncomp, *spec_shape) (allocated when None):
-    out[j, c] is the spectrum of d f_c / dx_j."""
-    if out is None:
-        out = np.empty((grid.dim,) + spec.shape, dtype=np.complex128)
+def first_derivatives(grid: Grid, spec: np.ndarray) -> np.ndarray:
+    """All first derivatives of a (ncomp, *spec_shape) spectrum as one
+    (dim, ncomp, *spec_shape) array: out[j, c] is the spectrum of
+    d f_c / dx_j."""
+    out = np.empty((grid.dim,) + spec.shape, dtype=np.complex128)
     for j, ik in enumerate(grid.ik_deriv):
         np.multiply(ik, spec, out=out[j])
     return out

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from nematicflow.dynamics import (StepPolicy, director_rhs, momentum_rhs,
-                                  step, suggest_dt)
+from nematicflow.dynamics import (StepPolicy, _decay, director_rhs,
+                                  momentum_rhs, step, suggest_dt)
 from nematicflow.errors import NumericalOverflowError
 from nematicflow.scenarios import random_smooth, taylor_green, winding_director
 from nematicflow.spectral import Field, Grid, divergence
@@ -164,3 +164,29 @@ class TestSuggestDt:
         fast = tg(grid, amplitude=4.0)
         policy = StepPolicy(t_max=10.0, cfl_factor=0.5)
         assert abs(suggest_dt(fast, policy) - 0.5 * 2 * np.pi / 32 / 4) < 1e-12
+
+
+class TestDecayCache:
+    def test_adaptive_run_keeps_a_bounded_cache(self, params):
+        _decay.cache_clear()
+        s = random_smooth(Grid(2, 16), seed=2, amplitude=3.0)
+        policy = StepPolicy(t_max=0.5, cfl_factor=0.5)
+        dts = set()
+        while s.t < policy.t_max - 1e-12:
+            dt = suggest_dt(s, policy)
+            dts.add(dt)
+            s = step(s, params, dt)
+        assert len(dts) > 4
+        # a fixed-dt run's factors plus those of a shortened final step
+        assert _decay.cache_info().currsize <= 4
+
+    @pytest.mark.parametrize("integrator", ["IF-RK2", "IF-RK4"])
+    def test_fixed_dt_run_hits_the_cache(self, grid, integrator):
+        _decay.cache_clear()
+        params = PhysicsParams(nu=0.5)  # two distinct factors per step
+        s = random_smooth(grid, seed=2)
+        for dt in [0.01] * 3 + [0.004] + [0.01] * 2:
+            s = step(s, params, dt, integrator=integrator)
+        info = _decay.cache_info()
+        # misses only on the first step and on the shortened one
+        assert (info.misses, info.hits) == (4, 8)

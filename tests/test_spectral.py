@@ -158,11 +158,10 @@ class TestDerivatives:
     def test_first_derivatives_match_gradient(self, dim, res):
         grid = Grid(dim, res)
         f = random_field(grid, ncomp=3, seed=4)
-        out = np.full((dim, 3) + grid.spec_shape, np.nan, dtype=complex)
-        assert first_derivatives(grid, f.spec, out=out) is out
+        out = first_derivatives(grid, f.spec)
+        assert out.shape == (dim, 3) + grid.spec_shape
         for j in range(dim):
             assert np.array_equal(out[j], gradient(f, j).spec)
-        assert np.array_equal(first_derivatives(grid, f.spec), out)
 
 
 class TestVectorOps:

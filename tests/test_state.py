@@ -5,10 +5,10 @@ import pytest
 
 from nematicflow.errors import DegenerateDirectorError
 from nematicflow.scenarios import taylor_green, winding_director
-from nematicflow.spectral import Field, Grid, gradient, leray_project
-from nematicflow.state import (FluidState, PhysicsParams, advection,
-                               constraint_residual, elastic_force,
-                               normalize_director, recover_pressure)
+from nematicflow.spectral import Field, Grid, dealias, gradient, leray_project
+from nematicflow.state import (FluidState, PhysicsParams, _grid_products,
+                               constraint_residual, normalize_director,
+                               recover_pressure)
 
 
 @pytest.fixture
@@ -58,32 +58,60 @@ class TestNormalize:
             normalize_director(s)
 
 
+def _products(grid, u, d):
+    """The dealiased momentum and director products of the stepper."""
+    return dealias(Field.from_phys(
+        grid, _grid_products(grid, u.spec, d.spec))).phys
+
+
 class TestElasticForce:
+    # at u = 0 the momentum products are the elastic force alone
     def test_vanishes_for_constant_director(self, grid):
         s = taylor_green(grid)
-        assert np.max(np.abs(elastic_force(s).phys)) < 1e-13
+        out = _products(grid, Field.zeros(grid, 2), s.d)
+        assert np.max(np.abs(out[:2])) < 1e-13
 
     def test_vanishes_for_winding_director(self, grid):
         # lap d = -d is parallel to d while grad d is tangential, and the
         # contraction sums over director components: -d . d_x = -(|d|^2)_x/2 = 0
         s = winding_director(grid, k=2)
-        assert np.max(np.abs(elastic_force(s).phys)) < 1e-11
+        out = _products(grid, Field.zeros(grid, 2), s.d)
+        assert np.max(np.abs(out[:2])) < 1e-11
 
 
 class TestAdvection:
     def test_matches_analytic_transport(self, grid):
+        # u = (1, sin x0) transports itself to (u . grad)u = (0, cos x0); a
+        # constant director adds no elastic force
+        x0, _ = grid.coords()
+        u = Field.from_phys(grid, np.stack(
+            [np.ones(grid.shape), np.sin(x0) + np.zeros(grid.shape)]))
+        out = _products(grid, u, taylor_green(grid).d)
+        assert np.max(np.abs(out[0])) < 1e-11
+        assert np.max(np.abs(out[1] + np.cos(x0))) < 1e-11
+
+    def test_matches_analytic_director_transport(self, grid):
+        # v = (1, 0) carries f = sin x0 cos x1 to (v . grad)f = cos x0 cos x1;
+        # the director products are |grad f|^2 f - (v . grad)f
         x0, x1 = grid.coords()
         v = Field.from_phys(grid, np.stack(
             [np.ones(grid.shape), np.zeros(grid.shape)]))
-        f = Field.from_phys(grid, np.sin(x0) * np.cos(x1))
-        out = advection(grid, v, f)
-        assert np.max(np.abs(out.phys[0] - np.cos(x0) * np.cos(x1))) < 1e-11
+        f = np.sin(x0) * np.cos(x1)
+        d = Field.from_phys(grid, np.stack([f, 0 * f, 0 * f]))
+        grad_sq = (np.cos(x0) * np.cos(x1))**2 + (np.sin(x0) * np.sin(x1))**2
+        out = _grid_products(grid, v.spec, d.spec)
+        exact = grad_sq * f - np.cos(x0) * np.cos(x1)
+        assert np.max(np.abs(out[2] - exact)) < 1e-11
 
     def test_zero_velocity(self, grid):
+        # without a velocity nothing is transported: the director products
+        # are |grad d|^2 d alone
         x0, _ = grid.coords()
-        f = Field.from_phys(grid, np.sin(x0) + np.zeros(grid.shape))
-        out = advection(grid, Field.zeros(grid, 2), f)
-        assert np.max(np.abs(out.phys)) < 1e-14
+        f = np.sin(x0) + np.zeros(grid.shape)
+        d = Field.from_phys(grid, np.stack([f, 0 * f, 0 * f]))
+        out = _grid_products(grid, Field.zeros(grid, 2).spec, d.spec)
+        assert np.max(np.abs(out[2] - np.cos(x0)**2 * f)) < 1e-14
+        assert np.max(np.abs(out[3:])) < 1e-14
 
 
 class TestPressure:
@@ -112,7 +140,7 @@ class TestPressure:
             grid, rng.standard_normal((2,) + grid.shape)))
         s = FluidState(grid, u, winding_director(grid, k=1).d)
         p = recover_pressure(s, PhysicsParams())
-        force = -(advection(grid, s.u, s.u).phys + elastic_force(s).phys)
+        force = _products(grid, s.u, s.d)[:2]
         grad_p = np.concatenate([gradient(p, 0).phys, gradient(p, 1).phys])
         residual = Field.from_phys(grid, force - grad_p)
         projected = leray_project(residual)
