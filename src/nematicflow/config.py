@@ -75,8 +75,7 @@ class SimulationConfig:
         error is renamed to its dotted config key."""
         grid = self.grid()
         self.params()
-        StepPolicy(t_max=self.t_max, dt=self.dt, cfl_factor=self.cfl_factor,
-                   integrator=self.integrator)
+        self.policy()
         try:
             check_scenario(grid, self.scenario)
         except ParameterRangeError as exc:
@@ -96,11 +95,7 @@ class SimulationConfig:
         return PhysicsParams(nu=self.nu)
 
     def policy(self) -> StepPolicy:
-        if self.dt is not None:
-            return StepPolicy(t_max=self.t_max, dt=self.dt,
-                              cfl_factor=None, integrator=self.integrator)
-        return StepPolicy(t_max=self.t_max, cfl_factor=self.cfl_factor,
-                          integrator=self.integrator)
+        return StepPolicy(self.t_max, self.dt, self.cfl_factor, self.integrator)
 
 
 def _parse_value(key: str, raw: str, lineno=None):

@@ -95,12 +95,12 @@ def blowup_integrand(s: FluidState, oversample: bool = False) -> float:
     return _sup_norm(s, "omega", oversample) + g * g
 
 
-def accumulate_monitor(prev: DiagnosticsRecord, curr_integrand: float,
-                       dt: float) -> float:
-    """Trapezoidal update of the accumulated monitor B."""
+def accumulate_monitor(accum: float, prev_integrand: float,
+                       curr_integrand: float, dt: float) -> float:
+    """Trapezoidal update of the accumulated monitor B over a step dt."""
     if dt < 0:
         raise ValueError(f"dt must be non-negative, got {dt}")
-    return prev.monitor_accum + 0.5 * dt * (prev.monitor_integrand + curr_integrand)
+    return accum + 0.5 * dt * (prev_integrand + curr_integrand)
 
 
 def _record_fields(s: FluidState) -> dict:

@@ -37,41 +37,33 @@ INTEGRATORS = ("IF-RK2", "IF-RK4")
 
 @dataclass(frozen=True)
 class StepPolicy:
-    """Time step policy: either a fixed dt or a CFL factor, a final time,
-    and the integrator tag."""
+    """Time step policy: a final time, a CFL factor, the integrator tag and
+    optionally a fixed dt, which wins over the CFL factor."""
 
     t_max: float
     dt: float | None = None
-    cfl_factor: float | None = 0.5
+    cfl_factor: float = 0.5
     integrator: str = "IF-RK4"
 
     def __post_init__(self):
         if self.dt is not None:
             check_range("dt", self.dt, 0 < self.dt < math.inf,
                         "positive and finite")
-        if self.dt is None or self.cfl_factor is not None:
-            check_range("cfl_factor", self.cfl_factor,
-                        self.cfl_factor is not None and 0 < self.cfl_factor <= 1,
-                        "in (0, 1]")
+        check_range("cfl_factor", self.cfl_factor, 0 < self.cfl_factor <= 1,
+                    "in (0, 1]")
         check_range("t_max", self.t_max, 0 < self.t_max < math.inf,
                     "positive and finite")
         check_range("integrator", self.integrator,
                     self.integrator in INTEGRATORS, f"one of {INTEGRATORS}")
 
 
-def _nonlinear(grid: Grid, u_spec: np.ndarray, d_spec: np.ndarray,
-               freeze_director: bool = False) -> tuple:
+def _nonlinear(grid: Grid, u_spec: np.ndarray, d_spec: np.ndarray) -> tuple:
     """Explicitly-treated tendencies (N_u_hat, N_d_hat), dealiased.
-
-    With freeze_director the director tendency is zero and only the
-    elastic forcing of the frozen d acts on u (used for decoupling checks).
 
     Transforms are batched: two inverse FFTs in `_grid_products`, one
     forward FFT for the assembled products.
     """
-    n_u, n_d = _tendencies(grid, _grid_products(
-        grid, u_spec, d_spec, momentum_only=freeze_director))
-    return n_u, (np.zeros_like(d_spec) if freeze_director else n_d)
+    return _tendencies(grid, _grid_products(grid, u_spec, d_spec))
 
 
 def _tendencies(grid: Grid, products: np.ndarray) -> tuple:
@@ -82,14 +74,9 @@ def _tendencies(grid: Grid, products: np.ndarray) -> tuple:
 
 
 def _stage_one(s: FluidState) -> tuple:
-    """`_nonlinear` of the state's own spectra, from its pass; the forward
-    half is done once and memoized with the pass's arrays.  Bit-identical
-    to `_nonlinear(s.grid, s.u.spec, s.d.spec)`."""
-    memo = s._memo
-    if "tendencies" not in memo:
-        products = _pass(s).pop("products")
-        memo["tendencies"] = _tendencies(s.grid, products)
-    return memo["tendencies"]
+    """`_nonlinear` of the state's own spectra, from its pass.
+    Bit-identical to `_nonlinear(s.grid, s.u.spec, s.d.spec)`."""
+    return _tendencies(s.grid, _pass(s)["products"])
 
 
 @lru_cache(maxsize=4)
@@ -118,7 +105,7 @@ def director_rhs(s: FluidState) -> Field:
 
 
 def step(s: FluidState, params: PhysicsParams, dt: float,
-         integrator: str = "IF-RK4", freeze_director: bool = False) -> FluidState:
+         integrator: str = "IF-RK4") -> FluidState:
     """Advance the coupled state by one time step of size dt.
 
     Raises NumericalOverflowError on non-finite values (reported upstream
@@ -131,20 +118,13 @@ def step(s: FluidState, params: PhysicsParams, dt: float,
         raise ValueError(f"integrator must be one of {INTEGRATORS}")
     grid = s.grid
     u0, d0 = s.u.spec, s.d.spec
-
-    def nl(u_spec, d_spec):
-        return _nonlinear(grid, u_spec, d_spec, freeze_director=freeze_director)
-
-    if freeze_director:
-        ku1, kd1 = nl(u0, d0)
-    else:
-        ku1, kd1 = _stage_one(s)
-        s._memo.clear()  # its grid arrays would raise the step's peak memory
+    ku1, kd1 = _stage_one(s)
+    s._memo.clear()  # its grid arrays would raise the step's peak memory
 
     if integrator == "IF-RK2":
         eu = _decay(grid, params.nu * dt)
         ed = _decay(grid, dt)
-        ku2, kd2 = nl(eu * (u0 + dt * ku1), ed * (d0 + dt * kd1))
+        ku2, kd2 = _nonlinear(grid, eu * (u0 + dt * ku1), ed * (d0 + dt * kd1))
         u1 = eu * u0 + 0.5 * dt * (eu * ku1 + ku2)
         d1 = ed * d0 + 0.5 * dt * (ed * kd1 + kd2)
     else:
@@ -152,9 +132,12 @@ def step(s: FluidState, params: PhysicsParams, dt: float,
         edh = _decay(grid, dt / 2)
         euf = euh * euh
         edf = edh * edh
-        ku2, kd2 = nl(euh * (u0 + 0.5 * dt * ku1), edh * (d0 + 0.5 * dt * kd1))
-        ku3, kd3 = nl(euh * u0 + 0.5 * dt * ku2, edh * d0 + 0.5 * dt * kd2)
-        ku4, kd4 = nl(euf * u0 + dt * euh * ku3, edf * d0 + dt * edh * kd3)
+        ku2, kd2 = _nonlinear(grid, euh * (u0 + 0.5 * dt * ku1),
+                              edh * (d0 + 0.5 * dt * kd1))
+        ku3, kd3 = _nonlinear(grid, euh * u0 + 0.5 * dt * ku2,
+                              edh * d0 + 0.5 * dt * kd2)
+        ku4, kd4 = _nonlinear(grid, euf * u0 + dt * euh * ku3,
+                              edf * d0 + dt * edh * kd3)
         u1 = euf * u0 + dt / 6.0 * (euf * ku1 + 2.0 * euh * (ku2 + ku3) + ku4)
         d1 = edf * d0 + dt / 6.0 * (edf * kd1 + 2.0 * edh * (kd2 + kd3) + kd4)
 
@@ -167,8 +150,6 @@ def step(s: FluidState, params: PhysicsParams, dt: float,
     u1 = project_spec(grid, u1)  # keep div u at roundoff against drift
     out = FluidState(grid, Field.from_spec(grid, u1), Field.from_spec(grid, d1),
                      t=s.t + dt)
-    if freeze_director:
-        return FluidState(grid, out.u, s.d, t=out.t)
     return normalize_director(out)
 
 

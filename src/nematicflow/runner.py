@@ -19,8 +19,9 @@ from . import diagnostics
 from .config import SimulationConfig
 from .diagnostics import DiagnosticsRecord
 from .dynamics import step, suggest_dt
-from .errors import (DegenerateDirectorError, EnvelopeUndefinedError,
-                     NumericalOverflowError, SnapshotFormatError)
+from .errors import (ConfigRangeError, DegenerateDirectorError,
+                     EnvelopeUndefinedError, NumericalOverflowError,
+                     SnapshotFormatError)
 from .scenarios import build_scenario
 from .spectral import Field, Grid
 from .state import FluidState
@@ -34,9 +35,7 @@ HALT_MONITOR = "monitor_exceeded"
 HALT_OVERFLOW = "overflow"
 HALT_DEGENERATE = "degenerate_director"
 
-CSV_HEADER = ("t,u_l2,grad_d_l2,omega_l2,omega_linf,grad_d_linf,hess_d_l2,"
-              "energy,dissipation,monitor_integrand,monitor_accum,"
-              "sphere_norm_err,sphere_identity_err")
+CSV_HEADER = ",".join(DiagnosticsRecord.field_names())
 
 SNAPSHOT_MAGIC = b"ELCF"
 SNAPSHOT_VERSION = 1
@@ -58,7 +57,11 @@ def run(config: SimulationConfig) -> RunReport:
     """Build the scenario, advance to t_max or an early halt, record
     diagnostics and write outputs."""
     out_dir = Path(os.environ.get("SIM_OUTPUT_DIR", config.output_dir))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigRangeError(
+            "output_dir", f"cannot create directory {out_dir}: {exc}") from exc
 
     grid = config.grid()
     params = config.params()
@@ -90,7 +93,8 @@ def run(config: SimulationConfig) -> RunReport:
         taken, dt = dt, suggest_dt(state, policy)
         prev_integrand = integrand
         integrand = diagnostics.blowup_integrand(state, oversample=oversample)
-        accum += 0.5 * taken * (prev_integrand + integrand)
+        accum = diagnostics.accumulate_monitor(accum, prev_integrand,
+                                               integrand, taken)
 
         record_now = (step_index % config.record_every == 0)
         if record_now or accum > config.monitor_max:

@@ -119,17 +119,17 @@ def random_smooth(grid: Grid, seed: int = 0, slope: float = 4.0,
     return normalize_director(state)
 
 
-def _half_band_unit(grid: Grid, d: np.ndarray, passes: int = 3) -> np.ndarray:
+def _half_band_unit(grid: Grid, d: np.ndarray) -> np.ndarray:
     """Alternate band-limiting to half the Nyquist band with pointwise
-    normalization.  A unit-at-collocation director limited to |k_j| <=
-    (res/2 - 1)/2 has |d|^2 - 1 exactly representable on the grid, so the
-    discrete sphere identity holds to near roundoff instead of being
+    normalization, three times.  A unit-at-collocation director limited to
+    |k_j| <= (res/2 - 1)/2 has |d|^2 - 1 exactly representable on the grid,
+    so the discrete sphere identity holds to near roundoff instead of being
     polluted by aliasing of near-cutoff modes."""
     cutoff = (grid.res // 2 - 1) // 2
     keep = np.ones(grid.spec_shape, dtype=bool)
     for k in grid.k_int:
         keep &= np.abs(k) <= cutoff
-    for _ in range(passes):
+    for _ in range(3):
         d = _ifftn(grid, _fftn(grid, d) * keep)
         d = d / np.sqrt(np.sum(d * d, axis=0))
     return d

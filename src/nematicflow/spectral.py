@@ -344,9 +344,9 @@ def l2_norm(f: Field) -> float:
     return float(np.sqrt(f.grid.cell_volume * np.sum(f.phys**2)))
 
 
-def oversampled_phys(f: Field, factor: int = 2) -> np.ndarray:
-    """Physical samples on a `factor`-times finer grid via spectral
-    zero-padding.  Used for sharper L-infinity estimates near singular times.
+def oversampled_phys(f: Field) -> np.ndarray:
+    """Physical samples on a 2x finer grid via spectral zero-padding.
+    Used for sharper L-infinity estimates near singular times.
 
     Each Nyquist mode of `f` is split evenly between -res/2 and +res/2 of
     the finer grid: half of the spectrum is padded with the Nyquist rows of
@@ -355,7 +355,7 @@ def oversampled_phys(f: Field, factor: int = 2) -> np.ndarray:
     padding the full spectrum with every Nyquist at -res/2.
     """
     grid = f.grid
-    fine = Grid(grid.dim, grid.res * factor, grid.length)
+    fine = Grid(grid.dim, grid.res * 2, grid.length)
     half = grid.res // 2
     shift = fine.res - grid.res
     big = np.zeros((f.ncomp,) + fine.spec_shape, dtype=np.complex128)

@@ -7,7 +7,8 @@ the public entry points: the velocity is divergence-free and the director
 is unit length at every grid point.
 
 Each state is transformed to the grid once (`_pass`), for the first stage
-of the next time step, the blow-up monitor, the CFL step and the record.
+of the next time step, the blow-up monitor, the CFL step, the record and
+the recovered pressure.
 """
 
 from __future__ import annotations
@@ -77,10 +78,10 @@ def normalize_director(s: FluidState) -> FluidState:
 
 
 def _grid_products(grid: Grid, u_spec: np.ndarray, d_spec: np.ndarray,
-                   momentum_only: bool = False, memo: dict | None = None):
+                   memo: dict | None = None):
     """The explicit terms on the grid, before dealiasing and projection:
-    -(u.grad)u - lap d . grad d (dim components), then, unless
-    `momentum_only`, |grad d|^2 d - (u.grad)d (3 components).
+    -(u.grad)u - lap d . grad d (dim components), then |grad d|^2 d -
+    (u.grad)d (3 components).
 
     Two batched inverse transforms: one for the fields plus the director
     Laplacian, one for all first derivatives.  With `memo`, also stores in
@@ -99,9 +100,6 @@ def _grid_products(grid: Grid, u_spec: np.ndarray, d_spec: np.ndarray,
 
     conv = np.einsum("j...,ji...->i...", u, grad_u)
     force = np.einsum("m...,im...->i...", lap_d, grad_d)
-    if momentum_only:
-        return -(conv + force)
-
     grad_sq = np.einsum("im...,im...->...", grad_d, grad_d)
     transport = np.einsum("j...,jm...->m...", u, grad_d)
     products = np.concatenate([-(conv + force), grad_sq * d - transport])
@@ -142,12 +140,12 @@ def recover_pressure(s: FluidState, params: PhysicsParams) -> Field:
     lap p = -div(u . grad u + lap d . grad d); zero-mean output.
 
     The right side is the divergence of the dealiased momentum products of
-    the time stepper.  Diagnostic only: time stepping eliminates the
-    pressure by projection.
+    the state's pass (`_pass`), the stepper's first stage, so a state whose
+    pass is memoized needs no inverse transform.  Diagnostic only: time
+    stepping eliminates the pressure by projection.
     """
     grid = s.grid
-    products = _fftn(grid, _grid_products(grid, s.u.spec, s.d.spec,
-                                          momentum_only=True))
+    products = _fftn(grid, _pass(s)["products"][:grid.dim])
     products *= grid.dealias_mask
     div_spec = sum(grid.ik_deriv[j] * products[j] for j in range(grid.dim))
     return Field.from_spec(grid, (-div_spec * grid.inv_k2)[np.newaxis])

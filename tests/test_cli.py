@@ -74,6 +74,32 @@ def test_foreign_scenario_parameter_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "timeseries.csv").exists()
 
 
+@pytest.mark.parametrize("source", ["config", "env"])
+@pytest.mark.parametrize("target", ["file", "under_file"])
+def test_unusable_output_dir_is_config_error(tmp_path, capsys, monkeypatch,
+                                             source, target):
+    # an output_dir that cannot be created is bad input (exit 2), never a
+    # suspected blow-up (exit 1)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    out_dir = blocker if target == "file" else blocker / "sub"
+    path = tmp_path / "tg.cfg"
+    path.write_text("dim = 2\nres = 16\nscenario = taylor_green\n"
+                    "t_max = 0.01\ndt = 0.005\n")
+    args = ["run", "--config", str(path)]
+    if source == "env":
+        monkeypatch.setenv("SIM_OUTPUT_DIR", str(out_dir))
+    else:
+        monkeypatch.delenv("SIM_OUTPUT_DIR", raising=False)
+        args += ["--set", f"output_dir={out_dir}"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "output_dir" in err
+    assert "Traceback" not in err
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_malformed_config_text(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("dim: 2\n")

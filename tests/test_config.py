@@ -144,7 +144,7 @@ class TestBuilders:
         config = load_config(MINIMAL, overrides=["dt=0.01", "cfl_factor=0.9"])
         policy = config.policy()
         assert policy.dt == 0.01
-        assert policy.cfl_factor is None
+        assert policy.cfl_factor == 0.9
 
     def test_policy_cfl_when_no_dt(self):
         policy = load_config(MINIMAL, overrides=["cfl_factor=0.25"]).policy()

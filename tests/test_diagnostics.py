@@ -23,12 +23,12 @@ def grid():
     return Grid(2, 32)
 
 
-def make_record(t, integrand=0.0, accum=0.0, omega_l2=0.0, hess_d_l2=0.0,
-                energy=0.0, dissipation=0.0):
+def make_record(t, accum=0.0, omega_l2=0.0, hess_d_l2=0.0, energy=0.0,
+                dissipation=0.0):
     return DiagnosticsRecord(
         t=t, u_l2=0.0, grad_d_l2=0.0, omega_l2=omega_l2, omega_linf=0.0,
         grad_d_linf=0.0, hess_d_l2=hess_d_l2, energy=energy,
-        dissipation=dissipation, monitor_integrand=integrand,
+        dissipation=dissipation, monitor_integrand=0.0,
         monitor_accum=accum, sphere_norm_err=0.0, sphere_identity_err=0.0)
 
 
@@ -66,16 +66,14 @@ class TestIntegrand:
 
 class TestAccumulate:
     def test_trapezoid(self):
-        prev = make_record(0.0, integrand=1.0, accum=3.0)
-        assert abs(accumulate_monitor(prev, 2.0, 0.1) - 3.15) < 1e-14
+        assert abs(accumulate_monitor(3.0, 1.0, 2.0, 0.1) - 3.15) < 1e-14
 
     def test_zero_dt(self):
-        prev = make_record(0.0, integrand=1.0, accum=3.0)
-        assert accumulate_monitor(prev, 5.0, 0.0) == 3.0
+        assert accumulate_monitor(3.0, 1.0, 5.0, 0.0) == 3.0
 
     def test_negative_dt_rejected(self):
         with pytest.raises(ValueError):
-            accumulate_monitor(make_record(0.0), 1.0, -0.1)
+            accumulate_monitor(0.0, 0.0, 1.0, -0.1)
 
 
 class TestEnergy:

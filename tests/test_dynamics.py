@@ -123,21 +123,6 @@ class TestStep:
             step(s, params, 10.0)
 
 
-class TestFreezeDirector:
-    def test_frozen_director_is_unchanged(self, grid, params):
-        s = random_smooth(grid, seed=7)
-        out = step(s, params, 0.01, freeze_director=True)
-        assert out.d.phys is s.d.phys
-
-    def test_matches_coupled_step_when_director_constant(self, grid, params):
-        # with a uniform director both branches see zero elastic force, so
-        # the velocity update must agree to roundoff
-        s = taylor_green(grid)
-        coupled = step(s, params, 0.01)
-        frozen = step(s, params, 0.01, freeze_director=True)
-        assert np.max(np.abs(coupled.u.phys - frozen.u.phys)) < 1e-14
-
-
 class TestSuggestDt:
     def test_fixed_dt_capped_by_remaining_time(self, grid):
         s = taylor_green(grid)

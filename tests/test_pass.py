@@ -15,7 +15,7 @@ from nematicflow.dynamics import (StepPolicy, _nonlinear, _stage_one,
 from nematicflow.scenarios import random_smooth
 from nematicflow.spectral import (Field, Grid, curl, gradient, l2_norm,
                                   laplacian, linf_norm)
-from nematicflow.state import PhysicsParams, _pass
+from nematicflow.state import PhysicsParams, _pass, recover_pressure
 
 GRIDS = {2: Grid(2, 16), 3: Grid(3, 8)}
 
@@ -89,6 +89,16 @@ def test_rhs_pair_shares_one_pass(transforms):
     director_rhs(s)
     # one pass: [u, d, lap d] (8 arrays) and the first derivatives (10)
     assert [n for _, kind, n, _ in transforms if kind == "inverse"] == [8, 10]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pressure_reads_a_memoized_pass(transforms, dim):
+    s = random_smooth(GRIDS[dim], seed=4)
+    blowup_integrand(s)  # memoizes the pass
+    transforms.clear()
+    recover_pressure(s, PhysicsParams())
+    # only the forward transform of the dim momentum products
+    assert [(kind, n) for _, kind, n, _ in transforms] == [("forward", dim)]
 
 
 def _batches(transforms, phase, kind, res=16):

@@ -1,8 +1,12 @@
 """Tests for the periodic-torus spectral layer."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import nematicflow
 from nematicflow.spectral import (Field, Grid, curl, dealias, divergence,
                                   first_derivatives, gradient, l2_norm,
                                   laplacian, leray_project, linf_norm,
@@ -290,3 +294,53 @@ class TestNorms:
         expected = np.fft.ifftn(np.fft.ifftshift(big, axes=axes), axes=axes,
                                 norm="forward").real
         assert np.max(np.abs(oversampled_phys(f) - expected)) < 1e-13
+
+
+def _numpy_fft_transforms(source):
+    """Line numbers at which `source` reaches a numpy.fft transform (not a
+    frequency helper such as fftfreq): `np.fft.<transform>` under any alias
+    of numpy, or an import of the transforms or of the submodule."""
+    tree = ast.parse(source)
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names
+               if alias.name == "numpy"}
+
+    def transform(name):
+        return "fft" in name and "freq" not in name and "shift" not in name
+
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and transform(node.attr)
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "fft"
+                and isinstance(node.value.value, ast.Name)
+                and node.value.value.id in aliases):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module and (
+                node.module == "numpy.fft" and any(
+                    transform(a.name) for a in node.names)
+                or node.module == "numpy" and any(
+                    a.name == "fft" for a in node.names)):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Import) and any(
+                a.name == "numpy.fft" for a in node.names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_fft_guard_detects_each_form():
+    assert _numpy_fft_transforms(
+        "import numpy as xp\nxp.fft.rfftn(a)\nxp.fft.fftfreq(4)\n") == [2]
+    assert _numpy_fft_transforms("from numpy.fft import irfftn\n") == [1]
+    assert _numpy_fft_transforms("from numpy.fft import fftfreq\n") == []
+    assert _numpy_fft_transforms("from numpy import fft\n") == [1]
+    assert _numpy_fft_transforms("import numpy.fft\n") == [1]
+
+
+def test_only_spectral_calls_numpy_fft():
+    # one transform path: every other module goes through spectral's pair
+    package = Path(nematicflow.__file__).parent
+    found = {path.name: _numpy_fft_transforms(path.read_text("utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    assert found.pop("spectral.py"), "the guard no longer sees the pair"
+    assert {name: lines for name, lines in found.items() if lines} == {}
