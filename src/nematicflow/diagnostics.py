@@ -12,15 +12,11 @@ trapezoid rule and drives the early-stopping rule of the runner: a finite
 threshold on B(t) stands in for the unobservable divergence at the first
 singular time.
 
-The second-derivative L^2 norm of the director is evaluated as the L^2
-norm of its Laplacian; the two agree exactly for periodic fields and the
-identity is exercised by the test suite.
-
-Every grid maximum and grid sum comes from the state's one transform pass
-(`state._pass`), which the first stage of the next time step also uses; a
-record adds only one dealiased round trip for the cubic term of the
-dissipation.  Oversampled maxima are memoized on the state, so a record
-after `blowup_integrand` on the same state does not transform grad d again.
+max|grad d| comes from the state's one transform pass (`state._pass`),
+which the next step's first stage also uses; max|omega| (a curl batch,
+every step in 3-D, only for a record in 2-D) and the oversampled maxima
+are memoized on the state.  A record sums squares in spectral space
+(Parseval) and transforms only lap d and the cubic term of the dissipation.
 """
 
 from __future__ import annotations
@@ -31,7 +27,8 @@ from dataclasses import dataclass, fields as dataclass_fields
 import numpy as np
 
 from .errors import EnvelopeUndefinedError
-from .spectral import Field, _fftn, _ifftn, curl, first_derivatives, linf_norm
+from .spectral import (Field, Grid, _fftn, _ifftn, curl, first_derivatives,
+                       linf_norm)
 from .state import FluidState, _pass, constraint_residual
 
 __all__ = [
@@ -72,18 +69,17 @@ class DiagnosticsRecord:
 
 
 def _sup_norm(s: FluidState, name: str, oversample: bool) -> float:
-    """Max pointwise magnitude of omega ("omega") or grad d ("grad_d"):
-    on the grid from the state's pass or, with `oversample`, on the 2x finer
-    grid, memoized on the state."""
-    if not oversample:
-        return _pass(s)[name + "_max"]
-    key = name + "_fine"
+    """Max pointwise magnitude of omega ("omega") or grad d ("grad_d"), on
+    the grid or, with `oversample`, on the 2x finer grid."""
+    key = name + ("_fine" if oversample else "_max")
+    if key == "grad_d_max":
+        return _pass(s)[key]
     if key not in s._memo:
         grid = s.grid
         f = curl(s.u) if name == "omega" else Field.from_spec(
             grid, first_derivatives(grid, s.d.spec).reshape(
                 (-1,) + grid.spec_shape))
-        s._memo[key] = linf_norm(f, oversample=True)
+        s._memo[key] = linf_norm(f, oversample=oversample)
     return s._memo[key]
 
 
@@ -103,24 +99,35 @@ def accumulate_monitor(accum: float, prev_integrand: float,
     return accum + 0.5 * dt * (prev_integrand + curr_integrand)
 
 
+def _l2_sq(grid: Grid, spec: np.ndarray, weight=1.0) -> float:
+    """Squared L^2 norm over one torus cell, all components summed, of the
+    field with half spectrum `spec`, each mode times `weight` (Parseval)."""
+    hermitian = np.where(grid.k_int[-1] % (grid.res // 2) == 0, 1.0, 2.0)
+    power = np.sum(spec.real**2 + spec.imag**2, axis=0)
+    return grid.volume * float(np.sum(hermitian * weight * power))
+
+
 def _record_fields(s: FluidState) -> dict:
-    """Every record field but t and the monitor values, from the state's
-    pass and one dealiased round trip of the cubic term of the director
-    tension lap d + |grad d|^2 d."""
-    grid = s.grid
-    cell = grid.cell_volume
-    memo = _pass(s)
-    cubic = _fftn(grid, memo["grad_sq"] * s.d.phys) * grid.dealias_mask
-    tension = memo["lap_d"] + _ifftn(grid, cubic)
-    norm_err, identity_err = constraint_residual(s)
+    """Every record field but t and the monitor values.  One inverse batch
+    holds lap d and the dealiased cubic term |grad d|^2 d of the tension."""
+    grid, u_spec, d_spec = s.grid, s.u.spec, s.d.spec
+    k2 = sum(k * k for k in grid.k_deriv)
+    cubic = _fftn(grid, _pass(s)["grad_sq"] * s.d.phys)
+    cubic *= grid.dealias_mask
+    lap_d, cubic = np.split(
+        _ifftn(grid, np.concatenate([-grid.k2 * d_spec, cubic])), 2)
+    tension = lap_d + cubic
+    u_sq, grad_d_sq = _l2_sq(grid, u_spec), _l2_sq(grid, d_spec, k2)
+    norm_err, identity_err = constraint_residual(s, lap_d)
     return dict(
-        u_l2=math.sqrt(cell * memo["u_sq"]),
-        grad_d_l2=math.sqrt(cell * memo["grad_d_sq"]),
-        omega_l2=math.sqrt(cell * memo["omega_sq"]),
-        hess_d_l2=math.sqrt(cell * memo["lap_d_sq"]),
-        energy=cell * memo["u_sq"] + cell * memo["grad_d_sq"],
-        dissipation=2.0 * cell * (memo["grad_u_sq"]
-                                  + float(np.sum(tension**2))),
+        u_l2=math.sqrt(u_sq), grad_d_l2=math.sqrt(grad_d_sq),
+        omega_l2=math.sqrt(_l2_sq(grid, curl(s.u).spec)),
+        # summed as the record always has: the stationary winding
+        # director's envelope fit is exactly 0 only at this roundoff
+        hess_d_l2=math.sqrt(grid.cell_volume * float(np.sum(lap_d**2))),
+        energy=u_sq + grad_d_sq,
+        dissipation=2.0 * (_l2_sq(grid, u_spec, k2)
+                           + grid.cell_volume * float(np.sum(tension**2))),
         sphere_norm_err=norm_err,
         sphere_identity_err=identity_err,
     )

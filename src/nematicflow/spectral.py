@@ -25,10 +25,6 @@ First-derivative wavenumber tables have the Nyquist mode zeroed on every
 axis, the last one included, so that derivatives of real fields stay
 real-to-real symmetric.  The Laplacian and the pure second derivatives
 keep the Nyquist contribution.
-
-Oversampling (`oversampled_phys`) zero-pads the spectrum with each Nyquist
-mode split evenly between -res/2 and +res/2 of the finer grid, the
-Hermitian part of placing it at -res/2 only.
 """
 
 from __future__ import annotations
@@ -101,10 +97,6 @@ class Grid:
     def spatial_axes(self) -> tuple:
         """Axes of the spatial dimensions in (ncomp, *shape) arrays."""
         return tuple(range(-self.dim, 0))
-
-    @property
-    def npoints(self) -> int:
-        return self.res**self.dim
 
     @property
     def dx(self) -> float:

@@ -1,18 +1,29 @@
-"""Coupled flow state: velocity + director, its one transform pass,
-constraint maintenance and pressure recovery.
+"""Coupled flow state: velocity + director, its one transform pass, the
+stress form of the explicit terms, constraint maintenance and pressure.
 
 The director is always stored with 3 components (values on the unit
 sphere), including for 2-D flows.  Invariants after construction through
 the public entry points: the velocity is divergence-free and the director
 is unit length at every grid point.
 
-Each state is transformed to the grid once (`_pass`), for the first stage
-of the next time step, the blow-up monitor, the CFL step, the record and
-the recovered pressure.
+Stress form: for divergence-free u, (u.grad)u = div(u u^T) and
+lap d . grad d = div(grad d^T grad d) - grad(|grad d|^2 / 2), so
+
+    -(u.grad)u - lap d . grad d = -div(sigma - |grad d|^2 I / 2),
+    sigma_ab = u_a u_b + d_a d . d_b d     (d_a = d / d x_a).
+
+The projection removes the gradient, so a stage transforms [u, d] and
+grad d to the grid and sigma (dim(dim+1)/2 components) and the director
+products back: 17 arrays in 2-D, 24 in 3-D.  The pressure takes
+|grad d|^2 / 2 off the diagonal of sigma before its double divergence.
+
+Each state is transformed to the grid once (`_pass`), for the next step's
+first stage, the CFL step, the monitor, the record and the pressure.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -23,6 +34,10 @@ from .spectral import Field, Grid, _fftn, _ifftn, first_derivatives
 
 __all__ = ["PhysicsParams", "FluidState", "normalize_director",
            "recover_pressure", "constraint_residual"]
+
+# The stored components (a, b), a <= b, of the symmetric stress, row-major
+_PAIRS = {dim: tuple(itertools.combinations_with_replacement(range(dim), 2))
+          for dim in (2, 3)}
 
 # Pointwise director magnitudes below this signal loss of resolution, not
 # physics; renormalizing through a near-zero would amplify noise.
@@ -48,7 +63,7 @@ class FluidState:
     u: Field
     d: Field
     t: float = 0.0
-    # the memo of `_pass` and of the oversampled monitor maxima; init=False,
+    # memo of `_pass` and of the curl and oversampled maxima; init=False,
     # so that `dataclasses.replace` starts every new state with an empty memo
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
@@ -77,87 +92,80 @@ def normalize_director(s: FluidState) -> FluidState:
     return replace(s, d=Field.from_phys(s.grid, d / mag))
 
 
-def _grid_products(grid: Grid, u_spec: np.ndarray, d_spec: np.ndarray,
-                   memo: dict | None = None):
-    """The explicit terms on the grid, before dealiasing and projection:
-    -(u.grad)u - lap d . grad d (dim components), then |grad d|^2 d -
-    (u.grad)d (3 components).
+def _grid_fields(grid: Grid, u_spec: np.ndarray, d_spec: np.ndarray) -> tuple:
+    """(u, d, grad d) on the grid, grad d[i, m] = d d_m / d x_i."""
+    fields = _ifftn(grid, np.concatenate([u_spec, d_spec]))
+    grad_d = _ifftn(grid, first_derivatives(grid, d_spec))
+    return fields[:grid.dim], fields[grid.dim:], grad_d
 
-    Two batched inverse transforms: one for the fields plus the director
-    Laplacian, one for all first derivatives.  With `memo`, also stores in
-    it the products, max|u|, max|omega|, max|grad d|, the grid sums of a
-    record and the arrays lap d and |grad d|^2 that it reads pointwise.
-    """
-    dim = grid.dim
-    fields = _ifftn(grid, np.concatenate([u_spec, d_spec, -grid.k2 * d_spec]))
-    u, d, lap_d = fields[:dim], fields[dim:dim + 3], fields[dim + 3:]
 
-    # the concatenated spectra die before the transform: a lower peak
-    deriv = _ifftn(grid, first_derivatives(
-        grid, np.concatenate([u_spec, d_spec])))
-    grad_u = deriv[:, :dim]     # [j, i] = d u_i / d x_j
-    grad_d = deriv[:, dim:]     # [i, m] = d d_m / d x_i
+def _products(grid: Grid, u: np.ndarray, d: np.ndarray,
+              grad_d: np.ndarray) -> tuple:
+    """(sigma over `_PAIRS`, |grad d|^2 d - (u.grad)d) on the grid."""
+    pairs = _PAIRS[grid.dim]
+    sigma = np.empty((len(pairs),) + grid.shape)
+    for p, (a, b) in enumerate(pairs):
+        np.einsum("m...,m...->...", grad_d[a], grad_d[b], out=sigma[p])
+    n_d = sum(sigma[p] for p, (a, b) in enumerate(pairs) if a == b) * d
+    n_d -= np.einsum("j...,jm...->m...", u, grad_d)
+    for p, (a, b) in enumerate(pairs):
+        sigma[p] += u[a] * u[b]
+    return sigma, n_d
 
-    conv = np.einsum("j...,ji...->i...", u, grad_u)
-    force = np.einsum("m...,im...->i...", lap_d, grad_d)
-    grad_sq = np.einsum("im...,im...->...", grad_d, grad_d)
-    transport = np.einsum("j...,jm...->m...", u, grad_d)
-    products = np.concatenate([-(conv + force), grad_sq * d - transport])
-    if memo is not None:
-        # pointwise squared magnitudes; omega's components are
-        # d_a u_b - d_b u_a over the (a, b) below
-        axes = ((0, 1),) if dim == 2 else ((1, 2), (2, 0), (0, 1))
-        omega_sq = sum((grad_u[a, b] - grad_u[b, a])**2 for a, b in axes)
-        u_sq = np.einsum("i...,i...->...", u, u)
-        memo.update(
-            u_max=math.sqrt(np.max(u_sq)), u_sq=float(np.sum(u_sq)),
-            omega_max=math.sqrt(np.max(omega_sq)),
-            omega_sq=float(np.sum(omega_sq)),
-            grad_d_max=math.sqrt(np.max(grad_sq)),
-            grad_d_sq=float(np.sum(grad_sq)),
-            grad_u_sq=float(np.sum(np.einsum("ji...,ji...->...",
-                                             grad_u, grad_u))),
-            # summed as the record always has: the stationary winding
-            # director's envelope fit is exactly 0 only at this roundoff
-            lap_d_sq=float(np.sum(lap_d**2)),
-            lap_d=lap_d, grad_sq=grad_sq, products=products)
-    return products
+
+def _stress_force(grid: Grid, sigma: np.ndarray) -> np.ndarray:
+    """-div sigma (dim components) of the dealiased stress, a half spectrum."""
+    spec = _fftn(grid, sigma)
+    spec *= grid.dealias_mask
+    ik = grid.ik_deriv
+    force = np.zeros((grid.dim,) + grid.spec_shape, dtype=np.complex128)
+    for p, (a, b) in enumerate(_PAIRS[grid.dim]):
+        force[a] -= ik[b] * spec[p]
+        if a != b:
+            force[b] -= ik[a] * spec[p]
+    return force
 
 
 def _pass(s: FluidState) -> dict:
-    """The state's one transform pass, memoized on it: everything
-    `_grid_products` of its spectra stores in a memo.  The director enters
-    from its spectrum, as in every stage of a step, so that the first stage
-    of the next step can use the products; that step then clears the memo,
-    whose grid arrays nothing needs after."""
-    if "u_max" not in s._memo:
-        _grid_products(s.grid, s.u.spec, s.d.spec, memo=s._memo)
+    """The state's one transform pass, memoized on it: `_grid_fields` of its
+    spectra ("fields"; d enters from its spectrum, as in every stage),
+    |grad d|^2, max|u| and max|grad d|.  The next step clears it."""
+    if "fields" not in s._memo:
+        u, d, grad_d = _grid_fields(s.grid, s.u.spec, s.d.spec)
+        grad_sq = np.einsum("im...,im...->...", grad_d, grad_d)
+        s._memo.update(
+            fields=(u, d, grad_d), grad_sq=grad_sq,
+            u_max=math.sqrt(np.max(np.einsum("i...,i...->...", u, u))),
+            grad_d_max=math.sqrt(np.max(grad_sq)))
     return s._memo
 
 
-def recover_pressure(s: FluidState, params: PhysicsParams) -> Field:
+def recover_pressure(s: FluidState) -> Field:
     """Solve the spectral pressure Poisson equation
     lap p = -div(u . grad u + lap d . grad d); zero-mean output.
 
-    The right side is the divergence of the dealiased momentum products of
-    the state's pass (`_pass`), the stepper's first stage, so a state whose
-    pass is memoized needs no inverse transform.  Diagnostic only: time
-    stepping eliminates the pressure by projection.
-    """
-    grid = s.grid
-    products = _fftn(grid, _pass(s)["products"][:grid.dim])
-    products *= grid.dealias_mask
-    div_spec = sum(grid.ik_deriv[j] * products[j] for j in range(grid.dim))
+    The force is formed in stress form from the state's pass, so a memoized
+    pass needs no inverse transform.  Diagnostic only: time stepping
+    eliminates the pressure by projection."""
+    grid, memo = s.grid, _pass(s)
+    sigma, _ = _products(grid, *memo["fields"])
+    sigma[[p for p, (a, b) in enumerate(_PAIRS[grid.dim]) if a == b]] -= \
+        0.5 * memo["grad_sq"]
+    force = _stress_force(grid, sigma)
+    div_spec = sum(grid.ik_deriv[j] * force[j] for j in range(grid.dim))
     return Field.from_spec(grid, (-div_spec * grid.inv_k2)[np.newaxis])
 
 
-def constraint_residual(s: FluidState) -> tuple:
+def constraint_residual(s: FluidState, lap_d: np.ndarray | None = None) -> tuple:
     """(max | |d|-1 |, max | |grad d|^2 + d . lap d |).
 
     The second entry is the discrete residual of the sphere identity that
-    holds exactly for smooth unit-length directors.
+    holds exactly for smooth unit-length directors.  `lap_d`, lap d on the
+    grid, is transformed from d's spectrum unless given.
     """
-    d, memo = s.d.phys, _pass(s)
+    d = s.d.phys
+    if lap_d is None:
+        lap_d = _ifftn(s.grid, -s.grid.k2 * s.d.spec)
     mag_err = float(np.max(np.abs(np.sqrt(np.sum(d * d, axis=0)) - 1.0)))
-    identity = memo["grad_sq"] + np.sum(d * memo["lap_d"], axis=0)
+    identity = _pass(s)["grad_sq"] + np.sum(d * lap_d, axis=0)
     return mag_err, float(np.max(np.abs(identity)))

@@ -21,7 +21,7 @@ from .diagnostics import DiagnosticsRecord
 from .scenarios import ScenarioSpec
 from .spectral import Field, Grid
 
-__all__ = ["SUITES", "run_suite", "run_all"]
+__all__ = ["SUITES", "run_suite"]
 
 RANDOM_SEED = 7  # fixed seed for every random_smooth verification run
 
@@ -110,7 +110,7 @@ def check_navier_stokes_reduction():
     # verified against a finite-difference momentum-balance oracle
     x0, x1 = grid.coords()
     p_exact = 0.25 * (np.cos(2 * x0) + np.cos(2 * x1)) * math.exp(-4.0)
-    p = state.recover_pressure(st, params).phys[0]
+    p = state.recover_pressure(st).phys[0]
     err = np.max(np.abs(p - p_exact))
     results.append(_check("recovered Taylor-Green pressure", err, 1e-5))
     return results
@@ -329,9 +329,3 @@ def run_suite(name: str):
     """Run one verification suite; returns (name, passed, detail) tuples."""
     return SUITES[name]()
 
-
-def run_all():
-    results = []
-    for name in SUITES:
-        results.extend(run_suite(name))
-    return results

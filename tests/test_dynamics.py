@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from nematicflow.dynamics import (StepPolicy, _decay, director_rhs,
-                                  momentum_rhs, step, suggest_dt)
+from nematicflow.dynamics import (StepPolicy, _decay, _nonlinear,
+                                  director_rhs, momentum_rhs, step,
+                                  suggest_dt)
 from nematicflow.errors import NumericalOverflowError
 from nematicflow.scenarios import random_smooth, taylor_green, winding_director
-from nematicflow.spectral import Field, Grid, divergence
-from nematicflow.state import FluidState, PhysicsParams, constraint_residual
+from nematicflow.spectral import (Field, Grid, dealias, divergence, gradient,
+                                  laplacian, leray_project)
+from nematicflow.state import (FluidState, PhysicsParams, constraint_residual,
+                               recover_pressure)
 
 
 @pytest.fixture
@@ -19,6 +22,67 @@ def grid():
 @pytest.fixture
 def params():
     return PhysicsParams(nu=1.0)
+
+
+def _band_limited(grid, rng, ncomp):
+    """A random real field with modes |k_j| < res/4 on every axis only: a
+    quadratic product of such fields has no mode the grid aliases."""
+    spec = Field.from_phys(grid, rng.standard_normal((ncomp,) + grid.shape)).spec
+    for k in grid.k_int:
+        spec = np.where(np.abs(k) < grid.res // 4, spec, 0.0)
+    return Field.from_spec(grid, spec)
+
+
+def _convective_form(grid, u, d):
+    """(N_u, N_d) half spectra of P[-(u.grad)u - lap d . grad d] and
+    |grad d|^2 d - (u.grad)d with the products formed on the grid."""
+    dim = grid.dim
+    grad_u = [gradient(u, j).phys for j in range(dim)]
+    grad_d = [gradient(d, j).phys for j in range(dim)]
+    lap_d = laplacian(d).phys
+    force = -sum(u.phys[j] * grad_u[j] for j in range(dim)) - np.stack(
+        [np.sum(lap_d * grad_d[i], axis=0) for i in range(dim)])
+    grad_sq = sum(np.sum(g * g, axis=0) for g in grad_d)
+    transport = sum(u.phys[j] * grad_d[j] for j in range(dim))
+    n_u = leray_project(dealias(Field.from_phys(grid, force)))
+    n_d = dealias(Field.from_phys(grid, grad_sq * d.phys - transport))
+    return n_u.spec, n_d.spec
+
+
+@pytest.mark.parametrize("dim, res", [(2, 32), (3, 16)])
+def test_stress_form_matches_convective_form_without_aliasing(dim, res):
+    # for divergence-free u, (u.grad)u = div(u u) and lap d . grad d =
+    # div(grad d^T grad d) - grad(|grad d|^2 / 2), whose gradient the
+    # projection removes; without aliasing the forms agree to roundoff
+    grid = Grid(dim, res)
+    rng = np.random.Generator(np.random.PCG64(11))
+    u = leray_project(_band_limited(grid, rng, dim))
+    d = _band_limited(grid, rng, 3)
+    ku, kd = _nonlinear(grid, u.spec, d.spec)
+    eu, ed = _convective_form(grid, u, d)
+    assert np.max(np.abs(ku - eu)) < 1e-13 * np.max(np.abs(eu))
+    assert np.max(np.abs(kd - ed)) < 1e-13 * np.max(np.abs(ed))
+
+
+@pytest.mark.parametrize("dim, res", [(2, 32), (3, 16)])
+def test_pressure_matches_convective_form_without_aliasing(dim, res):
+    # the pressure of the dealiased force -(u.grad)u - lap d . grad d formed
+    # on the grid, lap p = div(force): the stress form must reproduce it
+    # with the |grad d|^2 / 2 term that the projection of a stage drops
+    grid = Grid(dim, res)
+    rng = np.random.Generator(np.random.PCG64(12))
+    u = leray_project(_band_limited(grid, rng, dim))
+    d = _band_limited(grid, rng, 3)
+    lap_d = laplacian(d).phys
+    force = np.stack([
+        -sum(u.phys[j] * gradient(u, j).phys[i] for j in range(dim))
+        - np.sum(lap_d * gradient(d, i).phys, axis=0) for i in range(dim)])
+    div_spec = divergence(dealias(Field.from_phys(grid, force))).spec
+    p_spec = np.divide(div_spec, -grid.k2, out=np.zeros_like(div_spec),
+                       where=grid.k2 > 0)
+    expected = Field.from_spec(grid, p_spec).phys
+    p = recover_pressure(FluidState(grid, u, d)).phys
+    assert np.max(np.abs(p - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
 class TestPolicy:

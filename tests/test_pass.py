@@ -76,7 +76,7 @@ def test_step_on_memoized_state_is_bit_identical(dim, integrator):
     s = random_smooth(GRIDS[dim], seed=4)
     measure(s, blowup_integrand(s), 0.0)
     out = step(s, PhysicsParams(), 0.01, integrator=integrator)
-    assert "lap_d" not in s._memo  # the step released the pass's arrays
+    assert "fields" not in s._memo  # the step released the pass's arrays
     fresh = step(replace(s), PhysicsParams(), 0.01, integrator=integrator)
     assert np.array_equal(out.u.spec, fresh.u.spec)
     assert np.array_equal(out.d.phys, fresh.d.phys)
@@ -87,8 +87,23 @@ def test_rhs_pair_shares_one_pass(transforms):
     transforms.clear()
     momentum_rhs(s, PhysicsParams())
     director_rhs(s)
-    # one pass: [u, d, lap d] (8 arrays) and the first derivatives (10)
-    assert [n for _, kind, n, _ in transforms if kind == "inverse"] == [8, 10]
+    # one pass: [u, d] (5 arrays) and grad d (6)
+    assert [n for _, kind, n, _ in transforms if kind == "inverse"] == [5, 6]
+
+
+@pytest.mark.parametrize("dim, arrays", [(2, 17), (3, 24)])
+def test_nonlinear_stage_transforms_its_budget(transforms, dim, arrays):
+    s = random_smooth(GRIDS[dim], seed=4)
+    u_spec, d_spec = s.u.spec, s.d.spec
+    transforms.clear()
+    _nonlinear(s.grid, u_spec, d_spec)
+    # inverse [u, d] and grad d; forward the dim(dim+1)/2 stress
+    # components and the 3 director products
+    stress = dim * (dim + 1) // 2
+    assert [(kind, n) for _, kind, n, _ in transforms] == [
+        ("inverse", dim + 3), ("inverse", 3 * dim), ("forward", 3),
+        ("forward", stress)]
+    assert sum(n for _, _, n, _ in transforms) == arrays
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -96,9 +111,10 @@ def test_pressure_reads_a_memoized_pass(transforms, dim):
     s = random_smooth(GRIDS[dim], seed=4)
     blowup_integrand(s)  # memoizes the pass
     transforms.clear()
-    recover_pressure(s, PhysicsParams())
-    # only the forward transform of the dim momentum products
-    assert [(kind, n) for _, kind, n, _ in transforms] == [("forward", dim)]
+    recover_pressure(s)
+    # only the forward transform of the dim(dim+1)/2 stress components
+    assert [(kind, n) for _, kind, n, _ in transforms] == \
+        [("forward", dim * (dim + 1) // 2)]
 
 
 def _batches(transforms, phase, kind, res=16):
@@ -120,15 +136,17 @@ def test_fixed_dt_run_transforms_each_state_once(tmp_path, transforms):
     assert all(r == 16 for _, _, _, r in transforms)
     assert batches("suggest_dt", "inverse") == []
     assert batches("suggest_dt", "forward") == []
-    # the monitor reads the pass of each of the 5 states: no grad d batch
-    # (6 arrays) of its own
-    assert batches("blowup_integrand", "inverse") == [8] * 5 + [10] * 5
-    # each record adds only the cubic term's round trip
+    # the 2-D monitor reads the pass of each of the 5 states: [u, d] and
+    # grad d, no batch of its own
+    assert batches("blowup_integrand", "inverse") == [5] * 5 + [6] * 5
+    # each record adds the cubic term's round trip batched with lap d, and
+    # the 2-D omega for max|omega|
     assert batches("measure", "forward") == [3] * 3
-    assert batches("measure", "inverse") == [3] * 3
+    assert batches("measure", "inverse") == [1] * 3 + [6] * 3
     # stages 2-4 and the renormalized director; stage 1 is the pass
-    assert batches("step", "inverse") == sorted([8, 10] * 3 * 4 + [3] * 4)
-    assert batches("step", "forward") == [5] * 4 * 4
+    assert batches("step", "inverse") == sorted([5, 6] * 3 * 4 + [3] * 4)
+    # each stage: the 3 stress components and the 3 director products
+    assert batches("step", "forward") == [3] * 2 * 4 * 4
 
 
 def test_adaptive_run_computes_the_pass_in_suggest_dt(tmp_path, transforms):
@@ -141,11 +159,11 @@ def test_adaptive_run_computes_the_pass_in_suggest_dt(tmp_path, transforms):
     states = len(report.history)
     assert states > 2
     assert _batches(transforms, "suggest_dt", "inverse") == \
-        [8] * states + [10] * states
+        [5] * states + [6] * states
     assert _batches(transforms, "blowup_integrand", "inverse") == []
     assert _batches(transforms, "blowup_integrand", "inverse", 32) == \
         [6] * states
-    assert _batches(transforms, "measure", "inverse") == [3] * states
+    assert _batches(transforms, "measure", "inverse") == [6] * states
     assert _batches(transforms, "measure", "inverse", 32) == [1] * states
 
 
@@ -154,22 +172,26 @@ def test_adaptive_run_computes_the_pass_in_suggest_dt(tmp_path, transforms):
        amplitude=st.floats(0.1, 3.0))
 def test_pass_scalars_match_their_operators(dim, seed, amplitude):
     s = random_smooth(GRIDS[dim], seed=seed, amplitude=amplitude)
-    memo = _pass(s)
-    cell = s.grid.cell_volume
+    # the maxima of the pass and of the curl batch, and the record's
+    # spectral sums (Parseval) against grid sums of the operators
+    memo, rec = _pass(s), measure(s, 0.0, 0.0)
+    grid = s.grid
     omega, grad_u, grad_d = curl(s.u), _stacked_gradient(s.u), \
         _stacked_gradient(s.d)
+    k2 = sum(k * k for k in grid.k_deriv)
     expected = {
-        "u_max": linf_norm(s.u),
-        "omega_max": linf_norm(omega),
-        "grad_d_max": linf_norm(grad_d),
-        "u_sq": l2_norm(s.u) ** 2 / cell,
-        "grad_u_sq": l2_norm(grad_u) ** 2 / cell,
-        "omega_sq": l2_norm(omega) ** 2 / cell,
-        "grad_d_sq": l2_norm(grad_d) ** 2 / cell,
-        "lap_d_sq": l2_norm(laplacian(s.d)) ** 2 / cell,
+        "u_max": (memo["u_max"], linf_norm(s.u)),
+        "omega_max": (rec.omega_linf, linf_norm(omega)),
+        "grad_d_max": (memo["grad_d_max"], linf_norm(grad_d)),
+        "u_l2": (rec.u_l2, l2_norm(s.u)),
+        "grad_u_sq": (diagnostics._l2_sq(grid, s.u.spec, k2),
+                      l2_norm(grad_u) ** 2),
+        "omega_l2": (rec.omega_l2, l2_norm(omega)),
+        "grad_d_l2": (rec.grad_d_l2, l2_norm(grad_d)),
+        "hess_d_l2": (rec.hess_d_l2, l2_norm(laplacian(s.d))),
     }
-    for name, value in expected.items():
-        assert memo[name] == pytest.approx(value, rel=1e-12), name
+    for name, (value, oracle) in expected.items():
+        assert value == pytest.approx(oracle, rel=1e-12), name
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
