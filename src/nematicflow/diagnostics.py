@@ -16,7 +16,7 @@ max|grad d| comes from the state's one transform pass (`state._pass`),
 which the next step's first stage also uses; max|omega| (a curl batch,
 every step in 3-D, only for a record in 2-D) and the oversampled maxima
 are memoized on the state.  A record sums squares in spectral space
-(Parseval) and transforms only lap d and the cubic term of the dissipation.
+(Parseval), the tension's too, and transforms only lap d back to the grid.
 """
 
 from __future__ import annotations
@@ -108,15 +108,16 @@ def _l2_sq(grid: Grid, spec: np.ndarray, weight=1.0) -> float:
 
 
 def _record_fields(s: FluidState) -> dict:
-    """Every record field but t and the monitor values.  One inverse batch
-    holds lap d and the dealiased cubic term |grad d|^2 d of the tension."""
+    """Every record field but t and the monitor values.  The dissipation
+    sums the tension spectrum -|k|^2 d_hat + dealiased |grad d|^2 d by
+    Parseval; only lap d goes back to the grid, for the grid sums below."""
     grid, u_spec, d_spec = s.grid, s.u.spec, s.d.spec
     k2 = sum(k * k for k in grid.k_deriv)
-    cubic = _fftn(grid, _pass(s)["grad_sq"] * s.d.phys)
-    cubic *= grid.dealias_mask
-    lap_d, cubic = np.split(
-        _ifftn(grid, np.concatenate([-grid.k2 * d_spec, cubic])), 2)
-    tension = lap_d + cubic
+    tension = _fftn(grid, _pass(s)["grad_sq"] * s.d.phys)
+    tension *= grid.dealias_mask
+    lap_d_spec = -grid.k2 * d_spec
+    tension += lap_d_spec
+    lap_d = _ifftn(grid, lap_d_spec)
     u_sq, grad_d_sq = _l2_sq(grid, u_spec), _l2_sq(grid, d_spec, k2)
     norm_err, identity_err = constraint_residual(s, lap_d)
     return dict(
@@ -126,8 +127,7 @@ def _record_fields(s: FluidState) -> dict:
         # director's envelope fit is exactly 0 only at this roundoff
         hess_d_l2=math.sqrt(grid.cell_volume * float(np.sum(lap_d**2))),
         energy=u_sq + grad_d_sq,
-        dissipation=2.0 * (_l2_sq(grid, u_spec, k2)
-                           + grid.cell_volume * float(np.sum(tension**2))),
+        dissipation=2.0 * (_l2_sq(grid, u_spec, k2) + _l2_sq(grid, tension)),
         sphere_norm_err=norm_err,
         sphere_identity_err=identity_err,
     )

@@ -184,6 +184,8 @@ def read_snapshot(path) -> FluidState:
     except ValueError as exc:
         raise SnapshotFormatError(f"{path}: {exc}") from exc
     data = np.frombuffer(blob, dtype="<f8", offset=26)
+    if not (np.isfinite(t) and np.isfinite(data).all()):
+        raise SnapshotFormatError(f"{path}: non-finite time or field values")
     u = data[: dim * npoints].reshape((dim,) + grid.shape).astype(np.float64)
     d = data[dim * npoints:].reshape((3,) + grid.shape).astype(np.float64)
     return FluidState(grid, Field.from_phys(grid, u),

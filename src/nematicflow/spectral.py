@@ -172,8 +172,10 @@ class Grid:
 
 
 def _fftn(grid: Grid, phys: np.ndarray) -> np.ndarray:
-    """Forward transform of real (ncomp, *shape) data to its half spectrum."""
-    return np.fft.rfftn(phys, axes=grid.spatial_axes, norm="forward")
+    """Forward transform of real (ncomp, *shape) data to its half spectrum,
+    written into one fresh array (numpy transforms the later axes in place)."""
+    out = np.empty(phys.shape[:-grid.dim] + grid.spec_shape, np.complex128)
+    return np.fft.rfftn(phys, axes=grid.spatial_axes, norm="forward", out=out)
 
 
 def _ifftn(grid: Grid, spec: np.ndarray) -> np.ndarray:

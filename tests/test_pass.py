@@ -13,8 +13,8 @@ from nematicflow.diagnostics import blowup_integrand, measure
 from nematicflow.dynamics import (StepPolicy, _nonlinear, _stage_one,
                                   director_rhs, momentum_rhs, step, suggest_dt)
 from nematicflow.scenarios import random_smooth
-from nematicflow.spectral import (Field, Grid, curl, gradient, l2_norm,
-                                  laplacian, linf_norm)
+from nematicflow.spectral import (Field, Grid, curl, dealias, gradient,
+                                  l2_norm, laplacian, linf_norm)
 from nematicflow.state import PhysicsParams, _pass, recover_pressure
 
 GRIDS = {2: Grid(2, 16), 3: Grid(3, 8)}
@@ -117,6 +117,22 @@ def test_pressure_reads_a_memoized_pass(transforms, dim):
         [("forward", dim * (dim + 1) // 2)]
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_random_smooth_transforms_its_budget(transforms, dim):
+    s = random_smooth(GRIDS[dim], seed=4)
+    # forward: the u and d noise, then d at half-band steps 2 and 3;
+    # inverse: u for max|u|, d for max|d - e_z|, d at each half-band step
+    assert [(kind, n) for _, kind, n, _ in transforms] == [
+        ("forward", dim), ("inverse", dim), ("forward", 3), ("inverse", 3),
+        ("inverse", 3), ("forward", 3), ("inverse", 3), ("forward", 3),
+        ("inverse", 3)]
+    transforms.clear()
+    _pass(s)
+    # u keeps its spectrum, so the pass forward-transforms d only
+    assert [(kind, n) for _, kind, n, _ in transforms] == [
+        ("forward", 3), ("inverse", dim + 3), ("inverse", 3 * dim)]
+
+
 def _batches(transforms, phase, kind, res=16):
     return sorted(n for p, k, n, r in transforms
                   if (p, k, r) == (phase, kind, res))
@@ -139,10 +155,10 @@ def test_fixed_dt_run_transforms_each_state_once(tmp_path, transforms):
     # the 2-D monitor reads the pass of each of the 5 states: [u, d] and
     # grad d, no batch of its own
     assert batches("blowup_integrand", "inverse") == [5] * 5 + [6] * 5
-    # each record adds the cubic term's round trip batched with lap d, and
-    # the 2-D omega for max|omega|
+    # each record adds the cubic term's forward transform, lap d (the
+    # tension is summed by Parseval) and the 2-D omega for max|omega|
     assert batches("measure", "forward") == [3] * 3
-    assert batches("measure", "inverse") == [1] * 3 + [6] * 3
+    assert batches("measure", "inverse") == [1] * 3 + [3] * 3
     # stages 2-4 and the renormalized director; stage 1 is the pass
     assert batches("step", "inverse") == sorted([5, 6] * 3 * 4 + [3] * 4)
     # each stage: the 3 stress components and the 3 director products
@@ -163,7 +179,7 @@ def test_adaptive_run_computes_the_pass_in_suggest_dt(tmp_path, transforms):
     assert _batches(transforms, "blowup_integrand", "inverse") == []
     assert _batches(transforms, "blowup_integrand", "inverse", 32) == \
         [6] * states
-    assert _batches(transforms, "measure", "inverse") == [6] * states
+    assert _batches(transforms, "measure", "inverse") == [3] * states
     assert _batches(transforms, "measure", "inverse", 32) == [1] * states
 
 
@@ -179,6 +195,9 @@ def test_pass_scalars_match_their_operators(dim, seed, amplitude):
     omega, grad_u, grad_d = curl(s.u), _stacked_gradient(s.u), \
         _stacked_gradient(s.d)
     k2 = sum(k * k for k in grid.k_deriv)
+    # the tension on the grid: lap d plus the dealiased |grad d|^2 d
+    cubic = np.sum(grad_d.phys**2, axis=0) * s.d.phys
+    tension = laplacian(s.d).phys + dealias(Field.from_phys(grid, cubic)).phys
     expected = {
         "u_max": (memo["u_max"], linf_norm(s.u)),
         "omega_max": (rec.omega_linf, linf_norm(omega)),
@@ -189,6 +208,8 @@ def test_pass_scalars_match_their_operators(dim, seed, amplitude):
         "omega_l2": (rec.omega_l2, l2_norm(omega)),
         "grad_d_l2": (rec.grad_d_l2, l2_norm(grad_d)),
         "hess_d_l2": (rec.hess_d_l2, l2_norm(laplacian(s.d))),
+        "dissipation": (rec.dissipation, 2.0 * (
+            l2_norm(grad_u) ** 2 + grid.cell_volume * np.sum(tension**2))),
     }
     for name, (value, oracle) in expected.items():
         assert value == pytest.approx(oracle, rel=1e-12), name

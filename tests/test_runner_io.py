@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nematicflow.config import SimulationConfig, load_config
 from nematicflow.errors import SnapshotFormatError
@@ -216,6 +217,62 @@ class TestSnapshots:
         path.write_bytes(bytes(blob))
         with pytest.raises(SnapshotFormatError):
             read_snapshot(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("offset", [18, 26, -8])  # t, first, last value
+    def test_non_finite_value_rejected(self, tmp_path, value, offset):
+        s = winding_director(Grid(2, 16), k=1)
+        path = tmp_path / "nonfinite.bin"
+        write_snapshot(s, path)
+        blob = bytearray(path.read_bytes())
+        start = offset % len(blob)
+        blob[start:start + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SnapshotFormatError, match="non-finite"):
+            read_snapshot(path)
+
+
+@pytest.fixture(scope="module")
+def valid_snapshot(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "valid.bin"
+    write_snapshot(random_smooth(Grid(2, 8), seed=1), path)
+    return path
+
+
+_FUZZ_VALUES = 5 * 8 * 8  # u and d values of the 2-D res-8 snapshot
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["header", "values", "truncate"]), data=st.data())
+def test_corrupted_snapshot_fails_cleanly_or_reads_valid(valid_snapshot, kind,
+                                                         data):
+    # corrupted header bytes, corrupted values (NaN and inf among them) or
+    # a truncation: either SnapshotFormatError or a finite state on the grid
+    # the header names, never another exception
+    blob = bytearray(valid_snapshot.read_bytes())
+    if kind == "header":
+        for index, byte in data.draw(st.lists(st.tuples(
+                st.integers(0, 25), st.integers(0, 255)), min_size=1,
+                max_size=4)):
+            blob[index] = byte
+    elif kind == "values":
+        for index, value in data.draw(st.lists(st.tuples(
+                st.integers(0, _FUZZ_VALUES - 1), st.floats()), min_size=1,
+                max_size=2)):
+            blob[26 + 8 * index:34 + 8 * index] = struct.pack("<d", value)
+    else:
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    path = valid_snapshot.with_name("fuzzed.bin")
+    path.write_bytes(bytes(blob))
+    try:
+        s = read_snapshot(path)
+    except SnapshotFormatError:
+        return
+    grid = s.grid
+    assert math.isfinite(s.t)
+    assert s.u.phys.shape == (grid.dim,) + grid.shape
+    assert s.d.phys.shape == (3,) + grid.shape
+    assert np.isfinite(s.u.phys).all() and np.isfinite(s.d.phys).all()
 
 
 class TestReportFields:

@@ -7,8 +7,10 @@ from nematicflow.errors import UnderResolvedError
 from nematicflow.scenarios import (SCENARIO_NAMES, ScenarioSpec,
                                    build_scenario, random_smooth,
                                    taylor_green, winding_director)
-from nematicflow.spectral import Grid, divergence
-from nematicflow.state import constraint_residual
+from nematicflow.spectral import (Field, Grid, _fftn, _ifftn, divergence,
+                                  leray_project)
+from nematicflow.state import (FluidState, constraint_residual,
+                               normalize_director)
 
 
 @pytest.fixture
@@ -58,7 +60,61 @@ class TestWindingDirector:
             winding_director(Grid(2, 8), k=3)
 
 
+def _grid_built_random_smooth(grid, seed, slope=4.0, amplitude=0.5):
+    """random_smooth as built on the grid before it kept its spectra: each
+    field round-trips through the grid and u is projected as a Field."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    k_int = np.sqrt(sum(k * k for k in grid.k_int))
+    taper = (1.0 + k_int) ** (-slope) * grid.dealias_mask
+
+    def noise(ncomp):
+        white = rng.standard_normal((ncomp,) + grid.shape)
+        return _ifftn(grid, _fftn(grid, white) * taper)
+
+    u = noise(grid.dim)
+    u -= u.mean(axis=grid.spatial_axes, keepdims=True)
+    u = leray_project(Field.from_phys(grid, u)).phys
+    u = u * (amplitude / np.sqrt(np.max(np.sum(u**2, axis=0))))
+    pert = noise(3)
+    pert *= amplitude / np.sqrt(np.max(np.sum(pert**2, axis=0)))
+    d = pert.copy()
+    d[2] += 1.0
+    cutoff = (grid.res // 2 - 1) // 2
+    keep = np.ones(grid.spec_shape, dtype=bool)
+    for k in grid.k_int:
+        keep &= np.abs(k) <= cutoff
+    for _ in range(3):
+        d = _ifftn(grid, _fftn(grid, d) * keep)
+        d = d / np.sqrt(np.sum(d * d, axis=0))
+    return normalize_director(FluidState(grid, Field.from_phys(grid, u),
+                                         Field.from_phys(grid, d)))
+
+
+def _rel_err(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
 class TestRandomSmooth:
+    @pytest.mark.parametrize("dim, res", [(2, 32), (3, 16)])
+    @pytest.mark.parametrize("seed, slope, amplitude",
+                             [(0, 4.0, 0.5), (7, 3.0, 2.0), (11, 6.0, 0.1)])
+    def test_matches_grid_built_construction(self, dim, res, seed, slope,
+                                             amplitude):
+        grid = Grid(dim, res)
+        s = random_smooth(grid, seed=seed, slope=slope, amplitude=amplitude)
+        oracle = _grid_built_random_smooth(grid, seed, slope, amplitude)
+        assert _rel_err(s.u.phys, oracle.u.phys) < 1e-13
+        assert _rel_err(s.u.spec, oracle.u.spec) < 1e-13
+        assert _rel_err(s.d.phys, oracle.d.phys) < 1e-13
+        assert _rel_err(s.d.spec, oracle.d.spec) < 1e-13
+
+    @pytest.mark.parametrize("dim, res", [(2, 32), (3, 16)])
+    def test_cached_velocity_representations_agree(self, dim, res):
+        grid = Grid(dim, res)
+        u = random_smooth(grid, seed=5).u
+        assert _rel_err(_fftn(grid, u.phys), u.spec) < 1e-13
+        assert _rel_err(_ifftn(grid, u.spec), u.phys) < 1e-13
+
     def test_satisfies_state_invariants(self, grid):
         s = random_smooth(grid, seed=1)
         assert np.max(np.abs(divergence(s.u).phys)) < 1e-12

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import nematicflow
-from nematicflow.spectral import (Field, Grid, curl, dealias, divergence,
-                                  first_derivatives, gradient, l2_norm,
-                                  laplacian, leray_project, linf_norm,
+from nematicflow.spectral import (Field, Grid, _fftn, curl, dealias,
+                                  divergence, first_derivatives, gradient,
+                                  l2_norm, laplacian, leray_project, linf_norm,
                                   oversampled_phys, second_derivative)
 
 
@@ -95,6 +95,26 @@ class TestTransforms:
         full[:, cols] = np.conj(half[(-np.arange(res)) % res][:, res - cols])
         expected = np.fft.fftn(f.phys[0], norm="forward")
         assert np.max(np.abs(full - expected)) < 1e-13
+
+    @pytest.mark.parametrize("layout", ["C", "F", "reversed"])
+    @pytest.mark.parametrize("ncomp", [1, 3, 9])
+    @pytest.mark.parametrize("dim, res", [(2, 32), (3, 16)])
+    def test_forward_matches_plain_rfftn(self, dim, res, ncomp, layout):
+        # the in-place forward transform against numpy's allocating one
+        grid = Grid(dim, res)
+        rng = np.random.Generator(np.random.PCG64(ncomp))
+        phys = rng.standard_normal((ncomp,) + grid.shape)
+        if layout == "F":
+            phys = np.asfortranarray(phys)
+        elif layout == "reversed":
+            phys = phys[..., ::-1]
+        oracle = np.fft.rfftn(phys, axes=grid.spatial_axes, norm="forward")
+        spec = _fftn(grid, phys)
+        assert spec.shape == (ncomp,) + grid.spec_shape
+        assert np.array_equal(spec, oracle)
+        again = _fftn(grid, phys)
+        assert again is not spec and not np.shares_memory(again, spec)
+        assert not np.shares_memory(spec, phys)
 
     def test_bad_shape_rejected(self, grid2):
         with pytest.raises(ValueError):
