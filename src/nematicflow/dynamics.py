@@ -10,9 +10,10 @@ Leray projection, sigma the stress u u^T + grad d^T grad d of `state`)
 and N_d = |grad d|^2 d - (u.grad)d.  Diffusion is integrated exactly via
 the per-mode factors exp(-nu |k|^2 dt), exp(-|k|^2 dt); the nonlinear parts are
 advanced explicitly with RK2 (Heun) or classical RK4 on the transformed
-variables.  sigma and the director products are formed pointwise and
-dealiased by the 2/3 rule, 17 transformed arrays per stage in 2-D and 24
-in 3-D; linear terms are never dealiased.
+variables.  A stage transforms [u, d, grad d] to the grid as one batch;
+sigma and the director products are formed pointwise and dealiased by the
+2/3 rule, 17 transformed arrays per stage in 2-D and 24 in 3-D; linear
+terms are never dealiased.
 
 The director is renormalized to unit length once per full step, not per
 substage, so the formal RK order is preserved; the radial drift removed by
@@ -119,26 +120,68 @@ def step(s: FluidState, params: PhysicsParams, dt: float,
     u0, d0 = s.u.spec, s.d.spec
     ku1, kd1 = _stage_one(s)
     s._memo.clear()  # its grid arrays would raise the step's peak memory
+    # Stage inputs and sums are formed in place, operation by operation in
+    # the order of the out-of-place expressions in the comments, so the
+    # result is bit-identical to them; `_nonlinear` copies its inputs, so
+    # one pair of stage buffers serves every stage.
+    su, sd = np.empty_like(u0), np.empty_like(d0)
 
     if integrator == "IF-RK2":
         eu = _decay(grid, params.nu * dt)
         ed = _decay(grid, dt)
-        ku2, kd2 = _nonlinear(grid, eu * (u0 + dt * ku1), ed * (d0 + dt * kd1))
-        u1 = eu * u0 + 0.5 * dt * (eu * ku1 + ku2)
-        d1 = ed * d0 + 0.5 * dt * (ed * kd1 + kd2)
+        # stage 2 at e * (y0 + dt * k1)
+        for e, y0, k1, out in ((eu, u0, ku1, su), (ed, d0, kd1, sd)):
+            np.multiply(dt, k1, out=out)
+            np.add(y0, out, out=out)
+            np.multiply(e, out, out=out)
+        ku2, kd2 = _nonlinear(grid, su, sd)
+        # y1 = e * y0 + 0.5 * dt * (e * k1 + k2)
+        for e, y0, k1, k2, out in ((eu, u0, ku1, ku2, su),
+                                   (ed, d0, kd1, kd2, sd)):
+            np.multiply(e, k1, out=k1)
+            np.add(k1, k2, out=k1)
+            np.multiply(0.5 * dt, k1, out=k1)
+            np.multiply(e, y0, out=out)
+            np.add(out, k1, out=out)
     else:
         euh = _decay(grid, params.nu * dt / 2)
         edh = _decay(grid, dt / 2)
         euf = euh * euh
         edf = edh * edh
-        ku2, kd2 = _nonlinear(grid, euh * (u0 + 0.5 * dt * ku1),
-                              edh * (d0 + 0.5 * dt * kd1))
-        ku3, kd3 = _nonlinear(grid, euh * u0 + 0.5 * dt * ku2,
-                              edh * d0 + 0.5 * dt * kd2)
-        ku4, kd4 = _nonlinear(grid, euf * u0 + dt * euh * ku3,
-                              edf * d0 + dt * edh * kd3)
-        u1 = euf * u0 + dt / 6.0 * (euf * ku1 + 2.0 * euh * (ku2 + ku3) + ku4)
-        d1 = edf * d0 + dt / 6.0 * (edf * kd1 + 2.0 * edh * (kd2 + kd3) + kd4)
+        u_terms = (euh, euf, u0, ku1, su)
+        d_terms = (edh, edf, d0, kd1, sd)
+        # stage 2 at eh * (y0 + 0.5 * dt * k1); then k1 <- ef * k1, the
+        # first term of the final sum
+        for eh, ef, y0, k1, out in (u_terms, d_terms):
+            np.multiply(0.5 * dt, k1, out=out)
+            np.add(y0, out, out=out)
+            np.multiply(eh, out, out=out)
+            np.multiply(ef, k1, out=k1)
+        ku2, kd2 = _nonlinear(grid, su, sd)
+        # stage 3 at eh * y0 + 0.5 * dt * k2
+        for (eh, _, y0, _, out), k2 in ((u_terms, ku2), (d_terms, kd2)):
+            np.multiply(eh, y0, out=out)
+            np.add(out, 0.5 * dt * k2, out=out)
+        ku3, kd3 = _nonlinear(grid, su, sd)
+        # stage 4 at ef * y0 + dt * eh * k3; k1 <- ef * k1 + 2 * eh *
+        # (k2 + k3), which frees k2 and k3
+        for (eh, ef, y0, k1, out), k2, k3 in ((u_terms, ku2, ku3),
+                                              (d_terms, kd2, kd3)):
+            np.add(k2, k3, out=k2)
+            np.multiply(2.0 * eh, k2, out=k2)
+            np.add(k1, k2, out=k1)
+            np.multiply(dt * eh, k3, out=k3)
+            np.multiply(ef, y0, out=out)
+            np.add(out, k3, out=out)
+        del ku2, kd2, ku3, kd3, k2, k3  # the loop names hold kd2, kd3
+        ku4, kd4 = _nonlinear(grid, su, sd)
+        # y1 = ef * y0 + dt / 6 * (ef * k1 + 2 * eh * (k2 + k3) + k4)
+        for (eh, ef, y0, k1, out), k4 in ((u_terms, ku4), (d_terms, kd4)):
+            np.add(k1, k4, out=k1)
+            np.multiply(dt / 6.0, k1, out=k1)
+            np.multiply(ef, y0, out=out)
+            np.add(out, k1, out=out)
+    u1, d1 = su, sd
 
     if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(d1))):
         raise NumericalOverflowError(

@@ -108,13 +108,13 @@ def random_smooth(grid: Grid, seed: int = 0, slope: float = 4.0,
     u_spec = _smooth_noise(grid, rng, grid.dim, slope)
     u_spec[(slice(None),) + origin] = 0.0
     u_spec = project_spec(grid, u_spec)
-    u = _ifftn(grid, u_spec)
+    u = _ifftn(grid, u_spec.copy())
     scale = amplitude / np.sqrt(np.max(np.sum(u**2, axis=0)))
     # new arrays: scaling in place raised peak RSS at 3-D 64^3 (heap layout)
     u, u_spec = u * scale, u_spec * scale
 
     d_spec = _smooth_noise(grid, rng, 3, slope)
-    pert = _ifftn(grid, d_spec)
+    pert = _ifftn(grid, d_spec.copy())
     d_spec *= amplitude / np.sqrt(np.max(np.sum(pert**2, axis=0)))
     d_spec[(2,) + origin] += 1.0
     d = Field.from_phys(grid, _half_band_unit(grid, d_spec))

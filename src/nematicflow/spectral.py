@@ -7,9 +7,10 @@ Half-spectrum layout: every field is real, so its spectrum is Hermitian,
 f_hat(-k) = conj(f_hat(k)), and only half of it is stored.  Spectral arrays
 have shape `Grid.spec_shape`: the leading spatial axes hold all `res` modes
 in FFT order (0, 1, ..., res/2-1, -res/2, ..., -1), the last axis only the
-modes 0, 1, ..., res/2.  `_fftn`/`_ifftn` (numpy's rfftn/irfftn) are the
-one transform pair of the package; every wavenumber table of `Grid` has
-this layout.
+modes 0, 1, ..., res/2.  `_fftn`/`_ifftn` are the one transform pair of
+the package: numpy's rfftn, and numpy's irfftn sequence of 1-D passes done
+in place in the spectrum it is given, which it overwrites.  Every
+wavenumber table of `Grid` has this layout.
 
 Normalization convention: the forward transform divides by the number of
 grid points, so the mode-0 coefficient equals the field mean.  Under this
@@ -179,9 +180,16 @@ def _fftn(grid: Grid, phys: np.ndarray) -> np.ndarray:
 
 
 def _ifftn(grid: Grid, spec: np.ndarray) -> np.ndarray:
-    """Inverse of `_fftn`: a half spectrum back to real physical values."""
-    return np.fft.irfftn(spec, s=grid.shape, axes=grid.spatial_axes,
-                         norm="forward")
+    """Inverse of `_fftn`: a half spectrum back to real physical values.
+
+    numpy's irfftn sequence of 1-D passes, done in place: each leading
+    spatial axis is transformed inside `spec`, which is overwritten, and the
+    last axis into a fresh real array.  `spec` must be a writable complex128
+    array; a caller whose spectrum outlives the call passes a copy.
+    """
+    for axis in grid.spatial_axes[:-1]:
+        np.fft.ifft(spec, axis=axis, norm="forward", out=spec)
+    return np.fft.irfft(spec, n=grid.res, axis=-1, norm="forward")
 
 
 def _coerce(data, dtype, shape: tuple) -> np.ndarray:
@@ -234,7 +242,7 @@ class Field:
     @property
     def phys(self) -> np.ndarray:
         if self._phys is None:
-            self._phys = _ifftn(self.grid, self._spec)
+            self._phys = _ifftn(self.grid, self._spec.copy())
         return self._phys
 
     @property
@@ -317,7 +325,11 @@ def project_spec(grid: Grid, v_spec: np.ndarray) -> np.ndarray:
     """
     k = grid.k_deriv
     kdotv = sum(k[j] * v_spec[j] for j in range(grid.dim)) * grid.inv_k2
-    return np.stack([v_spec[j] - k[j] * kdotv for j in range(grid.dim)])
+    out = np.empty_like(v_spec)
+    for j in range(grid.dim):
+        np.multiply(k[j], kdotv, out=out[j])
+        np.subtract(v_spec[j], out[j], out=out[j])
+    return out
 
 
 def leray_project(v: Field) -> Field:

@@ -12,9 +12,9 @@ lap d . grad d = div(grad d^T grad d) - grad(|grad d|^2 / 2), so
     -(u.grad)u - lap d . grad d = -div(sigma - |grad d|^2 I / 2),
     sigma_ab = u_a u_b + d_a d . d_b d     (d_a = d / d x_a).
 
-The projection removes the gradient, so a stage transforms [u, d] and
-grad d to the grid and sigma (dim(dim+1)/2 components) and the director
-products back: 17 arrays in 2-D, 24 in 3-D.  The pressure takes
+The projection removes the gradient, so a stage transforms [u, d, grad d]
+to the grid as one batch and sigma (dim(dim+1)/2 components) and the
+director products back: 17 arrays in 2-D, 24 in 3-D.  The pressure takes
 |grad d|^2 / 2 off the diagonal of sigma before its double divergence.
 
 Each state is transformed to the grid once (`_pass`), for the next step's
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateDirectorError, check_range
-from .spectral import Field, Grid, _fftn, _ifftn, first_derivatives
+from .spectral import Field, Grid, _fftn, _ifftn
 
 __all__ = ["PhysicsParams", "FluidState", "normalize_director",
            "recover_pressure", "constraint_residual"]
@@ -81,11 +81,11 @@ def normalize_director(s: FluidState) -> FluidState:
     """Renormalize the director to unit length pointwise; u and t unchanged.
 
     Raises DegenerateDirectorError if any grid point has |d| below the
-    resolution-loss threshold.
+    resolution-loss threshold or not a number.
     """
     d = s.d.phys
     mag = np.sqrt(np.sum(d * d, axis=0))
-    if float(np.min(mag)) < DEGENERATE_DIRECTOR_THRESHOLD:
+    if not float(np.min(mag)) >= DEGENERATE_DIRECTOR_THRESHOLD:
         raise DegenerateDirectorError(
             f"min |d| = {np.min(mag):.3e} below {DEGENERATE_DIRECTOR_THRESHOLD}"
         )
@@ -93,10 +93,18 @@ def normalize_director(s: FluidState) -> FluidState:
 
 
 def _grid_fields(grid: Grid, u_spec: np.ndarray, d_spec: np.ndarray) -> tuple:
-    """(u, d, grad d) on the grid, grad d[i, m] = d d_m / d x_i."""
-    fields = _ifftn(grid, np.concatenate([u_spec, d_spec]))
-    grad_d = _ifftn(grid, first_derivatives(grid, d_spec))
-    return fields[:grid.dim], fields[grid.dim:], grad_d
+    """(u, d, grad d) on the grid, grad d[i, m] = d d_m / d x_i, from one
+    batched inverse transform of the spectrum [u, d, grad d]."""
+    dim = grid.dim
+    spec = np.empty((4 * dim + 3,) + grid.spec_shape, np.complex128)
+    spec[:dim] = u_spec
+    spec[dim:dim + 3] = d_spec
+    grad_spec = spec[dim + 3:].reshape((dim, 3) + grid.spec_shape)
+    for j, ik in enumerate(grid.ik_deriv):
+        np.multiply(ik, d_spec, out=grad_spec[j])
+    fields = _ifftn(grid, spec)
+    return (fields[:dim], fields[dim:dim + 3],
+            fields[dim + 3:].reshape((dim, 3) + grid.shape))
 
 
 def _products(grid: Grid, u: np.ndarray, d: np.ndarray,

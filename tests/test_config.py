@@ -3,8 +3,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nematicflow.config import SimulationConfig, load_config, parse_pairs
+from nematicflow.scenarios import ScenarioSpec
 from nematicflow.errors import ConfigError, ConfigParseError, ConfigRangeError
 
 MINIMAL = """
@@ -157,3 +159,70 @@ class TestBuilders:
         with pytest.raises(AttributeError):
             config.res = 128
         assert isinstance(config, SimulationConfig)
+
+
+def _positive_floats(**kwargs):
+    return st.floats(allow_nan=False, allow_infinity=False,
+                     exclude_min=True, **kwargs)
+
+
+@st.composite
+def _valid_values(draw):
+    """A valid config as a key -> value dict, scenario parameters under
+    their dotted keys."""
+    dim = draw(st.sampled_from([2, 3]))
+    res = draw(st.sampled_from([8, 16, 32, 64, 128]))
+    values = {"dim": dim, "res": res,
+              "t_max": draw(_positive_floats(min_value=0.0)),
+              "scenario": draw(st.sampled_from(["taylor_green",
+                                                "winding_director",
+                                                "random_smooth"]))}
+    optional = {
+        "length": _positive_floats(min_value=0.0),
+        "nu": _positive_floats(min_value=0.0),
+        "dt": _positive_floats(min_value=0.0),
+        "cfl_factor": _positive_floats(min_value=0.0, max_value=1.0),
+        "integrator": st.sampled_from(["IF-RK2", "IF-RK4"]),
+        "monitor_max": _positive_floats(min_value=0.0),
+        "record_every": st.integers(1, 10**6),
+        "snapshot_every": st.integers(0, 10**6),
+        "output_dir": st.text(st.characters(
+            whitelist_categories=("L", "N"), whitelist_characters="/._-"),
+            min_size=1, max_size=20),
+        "oversample_linf": st.booleans(),
+    }
+    scenario = {
+        "taylor_green": {
+            "scenario.amplitude": _positive_floats(min_value=0.0)},
+        # 0 < |k| < res/3
+        "winding_director": {"scenario.k": st.integers(
+            -((res - 1) // 3), (res - 1) // 3).filter(bool)},
+        "random_smooth": {
+            "scenario.seed": st.integers(0, 2**32),
+            "scenario.slope": st.floats(dim / 2 + 1, 50.0, exclude_min=True),
+            "scenario.amplitude": _positive_floats(min_value=0.0)},
+    }[values["scenario"]]
+    for key, strategy in {**optional, **scenario}.items():
+        if draw(st.booleans()):
+            values[key] = draw(strategy)
+    return values
+
+
+class TestRoundTrip:
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(values=_valid_values())
+    def test_written_values_load_back(self, values):
+        # every value written as `key = repr(value)` (strings as they
+        # are: the format has no quoting) loads back exactly
+        text = "".join(
+            f"{key} = {value if isinstance(value, str) else repr(value)}\n"
+            for key, value in values.items())
+        config = load_config(text)
+        params = {key.split(".", 1)[1]: value for key, value in values.items()
+                  if key.startswith("scenario.")}
+        assert config.scenario == ScenarioSpec(values["scenario"], params)
+        for key, value in values.items():
+            if key != "scenario" and not key.startswith("scenario."):
+                assert getattr(config, key) == value, key
+                assert type(getattr(config, key)) is type(value), key

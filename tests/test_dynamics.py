@@ -9,9 +9,9 @@ from nematicflow.dynamics import (StepPolicy, _decay, _nonlinear,
 from nematicflow.errors import NumericalOverflowError
 from nematicflow.scenarios import random_smooth, taylor_green, winding_director
 from nematicflow.spectral import (Field, Grid, dealias, divergence, gradient,
-                                  laplacian, leray_project)
+                                  laplacian, leray_project, project_spec)
 from nematicflow.state import (FluidState, PhysicsParams, constraint_residual,
-                               recover_pressure)
+                               normalize_director, recover_pressure)
 
 
 @pytest.fixture
@@ -126,7 +126,54 @@ class TestRhs:
         assert np.max(np.abs(divergence(rhs).phys)) < 1e-11
 
 
+def _out_of_place_step(s, params, dt, integrator):
+    """The IF-RK2/IF-RK4 step written as whole-array expressions, one fresh
+    array per operation: the oracle of the in-place stepper."""
+    grid = s.grid
+    u0, d0 = s.u.spec, s.d.spec
+    ku1, kd1 = _nonlinear(grid, u0, d0)
+    if integrator == "IF-RK2":
+        eu = _decay(grid, params.nu * dt)
+        ed = _decay(grid, dt)
+        ku2, kd2 = _nonlinear(grid, eu * (u0 + dt * ku1), ed * (d0 + dt * kd1))
+        u1 = eu * u0 + 0.5 * dt * (eu * ku1 + ku2)
+        d1 = ed * d0 + 0.5 * dt * (ed * kd1 + kd2)
+    else:
+        euh = _decay(grid, params.nu * dt / 2)
+        edh = _decay(grid, dt / 2)
+        euf = euh * euh
+        edf = edh * edh
+        ku2, kd2 = _nonlinear(grid, euh * (u0 + 0.5 * dt * ku1),
+                              edh * (d0 + 0.5 * dt * kd1))
+        ku3, kd3 = _nonlinear(grid, euh * u0 + 0.5 * dt * ku2,
+                              edh * d0 + 0.5 * dt * kd2)
+        ku4, kd4 = _nonlinear(grid, euf * u0 + dt * euh * ku3,
+                              edf * d0 + dt * edh * kd3)
+        u1 = euf * u0 + dt / 6.0 * (euf * ku1 + 2.0 * euh * (ku2 + ku3) + ku4)
+        d1 = edf * d0 + dt / 6.0 * (edf * kd1 + 2.0 * edh * (kd2 + kd3) + kd4)
+    out = FluidState(grid, Field.from_spec(grid, project_spec(grid, u1)),
+                     Field.from_spec(grid, d1), t=s.t + dt)
+    return normalize_director(out)
+
+
 class TestStep:
+    @pytest.mark.parametrize("nu", [1.0, 0.3])
+    @pytest.mark.parametrize("integrator", ["IF-RK2", "IF-RK4"])
+    @pytest.mark.parametrize("dim, res", [(2, 32), (3, 16)])
+    def test_matches_out_of_place_expressions(self, dim, res, integrator, nu):
+        # bit-identical to the oracle; the input state is left intact
+        params = PhysicsParams(nu=nu)
+        s = random_smooth(Grid(dim, res), seed=8, amplitude=1.5)
+        u_spec, d_spec = s.u.spec.copy(), s.d.spec.copy()
+        out = step(s, params, 0.01, integrator=integrator)
+        assert np.array_equal(s.u.spec, u_spec)
+        assert np.array_equal(s.d.spec, d_spec)
+        oracle = _out_of_place_step(random_smooth(Grid(dim, res), seed=8,
+                                                  amplitude=1.5),
+                                    params, 0.01, integrator)
+        assert np.array_equal(out.u.spec, oracle.u.spec)
+        assert np.array_equal(out.d.phys, oracle.d.phys)
+
     @pytest.mark.parametrize("integrator", ["IF-RK2", "IF-RK4"])
     def test_winding_director_stationary(self, grid, params, integrator):
         s0 = winding_director(grid, k=1)

@@ -36,10 +36,24 @@ def transforms(monkeypatch):
     def counting(fn, kind):
         def counted(a, *args, **kwargs):
             batch = a.shape[:a.ndim - len(kwargs["axes"])]
-            res = kwargs["s"][0] if "s" in kwargs else a.shape[-1]
-            log.append((phase[0], kind, int(np.prod(batch)), res))
+            log.append((phase[0], kind, int(np.prod(batch)), a.shape[-1]))
             return fn(a, *args, **kwargs)
         return counted
+
+    # the inverse is a sequence of 1-D passes, one `ifft` per leading axis
+    # and a final `irfft`: a batch is logged once, at its `irfft`
+    leading = [0]
+    ifft, irfft = np.fft.ifft, np.fft.irfft
+
+    def counting_ifft(a, *args, **kwargs):
+        leading[0] += 1
+        return ifft(a, *args, **kwargs)
+
+    def counting_irfft(a, *args, **kwargs):
+        dim, leading[0] = leading[0] + 1, 0
+        batch = a.shape[:a.ndim - dim]
+        log.append((phase[0], "inverse", int(np.prod(batch)), kwargs["n"]))
+        return irfft(a, *args, **kwargs)
 
     def in_phase(fn, name):
         def wrapped(*args, **kwargs):
@@ -51,7 +65,8 @@ def transforms(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(np.fft, "rfftn", counting(np.fft.rfftn, "forward"))
-    monkeypatch.setattr(np.fft, "irfftn", counting(np.fft.irfftn, "inverse"))
+    monkeypatch.setattr(np.fft, "ifft", counting_ifft)
+    monkeypatch.setattr(np.fft, "irfft", counting_irfft)
     for module, name in ((runner, "build_scenario"), (runner, "step"),
                          (runner, "suggest_dt"),
                          (diagnostics, "blowup_integrand"),
@@ -87,8 +102,8 @@ def test_rhs_pair_shares_one_pass(transforms):
     transforms.clear()
     momentum_rhs(s, PhysicsParams())
     director_rhs(s)
-    # one pass: [u, d] (5 arrays) and grad d (6)
-    assert [n for _, kind, n, _ in transforms if kind == "inverse"] == [5, 6]
+    # one pass: [u, d, grad d] (11 arrays)
+    assert [n for _, kind, n, _ in transforms if kind == "inverse"] == [11]
 
 
 @pytest.mark.parametrize("dim, arrays", [(2, 17), (3, 24)])
@@ -97,12 +112,11 @@ def test_nonlinear_stage_transforms_its_budget(transforms, dim, arrays):
     u_spec, d_spec = s.u.spec, s.d.spec
     transforms.clear()
     _nonlinear(s.grid, u_spec, d_spec)
-    # inverse [u, d] and grad d; forward the dim(dim+1)/2 stress
-    # components and the 3 director products
+    # inverse [u, d, grad d]; forward the dim(dim+1)/2 stress components
+    # and the 3 director products
     stress = dim * (dim + 1) // 2
     assert [(kind, n) for _, kind, n, _ in transforms] == [
-        ("inverse", dim + 3), ("inverse", 3 * dim), ("forward", 3),
-        ("forward", stress)]
+        ("inverse", 4 * dim + 3), ("forward", 3), ("forward", stress)]
     assert sum(n for _, _, n, _ in transforms) == arrays
 
 
@@ -130,7 +144,7 @@ def test_random_smooth_transforms_its_budget(transforms, dim):
     _pass(s)
     # u keeps its spectrum, so the pass forward-transforms d only
     assert [(kind, n) for _, kind, n, _ in transforms] == [
-        ("forward", 3), ("inverse", dim + 3), ("inverse", 3 * dim)]
+        ("forward", 3), ("inverse", 4 * dim + 3)]
 
 
 def _batches(transforms, phase, kind, res=16):
@@ -152,15 +166,15 @@ def test_fixed_dt_run_transforms_each_state_once(tmp_path, transforms):
     assert all(r == 16 for _, _, _, r in transforms)
     assert batches("suggest_dt", "inverse") == []
     assert batches("suggest_dt", "forward") == []
-    # the 2-D monitor reads the pass of each of the 5 states: [u, d] and
-    # grad d, no batch of its own
-    assert batches("blowup_integrand", "inverse") == [5] * 5 + [6] * 5
+    # the 2-D monitor reads the pass of each of the 5 states, [u, d, grad d],
+    # no batch of its own
+    assert batches("blowup_integrand", "inverse") == [11] * 5
     # each record adds the cubic term's forward transform, lap d (the
     # tension is summed by Parseval) and the 2-D omega for max|omega|
     assert batches("measure", "forward") == [3] * 3
     assert batches("measure", "inverse") == [1] * 3 + [3] * 3
     # stages 2-4 and the renormalized director; stage 1 is the pass
-    assert batches("step", "inverse") == sorted([5, 6] * 3 * 4 + [3] * 4)
+    assert batches("step", "inverse") == sorted([11] * 3 * 4 + [3] * 4)
     # each stage: the 3 stress components and the 3 director products
     assert batches("step", "forward") == [3] * 2 * 4 * 4
 
@@ -174,8 +188,7 @@ def test_adaptive_run_computes_the_pass_in_suggest_dt(tmp_path, transforms):
     report = runner.run(load_config(text))
     states = len(report.history)
     assert states > 2
-    assert _batches(transforms, "suggest_dt", "inverse") == \
-        [5] * states + [6] * states
+    assert _batches(transforms, "suggest_dt", "inverse") == [11] * states
     assert _batches(transforms, "blowup_integrand", "inverse") == []
     assert _batches(transforms, "blowup_integrand", "inverse", 32) == \
         [6] * states

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import nematicflow
-from nematicflow.spectral import (Field, Grid, _fftn, curl, dealias,
+from nematicflow.spectral import (Field, Grid, _fftn, _ifftn, curl, dealias,
                                   divergence, first_derivatives, gradient,
                                   l2_norm, laplacian, leray_project, linf_norm,
                                   oversampled_phys, second_derivative)
@@ -115,6 +115,39 @@ class TestTransforms:
         again = _fftn(grid, phys)
         assert again is not spec and not np.shares_memory(again, spec)
         assert not np.shares_memory(spec, phys)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("ncomp", [1, 3, 15])
+    @pytest.mark.parametrize("dim, res", [(2, 32), (3, 16)])
+    def test_inverse_matches_plain_irfftn(self, dim, res, ncomp, layout):
+        # the in-place inverse against numpy's allocating one; it may
+        # overwrite its argument, so the oracle is computed first
+        grid = Grid(dim, res)
+        rng = np.random.Generator(np.random.PCG64(ncomp))
+        spec = _fftn(grid, rng.standard_normal((ncomp,) + grid.shape))
+        if layout == "F":
+            spec = np.asfortranarray(spec)
+        elif layout == "strided":
+            wide = np.zeros(spec.shape[:-1] + (2 * spec.shape[-1],), complex)
+            wide[..., ::2] = spec
+            spec = wide[..., ::2]
+        oracle = np.fft.irfftn(spec, s=grid.shape, axes=grid.spatial_axes,
+                               norm="forward")
+        phys = _ifftn(grid, spec)
+        assert phys.shape == (ncomp,) + grid.shape
+        assert np.array_equal(phys, oracle)
+
+    @pytest.mark.parametrize("dim, res", [(2, 32), (3, 16)])
+    def test_phys_keeps_its_spectrum(self, dim, res):
+        grid = Grid(dim, res)
+        spec = random_field(grid, ncomp=3, seed=6).spec
+        kept = spec.copy()
+        f = Field.from_spec(grid, spec)
+        phys = f.phys
+        assert np.array_equal(spec, kept)
+        assert np.array_equal(f.spec, kept)
+        assert np.array_equal(phys, np.fft.irfftn(
+            kept, s=grid.shape, axes=grid.spatial_axes, norm="forward"))
 
     def test_bad_shape_rejected(self, grid2):
         with pytest.raises(ValueError):

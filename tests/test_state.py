@@ -57,6 +57,16 @@ class TestNormalize:
         with pytest.raises(DegenerateDirectorError):
             normalize_director(s)
 
+    def test_nan_director_raises(self):
+        # a NaN magnitude compares False with the threshold either way
+        grid = Grid(2, 8)
+        d = np.zeros((3,) + grid.shape)
+        d[2] = 1.0
+        d[1, 3, 5] = np.nan
+        s = FluidState(grid, Field.zeros(grid, 2), Field.from_phys(grid, d))
+        with pytest.raises(DegenerateDirectorError):
+            normalize_director(s)
+
 
 def _director_products(grid, u, d):
     """The stepper's director products |grad d|^2 d - (u.grad)d on the
