@@ -1,16 +1,18 @@
 """Simulation configuration: line-based `key = value` text format.
 
-Rules: one `key = value` per line, `#` starts a comment, blank lines are
-ignored, unknown and duplicate keys are rejected.  Scenario parameters use
-dotted keys (scenario.k, scenario.amplitude, scenario.seed,
-scenario.slope).  CLI overrides are applied after the file parses, with
-the same validation.  The environment variable SIM_OUTPUT_DIR overrides
-output_dir at run time.
+Rules: one `key = value` per line, `#` at the start of a line or after
+whitespace starts a comment (so `runs/#3` is a value), blank lines are
+ignored, and empty values, unknown and duplicate keys are rejected.
+Scenario parameters use dotted keys (scenario.k, scenario.amplitude,
+scenario.seed, scenario.slope).  CLI overrides are applied after the file
+parses, with the same validation.  The environment variable SIM_OUTPUT_DIR
+overrides output_dir at run time.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from .dynamics import StepPolicy
@@ -48,6 +50,9 @@ _KEY_TYPES = {
 }
 
 _REQUIRED = ("dim", "res", "scenario", "t_max")
+
+# a comment runs from a `#` at the start of a line or after whitespace
+_COMMENT = re.compile(r"(^|\s)#.*")
 
 
 @dataclass(frozen=True)
@@ -101,6 +106,8 @@ class SimulationConfig:
 def _parse_value(key: str, raw: str, lineno=None):
     kind = _KEY_TYPES[key]
     raw = raw.strip()
+    if not raw:
+        raise ConfigParseError(f"empty value for {key}", lineno)
     try:
         if kind is bool:
             lowered = raw.lower()
@@ -123,7 +130,7 @@ def parse_pairs(text: str) -> dict:
     lines, unknown keys and duplicates with the offending line number."""
     values = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
+        line = _COMMENT.sub("", raw_line).strip()
         if not line:
             continue
         if "=" not in line:

@@ -68,8 +68,7 @@ def _nonlinear(grid: Grid, u_spec: np.ndarray, d_spec: np.ndarray) -> tuple:
 
 def _tendencies(grid: Grid, sigma: np.ndarray, n_d: np.ndarray) -> tuple:
     """The grid products transformed, dealiased and N_u projected."""
-    n_d = _fftn(grid, n_d)
-    n_d *= grid.dealias_mask
+    n_d = _fftn(grid, n_d, grid.dealias_cutoff)
     return project_spec(grid, _stress_force(grid, sigma)), n_d
 
 

@@ -84,9 +84,10 @@ def _smooth_noise(grid: Grid, rng: np.random.Generator, ncomp: int,
     generated data is fully resolved (pointwise renormalization of a
     near-cutoff tail would otherwise leave an O(k^2 tail) residual in the
     sphere identity)."""
-    spec = _fftn(grid, rng.standard_normal((ncomp,) + grid.shape))
+    spec = _fftn(grid, rng.standard_normal((ncomp,) + grid.shape),
+                 grid.dealias_cutoff)
     k_int = np.sqrt(sum(k * k for k in grid.k_int))
-    spec *= (1.0 + k_int) ** (-slope) * grid.dealias_mask
+    spec *= (1.0 + k_int) ** (-slope)
     return spec
 
 
@@ -108,13 +109,13 @@ def random_smooth(grid: Grid, seed: int = 0, slope: float = 4.0,
     u_spec = _smooth_noise(grid, rng, grid.dim, slope)
     u_spec[(slice(None),) + origin] = 0.0
     u_spec = project_spec(grid, u_spec)
-    u = _ifftn(grid, u_spec.copy())
+    u = _ifftn(grid, u_spec.copy(), grid.dealias_cutoff)
     scale = amplitude / np.sqrt(np.max(np.sum(u**2, axis=0)))
     # new arrays: scaling in place raised peak RSS at 3-D 64^3 (heap layout)
     u, u_spec = u * scale, u_spec * scale
 
     d_spec = _smooth_noise(grid, rng, 3, slope)
-    pert = _ifftn(grid, d_spec.copy())
+    pert = _ifftn(grid, d_spec.copy(), grid.dealias_cutoff)
     d_spec *= amplitude / np.sqrt(np.max(np.sum(pert**2, axis=0)))
     d_spec[(2,) + origin] += 1.0
     d = Field.from_phys(grid, _half_band_unit(grid, d_spec))
@@ -132,7 +133,8 @@ def _half_band_unit(grid: Grid, d_spec: np.ndarray) -> np.ndarray:
     for k in grid.k_int:
         keep &= np.abs(k) <= cutoff
     for i in range(3):
-        d = _ifftn(grid, (_fftn(grid, d) if i else d_spec) * keep)
+        spec = _fftn(grid, d, cutoff) if i else d_spec * keep
+        d = _ifftn(grid, spec, cutoff)
         d = d / np.sqrt(np.sum(d * d, axis=0))
     return d
 

@@ -7,10 +7,24 @@ Half-spectrum layout: every field is real, so its spectrum is Hermitian,
 f_hat(-k) = conj(f_hat(k)), and only half of it is stored.  Spectral arrays
 have shape `Grid.spec_shape`: the leading spatial axes hold all `res` modes
 in FFT order (0, 1, ..., res/2-1, -res/2, ..., -1), the last axis only the
-modes 0, 1, ..., res/2.  `_fftn`/`_ifftn` are the one transform pair of
-the package: numpy's rfftn, and numpy's irfftn sequence of 1-D passes done
-in place in the spectrum it is given, which it overwrites.  Every
-wavenumber table of `Grid` has this layout.
+modes 0, 1, ..., res/2.  Every wavenumber table of `Grid` has this layout.
+
+`_fftn`/`_ifftn` are the one transform pair of the package: numpy's rfftn
+and irfftn sequences of 1-D passes, done in place (the inverse in the
+spectrum it is given, which it overwrites), and run only on the lines
+whose result is kept:
+
+- band-limited forward: given a cutoff (the 2/3 rule's res/3 for every
+  dealiased product), a leading-axis pass transforms only the lines inside
+  |k_j| <= cutoff on the axes already transformed and the rest is set to
+  0, bit-identical to the full transform times the band's mask;
+- band-limited inverse: a spectrum declared band-limited (zero-padded to
+  the 2x grid, random data drawn in a band) skips the lines that are all
+  zero, bit-identically, since ifft(0) = 0;
+- shared gradient: the inverse forms d f / dx_j from f's partly
+  transformed spectrum just before the pass along axis j, so the gradient
+  of the state's pass and of every stage skips the passes along the axes
+  before j (agreeing with a separate batch to roundoff, not bit for bit).
 
 Normalization convention: the forward transform divides by the number of
 grid points, so the mode-0 coefficient equals the field mean.  Under this
@@ -18,9 +32,10 @@ convention discrete Parseval reads
 
     sum_x |f(x)|^2 * cell_volume == volume * sum_k w_k |f_hat(k)|^2
 
-with Hermitian weights w_k = 1 on the last-axis columns 0 and res/2 (their
-conjugate partners are stored in the same column) and w_k = 2 on every
-interior column (each stands for itself and its unstored partner).
+with Hermitian weights w_k (`Grid.hermitian_weights`) = 1 on the last-axis
+columns 0 and res/2 (their conjugate partners are stored in the same
+column) and w_k = 2 on every interior column (each stands for itself and
+its unstored partner).
 
 First-derivative wavenumber tables have the Nyquist mode zeroed on every
 axis, the last one included, so that derivatives of real fields stay
@@ -149,21 +164,38 @@ class Grid:
         return sum(k * k for k in self.k_full)
 
     @cached_property
+    def k2_deriv(self) -> np.ndarray:
+        """|k|^2 of the first-derivative tables (Nyquist modes zeroed): the
+        multiplier of |grad f|^2 in Parseval sums."""
+        return sum(k * k for k in self.k_deriv)
+
+    @cached_property
     def inv_k2(self) -> np.ndarray:
         """1/|k|^2 built from the derivative tables, so that spectral Poisson
         inversions (the Leray projection, the pressure solve) stay consistent
         with gradient/divergence; 0 where that |k|^2 vanishes (mode 0 and
         pure Nyquist modes)."""
-        k2 = sum(k * k for k in self.k_deriv)
+        k2 = self.k2_deriv
         return np.divide(1.0, k2, out=np.zeros(self.spec_shape), where=k2 > 0)
+
+    @cached_property
+    def hermitian_weights(self) -> np.ndarray:
+        """Parseval weights of the half spectrum, broadcastable over
+        `spec_shape`: 1 on the last-axis columns 0 and res/2, 2 on the
+        others, which also stand for their unstored conjugate partners."""
+        return np.where(self.k_int[-1] % (self.res // 2) == 0, 1.0, 2.0)
+
+    @property
+    def dealias_cutoff(self) -> int:
+        """The 2/3 rule's band: modes with |k_j| <= res/3 are kept."""
+        return self.res // 3
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """Boolean mask keeping modes with |k_j| <= res/3 on every axis."""
-        cutoff = self.res / 3.0
         keep = np.ones(self.spec_shape, dtype=bool)
         for k in self.k_int:
-            keep &= np.abs(k) <= cutoff
+            keep &= np.abs(k) <= self.dealias_cutoff
         return keep
 
     def coords(self) -> tuple:
@@ -172,23 +204,84 @@ class Grid:
         return tuple(_axis_profile(x1, ax, self.dim) for ax in range(self.dim))
 
 
-def _fftn(grid: Grid, phys: np.ndarray) -> np.ndarray:
+def _band(n: int, cutoff: int) -> tuple:
+    """Slices of an FFT-ordered axis of `n` modes that hold |k| <= cutoff;
+    one slice for the whole axis when the band covers it."""
+    if 2 * cutoff + 1 >= n:
+        return (slice(None),)
+    return (slice(0, cutoff + 1), slice(n - cutoff, n))
+
+
+def _lines(grid: Grid, axis: int, cutoff: int):
+    """Index tuples of the 1-D lines along spatial `axis` that cross the
+    band |k_j| <= cutoff on every later axis; the earlier axes are taken
+    whole.  The last axis holds modes 0..res/2, so its band is one slice."""
+    later = [_band(grid.res, cutoff) for _ in range(axis + 1, grid.dim - 1)]
+    later.append((slice(0, cutoff + 1),))
+    head = (Ellipsis,) + (slice(None),) * (axis + 1)
+    return [head + sel for sel in itertools.product(*later)]
+
+
+def _fftn(grid: Grid, phys: np.ndarray,
+          cutoff: int | None = None) -> np.ndarray:
     """Forward transform of real (ncomp, *shape) data to its half spectrum,
-    written into one fresh array (numpy transforms the later axes in place)."""
-    out = np.empty(phys.shape[:-grid.dim] + grid.spec_shape, np.complex128)
-    return np.fft.rfftn(phys, axes=grid.spatial_axes, norm="forward", out=out)
+    band-limited to the modes with |k_j| <= `cutoff` on every axis (all of
+    them by default); the others are 0.
+
+    numpy's rfftn sequence of 1-D passes, into one fresh array: `rfft`
+    along the last axis, then `fft` along each leading axis, last to first,
+    in place.  A leading-axis pass transforms only the lines inside the
+    band on the axes already transformed, so each kept mode is bit-identical
+    to `rfftn(phys) * mask`.
+    """
+    dim, res = grid.dim, grid.res
+    cutoff = res // 2 if cutoff is None else cutoff
+    out = np.empty(phys.shape[:-dim] + grid.spec_shape, np.complex128)
+    np.fft.rfft(phys, axis=-1, norm="forward", out=out)
+    out[..., cutoff + 1:] = 0.0
+    for axis in range(dim - 2, -1, -1):
+        for line in _lines(grid, axis, cutoff):
+            view = out[line]
+            np.fft.fft(view, axis=axis - dim, norm="forward", out=view)
+        if 2 * cutoff + 1 < res:
+            out[(Ellipsis, slice(cutoff + 1, res - cutoff))
+                + (slice(None),) * (dim - 1 - axis)] = 0.0
+    return out
 
 
-def _ifftn(grid: Grid, spec: np.ndarray) -> np.ndarray:
+def _ifftn(grid: Grid, spec: np.ndarray, cutoff: int | None = None,
+           grad: int = 0) -> np.ndarray:
     """Inverse of `_fftn`: a half spectrum back to real physical values.
 
     numpy's irfftn sequence of 1-D passes, done in place: each leading
     spatial axis is transformed inside `spec`, which is overwritten, and the
     last axis into a fresh real array.  `spec` must be a writable complex128
     array; a caller whose spectrum outlives the call passes a copy.
+
+    `cutoff` declares `spec` band-limited to |k_j| <= cutoff on every axis:
+    the lines that cross no mode of the band are all zero, so the leading
+    passes skip them (ifft(0) = 0, so the values are unchanged).
+
+    With `grad` = n > 0, the last dim * n components of `spec` are outputs:
+    block j (n components) receives d/dx_j of the n components before the
+    blocks.  Block j is formed as ik_j times those components just before
+    the pass along axis j, when the passes along the earlier axes are
+    already done on them, and joins the batch from there on; the input of
+    the blocks is never read.
     """
-    for axis in grid.spatial_axes[:-1]:
-        np.fft.ifft(spec, axis=axis, norm="forward", out=spec)
+    dim = grid.dim
+    cutoff = grid.res // 2 if cutoff is None else cutoff
+    stop = spec.shape[0] - dim * grad  # components transformed from the start
+    source = spec[stop - grad:stop]
+    for axis in range(dim):
+        if grad:  # block `axis` joins the batch before the pass along it
+            np.multiply(grid.ik_deriv[axis], source,
+                        out=spec[stop:stop + grad])
+            stop += grad
+        if axis < dim - 1:
+            for line in _lines(grid, axis, cutoff):
+                view = spec[:stop][line]
+                np.fft.ifft(view, axis=axis - dim, norm="forward", out=view)
     return np.fft.irfft(spec, n=grid.res, axis=-1, norm="forward")
 
 
@@ -375,7 +468,7 @@ def oversampled_phys(f: Field) -> np.ndarray:
             big[(slice(None),) + dst + (slice(0, half + 1),)] += \
                 spec[(slice(None),) + src]
         spec[..., half] = 0.0
-    return _ifftn(fine, big)
+    return _ifftn(fine, big, half)
 
 
 def linf_norm(f: Field, oversample: bool = False) -> float:

@@ -94,15 +94,14 @@ def normalize_director(s: FluidState) -> FluidState:
 
 def _grid_fields(grid: Grid, u_spec: np.ndarray, d_spec: np.ndarray) -> tuple:
     """(u, d, grad d) on the grid, grad d[i, m] = d d_m / d x_i, from one
-    batched inverse transform of the spectrum [u, d, grad d]."""
+    batched inverse transform of [u, d] whose gradient blocks d d / d x_j
+    are formed from d's partly transformed spectrum before the pass along
+    axis j (`_ifftn`'s `grad`), so they skip the passes along axes < j."""
     dim = grid.dim
     spec = np.empty((4 * dim + 3,) + grid.spec_shape, np.complex128)
     spec[:dim] = u_spec
     spec[dim:dim + 3] = d_spec
-    grad_spec = spec[dim + 3:].reshape((dim, 3) + grid.spec_shape)
-    for j, ik in enumerate(grid.ik_deriv):
-        np.multiply(ik, d_spec, out=grad_spec[j])
-    fields = _ifftn(grid, spec)
+    fields = _ifftn(grid, spec, grad=3)
     return (fields[:dim], fields[dim:dim + 3],
             fields[dim + 3:].reshape((dim, 3) + grid.shape))
 
@@ -123,8 +122,7 @@ def _products(grid: Grid, u: np.ndarray, d: np.ndarray,
 
 def _stress_force(grid: Grid, sigma: np.ndarray) -> np.ndarray:
     """-div sigma (dim components) of the dealiased stress, a half spectrum."""
-    spec = _fftn(grid, sigma)
-    spec *= grid.dealias_mask
+    spec = _fftn(grid, sigma, grid.dealias_cutoff)
     ik = grid.ik_deriv
     force = np.zeros((grid.dim,) + grid.spec_shape, dtype=np.complex128)
     for p, (a, b) in enumerate(_PAIRS[grid.dim]):

@@ -107,6 +107,16 @@ def test_malformed_config_text(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_empty_value_is_config_error(tmp_path, capsys):
+    # `output_dir = #3` is a comment after the `=`, not a directory name:
+    # a config error, never a run that writes elsewhere
+    path = tmp_path / "run.cfg"
+    path.write_text("dim = 2\nres = 32\nscenario = winding_director\n"
+                    "t_max = 0.2\noutput_dir = #3\n")
+    assert main(["run", "--config", str(path)]) == 2
+    assert "empty value for output_dir" in capsys.readouterr().err
+
+
 def test_verify_spectral_suite(capsys):
     assert main(["verify", "--suite", "spectral"]) == 0
     out = capsys.readouterr().out

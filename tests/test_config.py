@@ -22,6 +22,25 @@ class TestParsePairs:
         text = "# full-line comment\n\ndim = 2  # trailing comment\nres=32\n"
         assert parse_pairs(text) == {"dim": 2, "res": 32}
 
+    def test_hash_inside_a_value_is_kept(self):
+        # a comment starts only at a line start or after whitespace
+        assert parse_pairs("output_dir = runs/#3\n") == \
+            {"output_dir": "runs/#3"}
+        assert parse_pairs("output_dir = runs/#3 # run 3\n#dim = 3\n") == \
+            {"output_dir": "runs/#3"}
+
+    @pytest.mark.parametrize("line", ["output_dir = #3", "output_dir =",
+                                      "scenario = \t# none"])
+    def test_empty_value_rejected(self, line):
+        with pytest.raises(ConfigParseError) as err:
+            parse_pairs(f"dim = 2\n{line}\n")
+        assert "empty value" in str(err.value)
+        assert "line 2" in str(err.value)
+
+    def test_empty_override_rejected(self):
+        with pytest.raises(ConfigParseError):
+            load_config(MINIMAL, ["output_dir="])
+
     def test_typed_values(self):
         values = parse_pairs(
             "dt = 1e-3\nintegrator = IF-RK2\noversample_linf = true\n"
@@ -186,9 +205,10 @@ def _valid_values(draw):
         "monitor_max": _positive_floats(min_value=0.0),
         "record_every": st.integers(1, 10**6),
         "snapshot_every": st.integers(0, 10**6),
+        # a `#` after the `= ` would start a comment
         "output_dir": st.text(st.characters(
-            whitelist_categories=("L", "N"), whitelist_characters="/._-"),
-            min_size=1, max_size=20),
+            whitelist_categories=("L", "N"), whitelist_characters="/._-#"),
+            min_size=1, max_size=20).filter(lambda v: v[0] != "#"),
         "oversample_linf": st.booleans(),
     }
     scenario = {

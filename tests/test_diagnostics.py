@@ -136,6 +136,14 @@ class TestEnvelope:
                                        omega_l2=math.sqrt(lhs)))
         assert abs(gronwall_envelope(records) - 2.0) < 1e-12
 
+    def test_roundoff_growth_is_no_growth(self):
+        # one ulp above the initial value: 1 + 2^-52 = 1^2 + (2^-26)^2
+        records = [make_record(0.0, omega_l2=1.0),
+                   make_record(1.0, omega_l2=1.0, hess_d_l2=2.0**-26,
+                               accum=0.5)]
+        assert 1.0 + (2.0**-26) ** 2 == math.nextafter(1.0, 2.0)
+        assert gronwall_envelope(records) == 0.0
+
     def test_growth_without_monitor_is_undefined(self):
         records = [make_record(0.0, omega_l2=1.0),
                    make_record(1.0, omega_l2=2.0, accum=0.0)]
@@ -228,10 +236,10 @@ class TestRecordOracle:
         fine_batches = []
         inverse = spectral._ifftn
 
-        def counting(grid, spec):
+        def counting(grid, spec, *args, **kwargs):
             if grid.shape == fine_shape:
                 fine_batches.append(spec.shape[0])
-            return inverse(grid, spec)
+            return inverse(grid, spec, *args, **kwargs)
 
         monkeypatch.setattr(spectral, "_ifftn", counting)
         s = random_smooth(Grid(dim, res), seed=5)

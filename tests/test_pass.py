@@ -33,26 +33,37 @@ def transforms(monkeypatch):
     log = []
     phase = [None]
 
-    def counting(fn, kind):
-        def counted(a, *args, **kwargs):
-            batch = a.shape[:a.ndim - len(kwargs["axes"])]
-            log.append((phase[0], kind, int(np.prod(batch)), a.shape[-1]))
-            return fn(a, *args, **kwargs)
-        return counted
+    # both transforms are sequences of 1-D passes: the forward an `rfft`
+    # along the last axis, then `fft` passes from axis -2 down to -dim; the
+    # inverse `ifft` passes from axis -dim up to -2, then an `irfft`.  A
+    # batch is logged once, at its `rfft` or its `irfft`, with the spatial
+    # rank its deepest pass reaches: a forward entry is completed by the
+    # `fft` passes that follow it.
+    fft, ifft, rfft, irfft = np.fft.fft, np.fft.ifft, np.fft.rfft, np.fft.irfft
+    forward = [None]  # (log index, phase, rfft input shape) of the open batch
+    depth = [0]  # the rank of the `ifft` passes since the last `irfft`
 
-    # the inverse is a sequence of 1-D passes, one `ifft` per leading axis
-    # and a final `irfft`: a batch is logged once, at its `irfft`
-    leading = [0]
-    ifft, irfft = np.fft.ifft, np.fft.irfft
+    def arrays(shape, dim):
+        return int(np.prod(shape[:len(shape) - dim]))
+
+    def counting_rfft(a, *args, **kwargs):
+        forward[0] = (len(log), phase[0], a.shape)
+        log.append(None)
+        return rfft(a, *args, **kwargs)
+
+    def counting_fft(a, *args, **kwargs):
+        index, name, shape = forward[0]
+        log[index] = (name, "forward", arrays(shape, -kwargs["axis"]),
+                      shape[-1])
+        return fft(a, *args, **kwargs)
 
     def counting_ifft(a, *args, **kwargs):
-        leading[0] += 1
+        depth[0] = max(depth[0], -kwargs["axis"])
         return ifft(a, *args, **kwargs)
 
     def counting_irfft(a, *args, **kwargs):
-        dim, leading[0] = leading[0] + 1, 0
-        batch = a.shape[:a.ndim - dim]
-        log.append((phase[0], "inverse", int(np.prod(batch)), kwargs["n"]))
+        dim, depth[0] = depth[0], 0
+        log.append((phase[0], "inverse", arrays(a.shape, dim), kwargs["n"]))
         return irfft(a, *args, **kwargs)
 
     def in_phase(fn, name):
@@ -64,9 +75,9 @@ def transforms(monkeypatch):
                 phase[0] = None
         return wrapped
 
-    monkeypatch.setattr(np.fft, "rfftn", counting(np.fft.rfftn, "forward"))
-    monkeypatch.setattr(np.fft, "ifft", counting_ifft)
-    monkeypatch.setattr(np.fft, "irfft", counting_irfft)
+    for name, counted in (("fft", counting_fft), ("ifft", counting_ifft),
+                          ("rfft", counting_rfft), ("irfft", counting_irfft)):
+        monkeypatch.setattr(np.fft, name, counted)
     for module, name in ((runner, "build_scenario"), (runner, "step"),
                          (runner, "suggest_dt"),
                          (diagnostics, "blowup_integrand"),

@@ -11,6 +11,8 @@ from nematicflow.spectral import (Field, Grid, _fftn, _ifftn, curl, dealias,
                                   divergence, first_derivatives, gradient,
                                   l2_norm, laplacian, leray_project, linf_norm,
                                   oversampled_phys, second_derivative)
+from nematicflow.scenarios import winding_director
+from nematicflow.state import _grid_fields
 
 
 @pytest.fixture
@@ -21,6 +23,14 @@ def grid2():
 @pytest.fixture
 def grid3():
     return Grid(3, 16)
+
+
+def _band_mask(grid, cutoff):
+    """Modes with |k_j| <= cutoff on every axis."""
+    keep = np.ones(grid.spec_shape, dtype=bool)
+    for k in grid.k_int:
+        keep &= np.abs(k) <= cutoff
+    return keep
 
 
 def random_field(grid, ncomp=1, seed=0):
@@ -136,6 +146,72 @@ class TestTransforms:
         phys = _ifftn(grid, spec)
         assert phys.shape == (ncomp,) + grid.shape
         assert np.array_equal(phys, oracle)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "reversed"])
+    @pytest.mark.parametrize("ncomp", [1, 3, 9])
+    @pytest.mark.parametrize("dim, res", [(2, 16), (2, 64), (3, 8), (3, 32)])
+    def test_band_limited_forward_matches_masked_rfftn(self, dim, res, ncomp,
+                                                       layout):
+        # the 2/3 rule's band and random_smooth's half band
+        grid = Grid(dim, res)
+        rng = np.random.Generator(np.random.PCG64(ncomp))
+        phys = rng.standard_normal((ncomp,) + grid.shape)
+        if layout == "F":
+            phys = np.asfortranarray(phys)
+        elif layout == "reversed":
+            phys = phys[..., ::-1]
+        full = np.fft.rfftn(phys, axes=grid.spatial_axes, norm="forward")
+        for cutoff in (grid.dealias_cutoff, (res // 2 - 1) // 2):
+            spec = _fftn(grid, phys, cutoff)
+            assert np.array_equal(spec, full * _band_mask(grid, cutoff))
+
+    @pytest.mark.parametrize("ncomp", [1, 3, 15])
+    @pytest.mark.parametrize("dim, res", [(2, 16), (2, 64), (3, 8), (3, 32)])
+    def test_band_limited_inverse_matches_full(self, dim, res, ncomp):
+        # zero-padded spectra: the 2/3 rule's band, random_smooth's half
+        # band and a grid of half the res padded to this one
+        grid = Grid(dim, res)
+        rng = np.random.Generator(np.random.PCG64(ncomp))
+        white = _fftn(grid, rng.standard_normal((ncomp,) + grid.shape))
+        for cutoff in (grid.dealias_cutoff, (res // 2 - 1) // 2, res // 4):
+            spec = white * _band_mask(grid, cutoff)
+            expected = _ifftn(grid, spec.copy())
+            assert np.array_equal(_ifftn(grid, spec, cutoff), expected)
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("ngrad", [1, 3])
+    @pytest.mark.parametrize("dim, res", [(2, 16), (2, 64), (3, 8), (3, 32)])
+    def test_gradient_sharing_matches_separate_batch(self, dim, res, ngrad,
+                                                     layout):
+        # [f, grad of its last ngrad components] against the batch whose
+        # gradient blocks are formed before any pass
+        grid = Grid(dim, res)
+        rng = np.random.Generator(np.random.PCG64(ngrad))
+        ncomp = ngrad + 2
+        fields = _fftn(grid, rng.standard_normal((ncomp,) + grid.shape))
+        separate = np.concatenate(
+            [fields] + [ik * fields[-ngrad:] for ik in grid.ik_deriv])
+        expected = _ifftn(grid, separate)
+        spec = np.empty(separate.shape, complex,
+                        order="F" if layout == "F" else "C")
+        spec[:ncomp] = fields
+        shared = _ifftn(grid, spec, grad=ngrad)
+        assert np.max(np.abs(shared - expected)) <= \
+            1e-12 * np.max(np.abs(expected))
+        # the fields themselves take the same passes as before
+        assert np.array_equal(shared[:ncomp], expected[:ncomp])
+
+    @pytest.mark.parametrize("dim, res", [(2, 16), (3, 8)])
+    def test_gradient_sharing_is_exact_on_winding_director(self, dim, res):
+        grid = Grid(dim, res)
+        s = winding_director(grid, k=2)
+        u, d, grad_d = _grid_fields(grid, s.u.spec, s.d.spec)
+        separate = np.concatenate(
+            [s.u.spec, s.d.spec]
+            + [ik * s.d.spec for ik in grid.ik_deriv])
+        expected = _ifftn(grid, separate)
+        assert np.array_equal(np.concatenate(
+            [u, d, grad_d.reshape((-1,) + grid.shape)]), expected)
 
     @pytest.mark.parametrize("dim, res", [(2, 32), (3, 16)])
     def test_phys_keeps_its_spectrum(self, dim, res):
