@@ -101,7 +101,8 @@ def run(config: SimulationConfig) -> RunReport:
             history.append(diagnostics.measure(state, integrand, accum,
                                                oversample=oversample))
         if config.snapshot_every and step_index % config.snapshot_every == 0:
-            write_snapshot(state, out_dir / f"snapshot_{step_index:08d}.bin")
+            _write_output(write_snapshot, state,
+                          out_dir / f"snapshot_{step_index:08d}.bin")
         if accum > config.monitor_max:
             halt = HALT_MONITOR
             break
@@ -111,7 +112,7 @@ def run(config: SimulationConfig) -> RunReport:
         history.append(diagnostics.measure(state, integrand, accum,
                                            oversample=oversample))
 
-    write_timeseries(history, out_dir / "timeseries.csv")
+    _write_output(write_timeseries, history, out_dir / "timeseries.csv")
 
     try:
         gronwall_c = diagnostics.gronwall_envelope(history)
@@ -127,6 +128,16 @@ def run(config: SimulationConfig) -> RunReport:
         energy_residual=residual,
         history=tuple(history),
     )
+
+
+def _write_output(writer, data, path: Path) -> None:
+    """`writer(data, path)`; a name in output_dir that cannot be written
+    (a directory, say) is bad input, never a halt of the run."""
+    try:
+        writer(data, path)
+    except OSError as exc:
+        raise ConfigRangeError(
+            "output_dir", f"cannot write {path}: {exc}") from exc
 
 
 def write_timeseries(history, path) -> None:

@@ -10,9 +10,11 @@ in FFT order (0, 1, ..., res/2-1, -res/2, ..., -1), the last axis only the
 modes 0, 1, ..., res/2.  Every wavenumber table of `Grid` has this layout.
 
 `_fftn`/`_ifftn` are the one transform pair of the package: numpy's rfftn
-and irfftn sequences of 1-D passes, done in place (the inverse in the
-spectrum it is given, which it overwrites), and run only on the lines
-whose result is kept:
+and irfftn sequences of 1-D passes, done in place, and run only on the
+lines whose result is kept.  The inverse consumes the spectrum it is
+given: its leading passes run inside it and its last-axis `irfft` writes
+the grid values over it, component by component, so the result shares the
+spectrum's buffer and needs one component of scratch beyond it.
 
 - band-limited forward: given a cutoff (the 2/3 rule's res/3 for every
   dealiased product), a leading-axis pass transforms only the lines inside
@@ -254,9 +256,19 @@ def _ifftn(grid: Grid, spec: np.ndarray, cutoff: int | None = None,
     """Inverse of `_fftn`: a half spectrum back to real physical values.
 
     numpy's irfftn sequence of 1-D passes, done in place: each leading
-    spatial axis is transformed inside `spec`, which is overwritten, and the
-    last axis into a fresh real array.  `spec` must be a writable complex128
-    array; a caller whose spectrum outlives the call passes a copy.
+    spatial axis is transformed inside `spec`, then the last axis component
+    by component into the bytes of `spec` itself.  The result is a float64
+    view of `spec`'s buffer (of a C-contiguous copy, when `spec` is not
+    C-contiguous), and `spec` holds garbage afterwards.  `spec` must be a
+    writable complex128 array; a caller whose spectrum outlives the call
+    passes a copy.
+
+    A real component takes res^dim doubles and a complex one more
+    (res^(dim-1) * (res/2+1) pairs), so real component c covers only
+    spectrum components <= c.  Component c is copied into one scratch
+    component and its `irfft` written from there (numpy would allocate a
+    copy of an overlapping operand on every call): the values are those of
+    irfftn, and the call needs one component of memory beyond `spec`.
 
     `cutoff` declares `spec` band-limited to |k_j| <= cutoff on every axis:
     the lines that cross no mode of the band are all zero, so the leading
@@ -271,6 +283,7 @@ def _ifftn(grid: Grid, spec: np.ndarray, cutoff: int | None = None,
     """
     dim = grid.dim
     cutoff = grid.res // 2 if cutoff is None else cutoff
+    spec = np.ascontiguousarray(spec)
     stop = spec.shape[0] - dim * grad  # components transformed from the start
     source = spec[stop - grad:stop]
     for axis in range(dim):
@@ -282,7 +295,14 @@ def _ifftn(grid: Grid, spec: np.ndarray, cutoff: int | None = None,
             for line in _lines(grid, axis, cutoff):
                 view = spec[:stop][line]
                 np.fft.ifft(view, axis=axis - dim, norm="forward", out=view)
-    return np.fft.irfft(spec, n=grid.res, axis=-1, norm="forward")
+    comps = spec.reshape((-1,) + grid.spec_shape)
+    phys = spec.reshape(-1).view(np.float64)[:comps.shape[0] * grid.res**dim]
+    phys = phys.reshape((-1,) + grid.shape)
+    scratch = np.empty(grid.spec_shape, np.complex128)
+    for comp, out in zip(comps, phys):
+        np.copyto(scratch, comp)
+        np.fft.irfft(scratch, n=grid.res, axis=-1, norm="forward", out=out)
+    return phys.reshape(spec.shape[:-dim] + grid.shape)
 
 
 def _coerce(data, dtype, shape: tuple) -> np.ndarray:

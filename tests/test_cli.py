@@ -100,6 +100,24 @@ def test_unusable_output_dir_is_config_error(tmp_path, capsys, monkeypatch,
     assert blocker.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("name", ["timeseries.csv", "snapshot_00000001.bin"])
+def test_unwritable_output_file_is_config_error(tmp_path, capsys, monkeypatch,
+                                                name):
+    # a directory where an output file goes: exit 2 without a traceback,
+    # never the exit 1 of a suspected blow-up
+    monkeypatch.delenv("SIM_OUTPUT_DIR", raising=False)
+    (tmp_path / name).mkdir()
+    path = tmp_path / "tg.cfg"
+    path.write_text("dim = 2\nres = 16\nscenario = taylor_green\n"
+                    "t_max = 0.01\ndt = 0.005\nsnapshot_every = 1\n"
+                    f"output_dir = {tmp_path}\n")
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "output_dir" in err and name in err
+    assert "Traceback" not in err
+
+
 def test_malformed_config_text(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("dim: 2\n")

@@ -35,13 +35,15 @@ def transforms(monkeypatch):
 
     # both transforms are sequences of 1-D passes: the forward an `rfft`
     # along the last axis, then `fft` passes from axis -2 down to -dim; the
-    # inverse `ifft` passes from axis -dim up to -2, then an `irfft`.  A
-    # batch is logged once, at its `rfft` or its `irfft`, with the spatial
-    # rank its deepest pass reaches: a forward entry is completed by the
-    # `fft` passes that follow it.
+    # inverse `ifft` passes from axis -dim up to -2, then one `irfft` per
+    # component.  A batch is logged once, at its `rfft` or its first
+    # `irfft`, with the spatial rank its deepest pass reaches: a forward
+    # entry is completed by the `fft` passes that follow it, an inverse
+    # entry sums the components of the `irfft` calls that follow it.
     fft, ifft, rfft, irfft = np.fft.fft, np.fft.ifft, np.fft.rfft, np.fft.irfft
     forward = [None]  # (log index, phase, rfft input shape) of the open batch
-    depth = [0]  # the rank of the `ifft` passes since the last `irfft`
+    inverse = [None]  # (log index, rank) of the open batch
+    depth = [0]  # the rank of the `ifft` passes since the last batch
 
     def arrays(shape, dim):
         return int(np.prod(shape[:len(shape) - dim]))
@@ -58,12 +60,17 @@ def transforms(monkeypatch):
         return fft(a, *args, **kwargs)
 
     def counting_ifft(a, *args, **kwargs):
+        inverse[0] = None
         depth[0] = max(depth[0], -kwargs["axis"])
         return ifft(a, *args, **kwargs)
 
     def counting_irfft(a, *args, **kwargs):
-        dim, depth[0] = depth[0], 0
-        log.append((phase[0], "inverse", arrays(a.shape, dim), kwargs["n"]))
+        if inverse[0] is None:
+            inverse[0], depth[0] = (len(log), depth[0]), 0
+            log.append((phase[0], "inverse", 0, kwargs["n"]))
+        index, dim = inverse[0]
+        name, kind, n, res = log[index]
+        log[index] = (name, kind, n + arrays(a.shape, dim), res)
         return irfft(a, *args, **kwargs)
 
     def in_phase(fn, name):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nematicflow.config import SimulationConfig, load_config
-from nematicflow.errors import SnapshotFormatError
+from nematicflow.errors import ConfigRangeError, SnapshotFormatError
 from nematicflow.runner import (CSV_HEADER, HALT_DEGENERATE, HALT_MONITOR,
                                 HALT_OVERFLOW, HALT_TMAX, SNAPSHOT_MAGIC,
                                 read_snapshot, read_timeseries, run,
@@ -75,6 +75,19 @@ class TestRun:
                                            "snapshot_00000004.bin"]
         snap = read_snapshot(files[0])
         assert abs(snap.t - 0.02) < 1e-12
+
+    @pytest.mark.parametrize("name", ["timeseries.csv",
+                                      "snapshot_00000002.bin"])
+    def test_unwritable_output_file_is_config_error(self, tmp_path, name):
+        # an output name taken by a directory is bad input, never a halt
+        (tmp_path / name).mkdir()
+        config = config_for(tmp_path, "taylor_green", t_max=0.05, dt=0.01,
+                            snapshot_every=2)
+        with pytest.raises(ConfigRangeError) as info:
+            run(config)
+        assert info.value.key == "output_dir"
+        assert name in str(info.value)
+        assert (tmp_path / name).is_dir()
 
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         other = tmp_path / "redirected"

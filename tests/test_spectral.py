@@ -1,14 +1,15 @@
 """Tests for the periodic-torus spectral layer."""
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nematicflow
-from nematicflow.spectral import (Field, Grid, _fftn, _ifftn, curl, dealias,
-                                  divergence, first_derivatives, gradient,
+from nematicflow.spectral import (Field, Grid, _fftn, _ifftn, _lines, curl,
+                                  dealias, divergence, first_derivatives, gradient,
                                   l2_norm, laplacian, leray_project, linf_norm,
                                   oversampled_phys, second_derivative)
 from nematicflow.scenarios import winding_director
@@ -31,6 +32,25 @@ def _band_mask(grid, cutoff):
     for k in grid.k_int:
         keep &= np.abs(k) <= cutoff
     return keep
+
+
+def _allocating_ifftn(grid, spec, cutoff=None, grad=0):
+    """The inverse as it was before it wrote into its argument: the same
+    leading passes in place, then one `irfft` of the whole batch into a
+    fresh array."""
+    dim = grid.dim
+    cutoff = grid.res // 2 if cutoff is None else cutoff
+    stop = spec.shape[0] - dim * grad
+    source = spec[stop - grad:stop]
+    for axis in range(dim):
+        if grad:
+            spec[stop:stop + grad] = grid.ik_deriv[axis] * source
+            stop += grad
+        if axis < dim - 1:
+            for line in _lines(grid, axis, cutoff):
+                view = spec[:stop][line]
+                view[...] = np.fft.ifft(view, axis=axis - dim, norm="forward")
+    return np.fft.irfft(spec, n=grid.res, axis=-1, norm="forward")
 
 
 def random_field(grid, ncomp=1, seed=0):
@@ -146,6 +166,45 @@ class TestTransforms:
         phys = _ifftn(grid, spec)
         assert phys.shape == (ncomp,) + grid.shape
         assert np.array_equal(phys, oracle)
+
+    @pytest.mark.parametrize("grad", [0, 3])
+    @pytest.mark.parametrize("dim, res", [(2, 64), (3, 16)])
+    def test_inverse_writes_over_its_argument(self, dim, res, grad):
+        # the grid values live in the spectrum's own buffer; the call
+        # allocates one complex component of scratch beyond it, plus a few
+        # small Python objects and, for the broadcast ik_j multiply of the
+        # gradient blocks, numpy's ufunc buffer (bounded, not per component)
+        grid = Grid(dim, res)
+        rng = np.random.Generator(np.random.PCG64(grad))
+        ncomp = 5 + dim * grad
+        spec = _fftn(grid, rng.standard_normal((ncomp,) + grid.shape))
+        _ifftn(grid, spec.copy(), grad=grad)  # fills the grid's tables
+        tracemalloc.start()
+        try:
+            phys = _ifftn(grid, spec, grad=grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert phys.shape == (ncomp,) + grid.shape
+        assert np.shares_memory(phys, spec)
+        ufunc_buffer = np.getbufsize() * spec.itemsize if grad else 0
+        assert peak <= spec[0].nbytes + ufunc_buffer + 16 * 1024
+
+    @pytest.mark.parametrize("dim, res", [(2, 16), (2, 64), (3, 8), (3, 32)])
+    def test_inverse_values_are_unchanged(self, dim, res):
+        # band-limited and gradient batches against the allocating inverse
+        grid = Grid(dim, res)
+        rng = np.random.Generator(np.random.PCG64(res))
+        white = _fftn(grid, rng.standard_normal((15,) + grid.shape))
+        for cutoff in (None, grid.dealias_cutoff, (res // 2 - 1) // 2):
+            spec = white if cutoff is None else \
+                white * _band_mask(grid, cutoff)
+            assert np.array_equal(_ifftn(grid, spec.copy(), cutoff),
+                                  _allocating_ifftn(grid, spec.copy(), cutoff))
+        spec = np.zeros((4 * dim + 3,) + grid.spec_shape, complex)
+        spec[:dim + 3] = white[:dim + 3]
+        assert np.array_equal(_ifftn(grid, spec.copy(), grad=3),
+                              _allocating_ifftn(grid, spec, grad=3))
 
     @pytest.mark.parametrize("layout", ["C", "F", "reversed"])
     @pytest.mark.parametrize("ncomp", [1, 3, 9])
