@@ -7,13 +7,14 @@ The semi-discrete system in spectral space is
 
 with N_u = P[-(u.grad)u - lap d . grad d] = P[-i k . sigma_hat] (P the
 Leray projection, sigma the stress u u^T + grad d^T grad d of `state`)
-and N_d = |grad d|^2 d - (u.grad)d.  Diffusion is integrated exactly via
-the per-mode factors exp(-nu |k|^2 dt), exp(-|k|^2 dt); the nonlinear parts are
-advanced explicitly with RK2 (Heun) or classical RK4 on the transformed
-variables.  A stage transforms [u, d, grad d] to the grid as one batch;
-sigma and the director products are formed pointwise and dealiased by the
-2/3 rule, 17 transformed arrays per stage in 2-D and 24 in 3-D; linear
-terms are never dealiased.
+and N_d = |grad d|^2 d - (u.grad)d.  Diffusion is integrated exactly via the
+per-mode factors exp(-nu |k|^2 dt), exp(-|k|^2 dt); the nonlinear parts are
+advanced explicitly in Lawson's integrating-factor Runge-Kutta form, IF-RK2
+(Heun) and IF-RK4 (classical) being two rows of one table, run by one loop
+that keeps one stage tendency alive at a time.  A stage transforms [u, d,
+grad d] to the grid as one batch; sigma and the director products are formed
+pointwise and dealiased by the 2/3 rule, 17 transformed arrays per stage in
+2-D and 24 in 3-D; linear terms are never dealiased.
 
 The director is renormalized to unit length once per full step, not per
 substage, so the formal RK order is preserved; the radial drift removed by
@@ -35,7 +36,14 @@ from .state import (FluidState, PhysicsParams, _grid_fields, _pass,
 
 __all__ = ["StepPolicy", "momentum_rhs", "director_rhs", "step", "suggest_dt"]
 
-INTEGRATORS = ("IF-RK2", "IF-RK4")
+# Tableaus (c, a, b) of explicit Runge-Kutta methods whose stage i+1 reads
+# k_i alone: a[i] is the one nonzero entry of row i+1 of the Butcher matrix
+_TABLEAUS = {
+    "IF-RK2": ((0.0, 1.0), (1.0,), (0.5, 0.5)),  # Heun
+    "IF-RK4": ((0.0, 0.5, 0.5, 1.0), (0.5, 0.5, 1.0),
+               (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0)),  # classical
+}
+INTEGRATORS = tuple(_TABLEAUS)
 
 
 @dataclass(frozen=True)
@@ -81,9 +89,9 @@ def _stage_one(s: FluidState) -> tuple:
 @lru_cache(maxsize=4)
 def _decay(grid: Grid, coeff: float) -> np.ndarray:
     """Per-mode diffusion factor exp(-coeff |k|^2).  Cached because a
-    fixed-dt run reuses the same two factors every step; four entries hold
-    those and the ones of a shortened final step, while an adaptive run,
-    whose factors change every step, keeps no more."""
+    fixed-dt run reuses the same factors every step: E(1) per field, and
+    E(1/2) too for IF-RK4, whose four entries fill the cache; an adaptive
+    run, whose factors change every step, keeps no more."""
     out = np.exp(-coeff * grid.k2)
     out.setflags(write=False)
     return out
@@ -107,6 +115,12 @@ def step(s: FluidState, params: PhysicsParams, dt: float,
          integrator: str = "IF-RK4") -> FluidState:
     """Advance the coupled state by one time step of size dt.
 
+    One loop runs each row (c, a, b) of `_TABLEAUS` in Lawson's form, with
+    E(theta) = exp(-rate |k|^2 theta dt) per field (rate nu for u, 1 for d):
+    stage i+1 starts from E(c[i+1]) y0 + dt a[i] E(c[i+1] - c[i]) k_i, and
+    then k_i joins the sum y1 = E(1) y0 + sum_i dt b[i] E(1 - c[i]) k_i, so
+    only one k is alive at a time.
+
     Raises NumericalOverflowError on non-finite values (reported upstream
     as suspected blow-up or under-resolution) and propagates
     DegenerateDirectorError from the renormalization.
@@ -116,71 +130,38 @@ def step(s: FluidState, params: PhysicsParams, dt: float,
     if integrator not in INTEGRATORS:
         raise ValueError(f"integrator must be one of {INTEGRATORS}")
     grid = s.grid
-    u0, d0 = s.u.spec, s.d.spec
-    ku1, kd1 = _stage_one(s)
+    c, a, b = _TABLEAUS[integrator]
+    y0 = (s.u.spec, s.d.spec)
+    k = total = _stage_one(s)  # k_1 becomes its own term of the sum
     s._memo.clear()  # its grid arrays would raise the step's peak memory
-    # Stage inputs and sums are formed in place, operation by operation in
-    # the order of the out-of-place expressions in the comments, so the
-    # result is bit-identical to them; `_nonlinear` copies its inputs, so
-    # one pair of stage buffers serves every stage.
-    su, sd = np.empty_like(u0), np.empty_like(d0)
-
-    if integrator == "IF-RK2":
-        eu = _decay(grid, params.nu * dt)
-        ed = _decay(grid, dt)
-        # stage 2 at e * (y0 + dt * k1)
-        for e, y0, k1, out in ((eu, u0, ku1, su), (ed, d0, kd1, sd)):
-            np.multiply(dt, k1, out=out)
-            np.add(y0, out, out=out)
-            np.multiply(e, out, out=out)
-        ku2, kd2 = _nonlinear(grid, su, sd)
-        # y1 = e * y0 + 0.5 * dt * (e * k1 + k2)
-        for e, y0, k1, k2, out in ((eu, u0, ku1, ku2, su),
-                                   (ed, d0, kd1, kd2, sd)):
-            np.multiply(e, k1, out=k1)
-            np.add(k1, k2, out=k1)
-            np.multiply(0.5 * dt, k1, out=k1)
-            np.multiply(e, y0, out=out)
-            np.add(out, k1, out=out)
-    else:
-        euh = _decay(grid, params.nu * dt / 2)
-        edh = _decay(grid, dt / 2)
-        euf = euh * euh
-        edf = edh * edh
-        u_terms = (euh, euf, u0, ku1, su)
-        d_terms = (edh, edf, d0, kd1, sd)
-        # stage 2 at eh * (y0 + 0.5 * dt * k1); then k1 <- ef * k1, the
-        # first term of the final sum
-        for eh, ef, y0, k1, out in (u_terms, d_terms):
-            np.multiply(0.5 * dt, k1, out=out)
-            np.add(y0, out, out=out)
-            np.multiply(eh, out, out=out)
-            np.multiply(ef, k1, out=k1)
-        ku2, kd2 = _nonlinear(grid, su, sd)
-        # stage 3 at eh * y0 + 0.5 * dt * k2
-        for (eh, _, y0, _, out), k2 in ((u_terms, ku2), (d_terms, kd2)):
-            np.multiply(eh, y0, out=out)
-            np.add(out, 0.5 * dt * k2, out=out)
-        ku3, kd3 = _nonlinear(grid, su, sd)
-        # stage 4 at ef * y0 + dt * eh * k3; k1 <- ef * k1 + 2 * eh *
-        # (k2 + k3), which frees k2 and k3
-        for (eh, ef, y0, k1, out), k2, k3 in ((u_terms, ku2, ku3),
-                                              (d_terms, kd2, kd3)):
-            np.add(k2, k3, out=k2)
-            np.multiply(2.0 * eh, k2, out=k2)
-            np.add(k1, k2, out=k1)
-            np.multiply(dt * eh, k3, out=k3)
-            np.multiply(ef, y0, out=out)
-            np.add(out, k3, out=out)
-        del ku2, kd2, ku3, kd3, k2, k3  # the loop names hold kd2, kd3
-        ku4, kd4 = _nonlinear(grid, su, sd)
-        # y1 = ef * y0 + dt / 6 * (ef * k1 + 2 * eh * (k2 + k3) + k4)
-        for (eh, ef, y0, k1, out), k4 in ((u_terms, ku4), (d_terms, kd4)):
-            np.add(k1, k4, out=k1)
-            np.multiply(dt / 6.0, k1, out=k1)
-            np.multiply(ef, y0, out=out)
-            np.add(out, k1, out=out)
-    u1, d1 = su, sd
+    # `_nonlinear` copies its inputs, so one pair of stage buffers serves
+    # every stage; everything else is formed in place
+    stage = (np.empty_like(y0[0]), np.empty_like(y0[1]))
+    # the step's factors E(theta), E(0) = 1 being skipped; looked up after
+    # the stage buffers, as peak RSS at 3-D 64^3 follows allocation order
+    thetas = {1.0, *c[1:], *(1.0 - x for x in c),
+              *(y - x for x, y in zip(c, c[1:]))} - {0.0}
+    factors = [{theta: _decay(grid, rate * theta) for theta in sorted(thetas)}
+               for rate in (params.nu * dt, dt)]
+    for i in range(len(b)):
+        if i:
+            k = _nonlinear(grid, *stage)
+        for f, e in enumerate(factors):
+            if i + 1 < len(b):  # the next stage's input
+                np.multiply(dt * a[i], k[f], out=stage[f])
+                if c[i + 1] != c[i]:
+                    np.multiply(e[c[i + 1] - c[i]], stage[f], out=stage[f])
+                np.add(stage[f], e[c[i + 1]] * y0[f], out=stage[f])
+            np.multiply(dt * b[i], k[f], out=k[f])  # k's term of the sum
+            if c[i] != 1.0:
+                np.multiply(e[1.0 - c[i]], k[f], out=k[f])
+            if i:
+                np.add(total[f], k[f], out=total[f])
+        del k  # freed before the next stage forms its k
+    for f, e in enumerate(factors):
+        np.multiply(e[1.0], y0[f], out=stage[f])
+        np.add(stage[f], total[f], out=stage[f])
+    u1, d1 = stage
 
     if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(d1))):
         raise NumericalOverflowError(

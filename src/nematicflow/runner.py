@@ -22,9 +22,9 @@ from .dynamics import step, suggest_dt
 from .errors import (ConfigRangeError, DegenerateDirectorError,
                      EnvelopeUndefinedError, NumericalOverflowError,
                      SnapshotFormatError)
-from .scenarios import build_scenario
+from .scenarios import ScenarioSpec, build_scenario
 from .spectral import Field, Grid
-from .state import FluidState
+from .state import FluidState, _pass
 
 __all__ = ["RunReport", "run", "write_timeseries", "read_timeseries",
            "write_snapshot", "read_snapshot",
@@ -56,7 +56,10 @@ class RunReport:
 def run(config: SimulationConfig) -> RunReport:
     """Build the scenario, advance to t_max or an early halt, record
     diagnostics and write outputs."""
-    out_dir = Path(os.environ.get("SIM_OUTPUT_DIR", config.output_dir))
+    out_dir = os.environ.get("SIM_OUTPUT_DIR", config.output_dir)
+    if not out_dir:  # Path("") would be the working directory
+        raise ConfigRangeError("output_dir", "SIM_OUTPUT_DIR is set but empty")
+    out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -66,7 +69,10 @@ def run(config: SimulationConfig) -> RunReport:
     grid = config.grid()
     params = config.params()
     policy = config.policy()
-    state = build_scenario(grid, config.scenario)
+    try:
+        state = build_scenario(grid, config.scenario)
+    except DegenerateDirectorError as exc:
+        raise _bad_scenario(config.scenario, exc) from exc
 
     # Each state is transformed once, by its first consumer among
     # suggest_dt, blowup_integrand and measure; the next step's first stage
@@ -74,6 +80,10 @@ def run(config: SimulationConfig) -> RunReport:
     oversample = config.oversample_linf
     dt = suggest_dt(state, policy)
     integrand = diagnostics.blowup_integrand(state, oversample=oversample)
+    memo = _pass(state)  # of the calls above; non-finite where u or d is
+    if not np.isfinite(memo["u_max"] + memo["grad_d_max"]):
+        raise _bad_scenario(config.scenario, "max|u| = {u_max:.3g}, "
+                            "max|grad d| = {grad_d_max:.3g}".format(**memo))
     accum = 0.0
     history = [diagnostics.measure(state, integrand, accum,
                                    oversample=oversample)]
@@ -128,6 +138,12 @@ def run(config: SimulationConfig) -> RunReport:
         energy_residual=residual,
         history=tuple(history),
     )
+
+
+def _bad_scenario(spec: ScenarioSpec, problem) -> ConfigRangeError:
+    """Bad scenario values: exit 2, never the exit 1 of a suspected blow-up."""
+    return ConfigRangeError("scenario", f"{spec} does not build a usable "
+                            f"initial state: {problem}")
 
 
 def _write_output(writer, data, path: Path) -> None:

@@ -175,21 +175,21 @@ SCENARIO_NAMES = frozenset(_BUILDERS)
 
 
 def check_scenario(grid: Grid, spec: ScenarioSpec) -> None:
-    """Range-check the parameters `spec` passes to its builder on `grid`,
-    without building the state.  Parameters the builder does not take are
-    left to `build_scenario`."""
+    """Check the parameters `spec` passes to its builder on `grid`, without
+    building the state.  A parameter the builder does not take is a
+    ConfigRangeError naming its dotted key; a value out of range is a
+    ParameterRangeError naming the parameter."""
     _, checks = _BUILDERS[spec.name]
     for key, value in spec.parameters.items():
-        if key in checks:
-            checks[key](grid, value)
+        if key not in checks:
+            raise ConfigRangeError(
+                f"scenario.{key}",
+                f"scenario {spec.name!r} does not take this parameter")
+        checks[key](grid, value)
 
 
 def build_scenario(grid: Grid, spec: ScenarioSpec) -> FluidState:
     """Instantiate the initial state named by `spec` on `grid`."""
-    builder, accepted = _BUILDERS[spec.name]
-    for key in spec.parameters:
-        if key not in accepted:
-            raise ConfigRangeError(
-                f"scenario.{key}",
-                f"scenario {spec.name!r} does not take this parameter")
+    check_scenario(grid, spec)
+    builder, _ = _BUILDERS[spec.name]
     return builder(grid, **spec.parameters)

@@ -62,8 +62,8 @@ def test_non_finite_or_negative_value_is_config_error(tmp_path, capsys,
 
 
 def test_foreign_scenario_parameter_is_config_error(tmp_path, capsys):
-    # accepted at load, rejected when the run builds the scenario: still a
-    # config error (exit 2), never a suspected blow-up (exit 1)
+    # rejected at load, with the other scenario parameters: a config error
+    # (exit 2), never a suspected blow-up (exit 1)
     path = tmp_path / "tg.cfg"
     path.write_text("dim = 2\nres = 16\nscenario = taylor_green\n"
                     f"t_max = 0.01\ndt = 0.005\noutput_dir = {tmp_path}\n")
@@ -72,6 +72,64 @@ def test_foreign_scenario_parameter_is_config_error(tmp_path, capsys):
     assert "config error" in err
     assert "scenario.k" in err
     assert not (tmp_path / "timeseries.csv").exists()
+
+
+def test_foreign_scenario_parameter_creates_no_output_dir(tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.delenv("SIM_OUTPUT_DIR", raising=False)
+    out_dir = tmp_path / "new"
+    path = tmp_path / "tg.cfg"
+    path.write_text("dim = 2\nres = 16\nscenario = taylor_green\n"
+                    f"t_max = 0.01\ndt = 0.005\noutput_dir = {out_dir}\n")
+    assert main(["run", "--config", str(path), "--set", "scenario.k=2"]) == 2
+    assert "scenario.k" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scenario, overrides", [
+    # |u|^2 overflows: max|u| is inf and the CFL step 0
+    ("taylor_green", ["scenario.amplitude=1e160"]),
+    ("taylor_green", ["scenario.amplitude=1e160", "dt=0.01"]),
+    # the director's renormalization overflows while building
+    ("random_smooth", ["scenario.amplitude=1e160", "dt=0.01"]),
+    # the spectrum underflows, so u is scaled by amplitude / 0
+    ("random_smooth", ["scenario.slope=1000"]),
+    ("random_smooth", ["scenario.slope=1000", "dt=0.01"]),
+])
+def test_scenario_values_without_a_finite_start_are_config_error(
+        tmp_path, capsys, monkeypatch, scenario, overrides):
+    # the values are valid one by one, but the state they build is not
+    # finite: bad input (exit 2), never a suspected blow-up (exit 1)
+    monkeypatch.delenv("SIM_OUTPUT_DIR", raising=False)
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"dim = 2\nres = 16\nscenario = {scenario}\n"
+                    f"t_max = 0.1\noutput_dir = {tmp_path}\n")
+    args = ["run", "--config", str(path)]
+    for item in overrides:
+        args += ["--set", item]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "scenario" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "timeseries.csv").exists()
+
+
+def test_empty_output_dir_variable_is_config_error(tmp_path, capsys,
+                                                   monkeypatch):
+    # an empty SIM_OUTPUT_DIR is no directory, not the working directory
+    monkeypatch.setenv("SIM_OUTPUT_DIR", "")
+    monkeypatch.chdir(tmp_path)
+    configured = tmp_path / "configured"
+    path = tmp_path / "tg.cfg"
+    path.write_text("dim = 2\nres = 16\nscenario = taylor_green\n"
+                    f"t_max = 0.01\ndt = 0.005\noutput_dir = {configured}\n")
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "output_dir" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tg.cfg"]
 
 
 @pytest.mark.parametrize("source", ["config", "env"])

@@ -130,11 +130,9 @@ class TestLoadConfig:
             load_config(MINIMAL, overrides=[f"scenario={scenario}", override])
         assert err.value.key == key
 
-    def test_foreign_scenario_parameter_rejected_at_build(self):
-        config = load_config(MINIMAL, overrides=["scenario.k=2"])
-        from nematicflow.scenarios import build_scenario
-        with pytest.raises(ValueError):
-            build_scenario(config.grid(), config.scenario)
+    def test_foreign_scenario_parameter_rejected_at_load(self):
+        with pytest.raises(ConfigRangeError, match="scenario.k"):
+            load_config(MINIMAL, overrides=["scenario.k=2"])
 
     def test_overrides_win_over_file(self):
         config = load_config(MINIMAL, overrides=["res=32", "nu=0.1"])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nematicflow.dynamics import (StepPolicy, _decay, _nonlinear,
+from nematicflow.dynamics import (_TABLEAUS, StepPolicy, _decay, _nonlinear,
                                   director_rhs, momentum_rhs, step,
                                   suggest_dt)
 from nematicflow.errors import NumericalOverflowError
@@ -127,8 +127,37 @@ class TestRhs:
 
 
 def _out_of_place_step(s, params, dt, integrator):
-    """The IF-RK2/IF-RK4 step written as whole-array expressions, one fresh
-    array per operation: the oracle of the in-place stepper."""
+    """The Lawson tableau step written as whole-array expressions, one
+    fresh array per operation in the stepper's order: the oracle of the
+    in-place stepper."""
+    grid = s.grid
+    c, a, b = _TABLEAUS[integrator]
+
+    def times_e(rate, theta, x):  # E(theta) x; E(0) = 1 is skipped
+        return _decay(grid, rate * theta) * x if theta else x
+
+    rates = (params.nu * dt, dt)
+    y0 = (s.u.spec, s.d.spec)
+    k = _nonlinear(grid, *y0)
+    for i in range(len(b)):
+        if i:
+            k = _nonlinear(grid, *stage)
+        if i + 1 < len(b):
+            stage = [times_e(r, c[i + 1] - c[i], dt * a[i] * kf)
+                     + _decay(grid, r * c[i + 1]) * yf
+                     for r, kf, yf in zip(rates, k, y0)]
+        terms = [times_e(r, 1.0 - c[i], dt * b[i] * kf)
+                 for r, kf in zip(rates, k)]
+        total = terms if i == 0 else [t + x for t, x in zip(total, terms)]
+    u1, d1 = (_decay(grid, r) * yf + t for r, yf, t in zip(rates, y0, total))
+    out = FluidState(grid, Field.from_spec(grid, project_spec(grid, u1)),
+                     Field.from_spec(grid, d1), t=s.t + dt)
+    return normalize_director(out)
+
+
+def _textbook_step(s, params, dt, integrator):
+    """IF-RK2 (Heun) and classical IF-RK4 as their textbook expressions,
+    each written out in full: the same schemes associated differently."""
     grid = s.grid
     u0, d0 = s.u.spec, s.d.spec
     ku1, kd1 = _nonlinear(grid, u0, d0)
@@ -156,6 +185,34 @@ def _out_of_place_step(s, params, dt, integrator):
     return normalize_director(out)
 
 
+def _order_conditions(c, a, b):
+    """(sum, expected) of each Runge-Kutta order condition up to order 4
+    (Butcher trees), for the Butcher matrix with a on its subdiagonal."""
+    c, b = np.array(c), np.array(b)
+    A = np.diag(a, -1)
+    return {
+        1: [(b.sum(), 1.0)],
+        2: [(b @ c, 1 / 2)],
+        3: [(b @ c**2, 1 / 3), (b @ A @ c, 1 / 6)],
+        4: [(b @ c**3, 1 / 4), (b @ (c * (A @ c)), 1 / 8),
+            (b @ A @ c**2, 1 / 12), (b @ A @ A @ c, 1 / 24)],
+    }
+
+
+@pytest.mark.parametrize("integrator, order", [("IF-RK2", 2), ("IF-RK4", 4)])
+def test_tableau_row_sums_and_order_conditions(integrator, order):
+    c, a, b = _TABLEAUS[integrator]
+    assert len(c) == len(b) == len(a) + 1
+    # row sums: c_i = sum_j a_ij
+    assert np.allclose(np.diag(a, -1).sum(axis=1), c, rtol=0,
+                       atol=4 * np.finfo(float).eps)
+    conditions = _order_conditions(c, a, b)
+    checked = [pair for p in range(1, order + 1) for pair in conditions[p]]
+    assert len(checked) == {2: 2, 4: 8}[order]
+    for got, want in checked:
+        assert abs(got - want) <= 4 * np.finfo(float).eps
+
+
 class TestStep:
     @pytest.mark.parametrize("nu", [1.0, 0.3])
     @pytest.mark.parametrize("integrator", ["IF-RK2", "IF-RK4"])
@@ -173,6 +230,23 @@ class TestStep:
                                     params, 0.01, integrator)
         assert np.array_equal(out.u.spec, oracle.u.spec)
         assert np.array_equal(out.d.phys, oracle.d.phys)
+
+    @pytest.mark.parametrize("nu", [1.0, 0.3])
+    @pytest.mark.parametrize("integrator", ["IF-RK2", "IF-RK4"])
+    @pytest.mark.parametrize("dim, res", [(2, 32), (3, 16)])
+    def test_matches_textbook_expressions(self, dim, res, integrator, nu):
+        # the same scheme as the textbook IF-RK2/IF-RK4 formulas, whose sums
+        # are associated differently: equal to roundoff
+        params = PhysicsParams(nu=nu)
+        out = step(random_smooth(Grid(dim, res), seed=8, amplitude=1.5),
+                   params, 0.01, integrator=integrator)
+        oracle = _textbook_step(random_smooth(Grid(dim, res), seed=8,
+                                              amplitude=1.5),
+                                params, 0.01, integrator)
+        for got, want in ((out.u.spec, oracle.u.spec),
+                          (out.d.phys, oracle.d.phys)):
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
     @pytest.mark.parametrize("integrator", ["IF-RK2", "IF-RK4"])
     def test_winding_director_stationary(self, grid, params, integrator):
@@ -279,10 +353,16 @@ class TestDecayCache:
     @pytest.mark.parametrize("integrator", ["IF-RK2", "IF-RK4"])
     def test_fixed_dt_run_hits_the_cache(self, grid, integrator):
         _decay.cache_clear()
-        params = PhysicsParams(nu=0.5)  # two distinct factors per step
+        params = PhysicsParams(nu=0.5)  # distinct factors for u and d
         s = random_smooth(grid, seed=2)
         for dt in [0.01] * 3 + [0.004] + [0.01] * 2:
             s = step(s, params, dt, integrator=integrator)
         info = _decay.cache_info()
-        # misses only on the first step and on the shortened one
-        assert (info.misses, info.hits) == (4, 8)
+        # misses only on the first step and on the shortened one, and for
+        # IF-RK4 on the step after it.  IF-RK2 looks up E(dt) per field, 2
+        # factors a step.  IF-RK4 looks up E(dt/2) and E(dt) per field, 3
+        # distinct factors a step (nu = 0.5 makes E_u(dt) the key of
+        # E_d(dt/2)) in a cache of four, so the shortened step's 3 push out
+        # the full step's
+        expected = {"IF-RK2": (4, 8), "IF-RK4": (9, 15)}[integrator]
+        assert (info.misses, info.hits) == expected
