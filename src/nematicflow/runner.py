@@ -21,7 +21,7 @@ from .diagnostics import DiagnosticsRecord
 from .dynamics import step, suggest_dt
 from .errors import (ConfigRangeError, DegenerateDirectorError,
                      EnvelopeUndefinedError, NumericalOverflowError,
-                     SnapshotFormatError)
+                     ParameterRangeError, SnapshotFormatError)
 from .scenarios import ScenarioSpec, build_scenario
 from .spectral import Field, Grid
 from .state import FluidState, _pass
@@ -60,18 +60,13 @@ def run(config: SimulationConfig) -> RunReport:
     if not out_dir:  # Path("") would be the working directory
         raise ConfigRangeError("output_dir", "SIM_OUTPUT_DIR is set but empty")
     out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigRangeError(
-            "output_dir", f"cannot create directory {out_dir}: {exc}") from exc
 
     grid = config.grid()
     params = config.params()
     policy = config.policy()
     try:
         state = build_scenario(grid, config.scenario)
-    except DegenerateDirectorError as exc:
+    except (DegenerateDirectorError, ParameterRangeError) as exc:
         raise _bad_scenario(config.scenario, exc) from exc
 
     # Each state is transformed once, by its first consumer among
@@ -84,6 +79,13 @@ def run(config: SimulationConfig) -> RunReport:
     if not np.isfinite(memo["u_max"] + memo["grad_d_max"]):
         raise _bad_scenario(config.scenario, "max|u| = {u_max:.3g}, "
                             "max|grad d| = {grad_d_max:.3g}".format(**memo))
+    # created only once the start is known to be usable
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigRangeError(
+            "output_dir", f"cannot create directory {out_dir}: {exc}") from exc
+
     accum = 0.0
     history = [diagnostics.measure(state, integrand, accum,
                                    oversample=oversample)]

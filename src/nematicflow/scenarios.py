@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigRangeError, UnderResolvedError, check_range
+from .errors import (ConfigRangeError, DegenerateDirectorError,
+                     UnderResolvedError, check_range)
 from .spectral import Field, Grid, _fftn, _ifftn, project_spec
 from .state import FluidState, normalize_director
 
@@ -110,13 +111,13 @@ def random_smooth(grid: Grid, seed: int = 0, slope: float = 4.0,
     u_spec[(slice(None),) + origin] = 0.0
     u_spec = project_spec(grid, u_spec)
     u = _ifftn(grid, u_spec.copy(), grid.dealias_cutoff)
-    scale = amplitude / np.sqrt(np.max(np.sum(u**2, axis=0)))
+    scale = amplitude / _peak(u, slope)
     # new arrays: scaling in place raised peak RSS at 3-D 64^3 (heap layout)
     u, u_spec = u * scale, u_spec * scale
 
     d_spec = _smooth_noise(grid, rng, 3, slope)
     pert = _ifftn(grid, d_spec.copy(), grid.dealias_cutoff)
-    d_spec *= amplitude / np.sqrt(np.max(np.sum(pert**2, axis=0)))
+    d_spec *= amplitude / _peak(pert, slope)
     d_spec[(2,) + origin] += 1.0
     d = Field.from_phys(grid, _half_band_unit(grid, d_spec))
     return normalize_director(FluidState(grid, Field(grid, u, u_spec), d))
@@ -135,8 +136,30 @@ def _half_band_unit(grid: Grid, d_spec: np.ndarray) -> np.ndarray:
     for i in range(3):
         spec = _fftn(grid, d, cutoff) if i else d_spec * keep
         d = _ifftn(grid, spec, cutoff)
-        d = d / np.sqrt(np.sum(d * d, axis=0))
+        d = d / _magnitude(d)
     return d
+
+
+def _peak(noise: np.ndarray, slope: float) -> float:
+    """max |noise| over the grid, which a scale divides by; refused when it
+    is not finite and positive (a steep slope makes |noise|^2 underflow to
+    0 on a coarse grid)."""
+    peak = np.sqrt(np.max(np.sum(noise**2, axis=0)))
+    check_range("slope", slope, 0 < peak < math.inf,
+                f"shallow enough to leave noise on {noise.shape[1:]} points")
+    return float(peak)
+
+
+def _magnitude(d: np.ndarray) -> np.ndarray:
+    """|d| pointwise, checked before d is divided by it:
+    DegenerateDirectorError where |d|^2 overflows (a huge amplitude) or |d|
+    is 0, in place of the RuntimeWarnings of that arithmetic."""
+    with np.errstate(over="ignore"):
+        sq = np.sum(d * d, axis=0)
+    if not (np.min(sq) > 0 and np.max(sq) < math.inf):
+        raise DegenerateDirectorError(
+            f"|d|^2 spans [{np.min(sq):.3e}, {np.max(sq):.3e}] on the grid")
+    return np.sqrt(sq)
 
 
 def _check_amplitude(grid: Grid, amplitude) -> None:

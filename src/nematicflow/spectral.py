@@ -224,13 +224,14 @@ def _lines(grid: Grid, axis: int, cutoff: int):
     return [head + sel for sel in itertools.product(*later)]
 
 
-def _fftn(grid: Grid, phys: np.ndarray,
-          cutoff: int | None = None) -> np.ndarray:
+def _fftn(grid: Grid, phys: np.ndarray, cutoff: int | None = None,
+          out: np.ndarray | None = None) -> np.ndarray:
     """Forward transform of real (ncomp, *shape) data to its half spectrum,
     band-limited to the modes with |k_j| <= `cutoff` on every axis (all of
     them by default); the others are 0.
 
-    numpy's rfftn sequence of 1-D passes, into one fresh array: `rfft`
+    numpy's rfftn sequence of 1-D passes, into `out` (a C-contiguous
+    complex128 array of the spectrum's shape, fresh by default): `rfft`
     along the last axis, then `fft` along each leading axis, last to first,
     in place.  A leading-axis pass transforms only the lines inside the
     band on the axes already transformed, so each kept mode is bit-identical
@@ -238,7 +239,8 @@ def _fftn(grid: Grid, phys: np.ndarray,
     """
     dim, res = grid.dim, grid.res
     cutoff = res // 2 if cutoff is None else cutoff
-    out = np.empty(phys.shape[:-dim] + grid.spec_shape, np.complex128)
+    if out is None:
+        out = np.empty(phys.shape[:-dim] + grid.spec_shape, np.complex128)
     np.fft.rfft(phys, axis=-1, norm="forward", out=out)
     out[..., cutoff + 1:] = 0.0
     for axis in range(dim - 2, -1, -1):
@@ -430,18 +432,33 @@ def curl(v: Field) -> Field:
     return Field.from_spec(grid, out)
 
 
-def project_spec(grid: Grid, v_spec: np.ndarray) -> np.ndarray:
-    """Array-level Leray projection P = I - k (k . v)/|k|^2.
+def project_spec(grid: Grid, v_spec: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Array-level Leray projection P = I - k (k . v)/|k|^2, into `out`:
+    fresh by default, `v_spec` itself to project in place, or any array
+    that does not overlap it.
 
     Modes where every derivative wavenumber vanishes (mode 0 and pure
-    Nyquist modes) pass through unchanged.
+    Nyquist modes) pass through unchanged.  k . v and each product are
+    formed in the rows of a separate `out`; in place, two components of
+    scratch are allocated for them.
     """
     k = grid.k_deriv
-    kdotv = sum(k[j] * v_spec[j] for j in range(grid.dim)) * grid.inv_k2
-    out = np.empty_like(v_spec)
+    out = np.empty_like(v_spec) if out is None else out
+    in_place = np.may_share_memory(out, v_spec)
+    if in_place:
+        kdotv, term = np.empty((2,) + grid.spec_shape, np.complex128)
+    else:  # k . v in out's last row, which is written last
+        kdotv, term = out[-1], out[0]
+    kdotv[...] = 0.0
     for j in range(grid.dim):
-        np.multiply(k[j], kdotv, out=out[j])
-        np.subtract(v_spec[j], out[j], out=out[j])
+        np.multiply(k[j], v_spec[j], out=term)
+        np.add(kdotv, term, out=kdotv)
+    np.multiply(kdotv, grid.inv_k2, out=kdotv)
+    for j in range(grid.dim):
+        product = term if in_place else out[j]
+        np.multiply(k[j], kdotv, out=product)
+        np.subtract(v_spec[j], product, out=out[j])
     return out
 
 

@@ -18,7 +18,17 @@ director products back: 17 arrays in 2-D, 24 in 3-D.  The pressure takes
 |grad d|^2 / 2 off the diagonal of sigma before its double divergence.
 
 Each state is transformed to the grid once (`_pass`), for the next step's
-first stage, the CFL step, the monitor, the record and the pressure.
+first stage, the CFL step, the monitor, the record and the pressure.  The
+step forms its first-stage products from the pass, spending its grid d,
+clears the memo and keeps the pass's batch for its later stages, so a run
+holds one [u, d, grad d] batch at a time.
+
+The stage functions write into buffers their caller may own (`out=`):
+`_grid_fields` runs in a [u, d, grad d] batch, `_products` writes sigma and
+N_d into one products buffer with no other allocation (d serves as its
+scratch), and `_stress_force` writes the force and sigma's spectrum into
+consecutive components.  `dynamics.step` passes these buffers, so each
+stage after the first allocates only transform and projection scratch.
 """
 
 from __future__ import annotations
@@ -92,13 +102,20 @@ def normalize_director(s: FluidState) -> FluidState:
     return replace(s, d=Field.from_phys(s.grid, d / mag))
 
 
-def _grid_fields(grid: Grid, u_spec: np.ndarray, d_spec: np.ndarray) -> tuple:
+def _grid_fields(grid: Grid, u_spec: np.ndarray, d_spec: np.ndarray,
+                 out: np.ndarray | None = None) -> tuple:
     """(u, d, grad d) on the grid, grad d[i, m] = d d_m / d x_i, from one
     batched inverse transform of [u, d] whose gradient blocks d d / d x_j
     are formed from d's partly transformed spectrum before the pass along
-    axis j (`_ifftn`'s `grad`), so they skip the passes along axes < j."""
+    axis j (`_ifftn`'s `grad`), so they skip the passes along axes < j.
+
+    The batch is `out`, 4 dim + 3 C-contiguous spectral components (fresh
+    by default), and the fields are views of it.  The spectra are copied
+    into its first dim + 3 components, which is no copy at all when they
+    are those components."""
     dim = grid.dim
-    spec = np.empty((4 * dim + 3,) + grid.spec_shape, np.complex128)
+    spec = (np.empty((4 * dim + 3,) + grid.spec_shape, np.complex128)
+            if out is None else out)
     spec[:dim] = u_spec
     spec[dim:dim + 3] = d_spec
     fields = _ifftn(grid, spec, grad=3)
@@ -106,41 +123,75 @@ def _grid_fields(grid: Grid, u_spec: np.ndarray, d_spec: np.ndarray) -> tuple:
             fields[dim + 3:].reshape((dim, 3) + grid.shape))
 
 
-def _products(grid: Grid, u: np.ndarray, d: np.ndarray,
-              grad_d: np.ndarray) -> tuple:
-    """(sigma over `_PAIRS`, |grad d|^2 d - (u.grad)d) on the grid."""
+def _products(grid: Grid, u: np.ndarray, d: np.ndarray, grad_d: np.ndarray,
+              out: np.ndarray | None = None) -> tuple:
+    """(sigma over `_PAIRS`, |grad d|^2 d - (u.grad)d) on the grid, as views
+    of `out`, dim(dim+1)/2 + 3 grid components (fresh by default).
+
+    No other array is allocated: |grad d|^2 is summed into N_d's first
+    component, and `d`, spent once |grad d|^2 d is formed, holds the
+    advection term and then each u_a u_b.  So `d` holds garbage afterwards;
+    a caller whose fields outlive the call passes a copy of it."""
     pairs = _PAIRS[grid.dim]
-    sigma = np.empty((len(pairs),) + grid.shape)
+    if out is None:
+        out = np.empty((len(pairs) + 3,) + grid.shape)
+    sigma, n_d = out[:len(pairs)], out[len(pairs):]
     for p, (a, b) in enumerate(pairs):
         np.einsum("m...,m...->...", grad_d[a], grad_d[b], out=sigma[p])
-    n_d = sum(sigma[p] for p, (a, b) in enumerate(pairs) if a == b) * d
-    n_d -= np.einsum("j...,jm...->m...", u, grad_d)
+    # |grad d|^2, the trace of sigma so far, in N_d's first component,
+    # which is multiplied by d_0 last
+    grad_sq = n_d[0]
+    diagonal = [sigma[p] for p, (a, b) in enumerate(pairs) if a == b]
+    np.add(diagonal[0], diagonal[1], out=grad_sq)
+    for term in diagonal[2:]:
+        np.add(grad_sq, term, out=grad_sq)
+    np.multiply(grad_sq, d[1:], out=n_d[1:])
+    np.multiply(grad_sq, d[0], out=n_d[0])
+    advection = np.einsum("j...,jm...->m...", u, grad_d, out=d)
+    np.subtract(n_d, advection, out=n_d)
     for p, (a, b) in enumerate(pairs):
-        sigma[p] += u[a] * u[b]
+        np.multiply(u[a], u[b], out=d[0])
+        np.add(sigma[p], d[0], out=sigma[p])
     return sigma, n_d
 
 
-def _stress_force(grid: Grid, sigma: np.ndarray) -> np.ndarray:
-    """-div sigma (dim components) of the dealiased stress, a half spectrum."""
-    spec = _fftn(grid, sigma, grid.dealias_cutoff)
-    ik = grid.ik_deriv
-    force = np.zeros((grid.dim,) + grid.spec_shape, dtype=np.complex128)
-    for p, (a, b) in enumerate(_PAIRS[grid.dim]):
-        force[a] -= ik[b] * spec[p]
+def _stress_force(grid: Grid, sigma: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """-div sigma (dim components) of the dealiased stress, a half spectrum.
+
+    `out` holds dim + dim(dim+1)/2 spectral components (fresh by default):
+    the force is written into the first dim and returned, and sigma's
+    spectrum goes into the others, where the force's terms are formed over
+    it.  The first term spends sigma_00's component, which then serves as
+    scratch, so nothing else is allocated."""
+    pairs, ik = _PAIRS[grid.dim], grid.ik_deriv
+    if out is None:
+        out = np.empty((grid.dim + len(pairs),) + grid.spec_shape,
+                       np.complex128)
+    force, spec = out[:grid.dim], out[grid.dim:]
+    _fftn(grid, sigma, grid.dealias_cutoff, out=spec)
+    force[...] = 0.0
+    for p, (a, b) in enumerate(pairs):
         if a != b:
-            force[b] -= ik[a] * spec[p]
+            np.multiply(ik[a], spec[p], out=spec[0])
+            np.subtract(force[b], spec[0], out=force[b])
+        np.multiply(ik[b], spec[p], out=spec[p])
+        np.subtract(force[a], spec[p], out=force[a])
     return force
 
 
 def _pass(s: FluidState) -> dict:
     """The state's one transform pass, memoized on it: `_grid_fields` of its
-    spectra ("fields"; d enters from its spectrum, as in every stage),
-    |grad d|^2, max|u| and max|grad d|.  The next step clears it."""
+    spectra ("fields"; d enters from its spectrum, as in every stage) with
+    the batch they are views of ("batch"), |grad d|^2, max|u| and
+    max|grad d|.  The next step clears it and takes over the batch."""
     if "fields" not in s._memo:
-        u, d, grad_d = _grid_fields(s.grid, s.u.spec, s.d.spec)
+        batch = np.empty((4 * s.grid.dim + 3,) + s.grid.spec_shape,
+                         np.complex128)
+        u, d, grad_d = _grid_fields(s.grid, s.u.spec, s.d.spec, out=batch)
         grad_sq = np.einsum("im...,im...->...", grad_d, grad_d)
         s._memo.update(
-            fields=(u, d, grad_d), grad_sq=grad_sq,
+            batch=batch, fields=(u, d, grad_d), grad_sq=grad_sq,
             u_max=math.sqrt(np.max(np.einsum("i...,i...->...", u, u))),
             grad_d_max=math.sqrt(np.max(grad_sq)))
     return s._memo
@@ -154,7 +205,8 @@ def recover_pressure(s: FluidState) -> Field:
     pass needs no inverse transform.  Diagnostic only: time stepping
     eliminates the pressure by projection."""
     grid, memo = s.grid, _pass(s)
-    sigma, _ = _products(grid, *memo["fields"])
+    u, d, grad_d = memo["fields"]
+    sigma, _ = _products(grid, u, d.copy(), grad_d)  # the pass outlives it
     sigma[[p for p, (a, b) in enumerate(_PAIRS[grid.dim]) if a == b]] -= \
         0.5 * memo["grad_sq"]
     force = _stress_force(grid, sigma)

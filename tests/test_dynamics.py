@@ -1,8 +1,11 @@
 """Tests for the right-hand sides and integrating-factor time steppers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from nematicflow.diagnostics import blowup_integrand, measure
 from nematicflow.dynamics import (_TABLEAUS, StepPolicy, _decay, _nonlinear,
                                   director_rhs, momentum_rhs, step,
                                   suggest_dt)
@@ -213,7 +216,45 @@ def test_tableau_row_sums_and_order_conditions(integrator, order):
         assert abs(got - want) <= 4 * np.finfo(float).eps
 
 
+@pytest.mark.parametrize("dim, res", [(2, 32), (3, 16)])
+def test_nonlinear_on_step_buffers_matches_fresh_arrays(dim, res):
+    # the stage input sits in the batch's u and d slots, as in `step`
+    grid = Grid(dim, res)
+    s = random_smooth(grid, seed=5)
+    batch = np.empty((4 * dim + 3,) + grid.spec_shape, complex)
+    products = np.empty((dim * (dim + 1) // 2 + 3,) + grid.shape)
+    batch[:dim], batch[dim:dim + 3] = s.u.spec, s.d.spec
+    k = _nonlinear(grid, batch[:dim], batch[dim:dim + 3], (batch, products))
+    fresh = _nonlinear(grid, s.u.spec, s.d.spec)
+    for view, expected in zip(k, fresh):
+        assert np.shares_memory(view, batch)
+        assert np.array_equal(view, expected)
+
+
 class TestStep:
+    @pytest.mark.parametrize("integrator", ["IF-RK2", "IF-RK4"])
+    @pytest.mark.parametrize("dim, res", [(2, 32), (3, 16)])
+    def test_runs_in_the_pass_batch(self, dim, res, integrator):
+        # after a warm-up step and a record, the step takes over the pass's
+        # batch, so its peak above live memory is the products (dim(dim+1)/2
+        # + 3 grid components), the running sum (dim + 3 spectral ones) and
+        # the projection's 2 spectral components of scratch; 3 grid
+        # components more cover numpy's ufunc buffers and the Python objects
+        grid, params = Grid(dim, res), PhysicsParams()
+        s = step(random_smooth(grid, seed=4), params, 0.01,
+                 integrator=integrator)
+        measure(s, blowup_integrand(s), 0.0)
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            step(s, params, 0.01, integrator=integrator)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        spectral = (grid.res // 2 + 1) / (grid.res // 2)  # grid components
+        budget = (dim + 5) * spectral + dim * (dim + 1) // 2 + 3 + 3
+        assert peak / (8 * res**dim) <= budget
+
     @pytest.mark.parametrize("nu", [1.0, 0.3])
     @pytest.mark.parametrize("integrator", ["IF-RK2", "IF-RK4"])
     @pytest.mark.parametrize("dim, res", [(2, 32), (3, 16)])

@@ -11,7 +11,8 @@ import nematicflow
 from nematicflow.spectral import (Field, Grid, _fftn, _ifftn, _lines, curl,
                                   dealias, divergence, first_derivatives, gradient,
                                   l2_norm, laplacian, leray_project, linf_norm,
-                                  oversampled_phys, second_derivative)
+                                  oversampled_phys, project_spec,
+                                  second_derivative)
 from nematicflow.scenarios import winding_director
 from nematicflow.state import _grid_fields
 
@@ -145,6 +146,19 @@ class TestTransforms:
         again = _fftn(grid, phys)
         assert again is not spec and not np.shares_memory(again, spec)
         assert not np.shares_memory(spec, phys)
+
+    @pytest.mark.parametrize("cutoff", [None, 5])
+    @pytest.mark.parametrize("dim, res", [(2, 32), (3, 16)])
+    def test_forward_into_out_matches_fresh_array(self, dim, res, cutoff):
+        # a slice of a larger buffer, as the stage batch passes it
+        grid = Grid(dim, res)
+        phys = np.random.Generator(np.random.PCG64(3)).standard_normal(
+            (3,) + grid.shape)
+        buffer = np.full((7,) + grid.spec_shape, np.nan, complex)
+        spec = _fftn(grid, phys, cutoff, out=buffer[2:5])
+        assert np.shares_memory(spec, buffer)
+        assert np.array_equal(buffer[2:5], _fftn(grid, phys, cutoff))
+        assert np.isnan(buffer[[0, 1, 5, 6]]).all()
 
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     @pytest.mark.parametrize("ncomp", [1, 3, 15])
@@ -427,6 +441,15 @@ class TestLerayProjection:
         v = Field.from_phys(grid2, np.stack(
             [np.full(grid2.shape, 1.5), np.full(grid2.shape, -0.5)]))
         assert np.max(np.abs(leray_project(v).phys - v.phys)) < 1e-14
+
+    @pytest.mark.parametrize("dim, res", [(2, 32), (3, 16)])
+    def test_in_place_matches_fresh_array(self, dim, res):
+        grid = Grid(dim, res)
+        v = random_field(grid, ncomp=dim, seed=4).spec.copy()
+        fresh = project_spec(grid, v)
+        assert not np.shares_memory(fresh, v)
+        assert project_spec(grid, v, out=v) is v
+        assert np.array_equal(v, fresh)
 
 
 class TestDealias:

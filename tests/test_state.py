@@ -5,7 +5,8 @@ import pytest
 
 from nematicflow import state
 from nematicflow.errors import DegenerateDirectorError
-from nematicflow.scenarios import taylor_green, winding_director
+from nematicflow.scenarios import (random_smooth, taylor_green,
+                                   winding_director)
 from nematicflow.spectral import Field, Grid, dealias, gradient, leray_project
 from nematicflow.state import (FluidState, PhysicsParams, constraint_residual,
                                normalize_director, recover_pressure)
@@ -87,6 +88,24 @@ def _products(grid, u, d):
     force += 0.5 * np.concatenate(
         [gradient(grad_sq, j).phys for j in range(grid.dim)])
     return np.concatenate([force, dealias(Field.from_phys(grid, n_d)).phys])
+
+
+@pytest.mark.parametrize("dim, res", [(2, 32), (3, 16)])
+def test_products_into_out_match_fresh_arrays(dim, res):
+    # `out` is one buffer of sigma and N_d; u and grad d are left as they
+    # were, d is spent
+    grid = Grid(dim, res)
+    s = random_smooth(grid, seed=6)
+    u, d, grad_d = state._grid_fields(grid, s.u.spec, s.d.spec)
+    kept = u.copy(), grad_d.copy()
+    out = np.empty((dim * (dim + 1) // 2 + 3,) + grid.shape)
+    sigma, n_d = state._products(grid, u, d, grad_d, out=out)
+    assert np.shares_memory(sigma, out) and np.shares_memory(n_d, out)
+    assert np.array_equal(u, kept[0]) and np.array_equal(grad_d, kept[1])
+    fresh = state._products(grid, *state._grid_fields(grid, s.u.spec,
+                                                      s.d.spec))
+    assert np.array_equal(sigma, fresh[0])
+    assert np.array_equal(n_d, fresh[1])
 
 
 class TestElasticForce:
