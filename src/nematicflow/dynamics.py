@@ -25,8 +25,10 @@ stage input is written into the batch's u and d slots, which the inverse
 transform turns into [u, d, grad d] on the grid; sigma and N_d go into the
 products buffer; their spectra come back into the batch, N_u and N_d into
 the u and d slots, so k is a view of the batch and the next stage input is
-formed over it; the sum terms are formed in the spent stress spectrum, and
-y1 in the running sum.
+formed over it.  The sum terms, E y0 and the unprojected u of y1 are formed
+in the spent force after k (a fresh 3-component buffer for them raised the
+step's peak by 6.5 MB at 3-D 64^3), and u's y1 is projected from there into
+the running sum.
 
 The director is renormalized to unit length once per full step, not per
 substage, so the formal RK order is preserved; the radial drift removed by
@@ -42,8 +44,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalOverflowError, check_range
-from .spectral import Field, Grid, _fftn, project_spec
-from .state import (_PAIRS, FluidState, PhysicsParams, _grid_fields,
+from .spectral import Field, Grid, _fftn, _ifftn, project_spec
+from .state import (_PAIRS, FluidState, PhysicsParams, _batch, _grid_fields,
                     _pass, _products, _stress_force, normalize_director)
 
 __all__ = ["StepPolicy", "momentum_rhs", "director_rhs", "step", "suggest_dt"]
@@ -58,6 +60,15 @@ _TABLEAUS = {
 INTEGRATORS = tuple(_TABLEAUS)
 
 
+def _check_dt(dt) -> None:
+    check_range("dt", dt, 0 < dt < math.inf, "positive and finite")
+
+
+def _check_integrator(integrator) -> None:
+    check_range("integrator", integrator, integrator in INTEGRATORS,
+                f"one of {INTEGRATORS}")
+
+
 @dataclass(frozen=True)
 class StepPolicy:
     """Time step policy: a final time, a CFL factor, the integrator tag and
@@ -70,51 +81,39 @@ class StepPolicy:
 
     def __post_init__(self):
         if self.dt is not None:
-            check_range("dt", self.dt, 0 < self.dt < math.inf,
-                        "positive and finite")
+            _check_dt(self.dt)
         check_range("cfl_factor", self.cfl_factor, 0 < self.cfl_factor <= 1,
                     "in (0, 1]")
         check_range("t_max", self.t_max, 0 < self.t_max < math.inf,
                     "positive and finite")
-        check_range("integrator", self.integrator,
-                    self.integrator in INTEGRATORS, f"one of {INTEGRATORS}")
+        _check_integrator(self.integrator)
 
 
 def _nonlinear(grid: Grid, u_spec: np.ndarray, d_spec: np.ndarray,
-               work: tuple = (None, None)) -> tuple:
+               work: tuple | None = None) -> tuple:
     """Explicitly-treated tendencies (N_u_hat, N_d_hat), dealiased.
 
     `work` is (batch, products), the buffers of `_grid_fields` and
-    `_products`, in which the stage runs: N_u and N_d are returned as views
-    of the batch (`_tendencies`).  By default each is allocated fresh."""
-    batch, products = work
-    fields = _grid_fields(grid, u_spec, d_spec, out=batch)
-    return _tendencies(grid, *_products(grid, *fields, out=products),
-                       out=batch)
+    `_products`, in which the stage runs; by default a fresh `_batch` and
+    products.  N_u and N_d are returned as views of the batch
+    (`_tendencies`), so the stage needs no spectral array of its own."""
+    batch, products = (_batch(grid), None) if work is None else work
+    fields = _grid_fields(grid, u_spec, d_spec, batch)
+    return _tendencies(grid, *_products(grid, *fields, out=products), batch)
 
 
 def _tendencies(grid: Grid, sigma: np.ndarray, n_d: np.ndarray,
-                out: np.ndarray | None = None) -> tuple:
+                out: np.ndarray) -> tuple:
     """The grid products transformed, dealiased and N_u projected.
 
-    `out` holds at least 2 dim + 3 + dim(dim+1)/2 spectral components
-    (fresh by default), laid out as [N_u, N_d, the force, sigma's
-    spectrum]: N_d is transformed first, the force is formed over sigma's
-    spectrum and projected into N_u, so nothing else is allocated."""
+    `out`, a `_batch` whose grid fields are spent, is laid out as [N_u,
+    N_d, the force, sigma's spectrum]: N_d is transformed first, the force
+    is formed from sigma's spectrum and projected into N_u, so no
+    spectral array is allocated."""
     dim, end = grid.dim, 2 * grid.dim + 3 + len(sigma)
-    if out is None:
-        out = np.empty((end,) + grid.spec_shape, np.complex128)
     n_d = _fftn(grid, n_d, grid.dealias_cutoff, out=out[dim:dim + 3])
     force = _stress_force(grid, sigma, out=out[dim + 3:end])
     return project_spec(grid, force, out=out[:dim]), n_d
-
-
-def _stage_one(s: FluidState) -> tuple:
-    """`_nonlinear` of the state's own spectra, from the grid fields of its
-    pass, which outlive the call (`_products` spends a copy of d).
-    Bit-identical to `_nonlinear(s.grid, s.u.spec, s.d.spec)`."""
-    u, d, grad_d = _pass(s)["fields"]
-    return _tendencies(s.grid, *_products(s.grid, u, d.copy(), grad_d))
 
 
 @lru_cache(maxsize=4)
@@ -131,14 +130,14 @@ def _decay(grid: Grid, coeff: float) -> np.ndarray:
 def momentum_rhs(s: FluidState, params: PhysicsParams) -> Field:
     """Full momentum tendency P[-(u.grad)u - lap d . grad d] + nu lap u."""
     grid = s.grid
-    n_u, _ = _stage_one(s)
+    n_u, _ = _nonlinear(grid, s.u.spec, s.d.spec)
     return Field.from_spec(grid, n_u - params.nu * grid.k2 * s.u.spec)
 
 
 def director_rhs(s: FluidState) -> Field:
     """Full director tendency lap d + |grad d|^2 d - (u.grad)d."""
     grid = s.grid
-    _, n_d = _stage_one(s)
+    _, n_d = _nonlinear(grid, s.u.spec, s.d.spec)
     return Field.from_spec(grid, n_d - grid.k2 * s.d.spec)
 
 
@@ -152,32 +151,31 @@ def step(s: FluidState, params: PhysicsParams, dt: float,
     then k_i joins the sum y1 = E(1) y0 + sum_i dt b[i] E(1 - c[i]) k_i, so
     only one k is alive at a time.
 
-    Raises NumericalOverflowError on non-finite values (reported upstream
-    as suspected blow-up or under-resolution) and propagates
-    DegenerateDirectorError from the renormalization.
+    Raises ValueError on a dt that is not positive and finite or an
+    unknown integrator, NumericalOverflowError on non-finite values
+    (reported upstream as suspected blow-up or under-resolution), and
+    propagates DegenerateDirectorError from the renormalization.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if integrator not in INTEGRATORS:
-        raise ValueError(f"integrator must be one of {INTEGRATORS}")
+    _check_dt(dt)
+    _check_integrator(integrator)
     grid = s.grid
     u1, d1 = _stages(s, params, dt, _TABLEAUS[integrator])
 
+    # a non-finite u stays non-finite through its projection
     if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(d1))):
         raise NumericalOverflowError(
             f"non-finite values at t = {s.t + dt:.6g}; suspected blow-up or "
             "loss of resolution"
         )
-
-    project_spec(grid, u1, out=u1)  # keep div u at roundoff against drift
-    out = FluidState(grid, Field.from_spec(grid, u1), Field.from_spec(grid, d1),
-                     t=s.t + dt)
-    return normalize_director(out)
+    return normalize_director(FluidState(
+        grid, Field.from_spec(grid, u1),
+        Field.from_phys(grid, _ifftn(grid, d1)), t=s.t + dt))
 
 
 def _stages(s: FluidState, params: PhysicsParams, dt: float,
             tableau: tuple) -> tuple:
-    """The spectra (u, d) of y1, unprojected, from the stages of `tableau`.
+    """The spectra (u, d) of y1 from the stages of `tableau`, u projected
+    to keep div u at roundoff against drift.
 
     Every stage runs inside the pass's batch and one products buffer
     (module docstring), which die when this returns; y1 is formed in the
@@ -223,10 +221,14 @@ def _stages(s: FluidState, params: PhysicsParams, dt: float,
                     np.multiply(e[c[i + 1] - c[i]], stage[f], out=stage[f])
                 np.multiply(e[c[i + 1]], y0[f], out=free)
                 np.add(stage[f], free, out=stage[f])
-    for f, e in enumerate(factors):  # y1 = E(1) y0 + sum, in the sum
-        free = spare[:len(y0[f])]
-        np.multiply(e[1.0], y0[f], out=free)
-        np.add(free, total[f], out=total[f])
+    # y1 = E(1) y0 + sum: u's in the spare slots, projected into the sum,
+    # and then d's in the sum
+    free = spare[:dim]
+    np.multiply(factors[0][1.0], y0[0], out=free)
+    np.add(free, total[0], out=free)
+    project_spec(grid, free, out=total[0])
+    np.multiply(factors[1][1.0], y0[1], out=spare)
+    np.add(spare, total[1], out=total[1])
     return total
 
 

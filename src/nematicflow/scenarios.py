@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConfigRangeError, DegenerateDirectorError,
-                     UnderResolvedError, check_range)
+from .errors import ConfigRangeError, UnderResolvedError, check_range
 from .spectral import Field, Grid, _fftn, _ifftn, project_spec
-from .state import FluidState, normalize_director
+from .state import FluidState, _magnitude, normalize_director
 
 __all__ = ["ScenarioSpec", "SCENARIO_NAMES", "build_scenario", "check_scenario",
            "taylor_green", "winding_director", "random_smooth"]
@@ -148,18 +147,6 @@ def _peak(noise: np.ndarray, slope: float) -> float:
     check_range("slope", slope, 0 < peak < math.inf,
                 f"shallow enough to leave noise on {noise.shape[1:]} points")
     return float(peak)
-
-
-def _magnitude(d: np.ndarray) -> np.ndarray:
-    """|d| pointwise, checked before d is divided by it:
-    DegenerateDirectorError where |d|^2 overflows (a huge amplitude) or |d|
-    is 0, in place of the RuntimeWarnings of that arithmetic."""
-    with np.errstate(over="ignore"):
-        sq = np.sum(d * d, axis=0)
-    if not (np.min(sq) > 0 and np.max(sq) < math.inf):
-        raise DegenerateDirectorError(
-            f"|d|^2 spans [{np.min(sq):.3e}, {np.max(sq):.3e}] on the grid")
-    return np.sqrt(sq)
 
 
 def _check_amplitude(grid: Grid, amplitude) -> None:

@@ -23,12 +23,13 @@ step forms its first-stage products from the pass, spending its grid d,
 clears the memo and keeps the pass's batch for its later stages, so a run
 holds one [u, d, grad d] batch at a time.
 
-The stage functions write into buffers their caller may own (`out=`):
-`_grid_fields` runs in a [u, d, grad d] batch, `_products` writes sigma and
-N_d into one products buffer with no other allocation (d serves as its
-scratch), and `_stress_force` writes the force and sigma's spectrum into
-consecutive components.  `dynamics.step` passes these buffers, so each
-stage after the first allocates only transform and projection scratch.
+The stage functions write into buffers their caller owns: `_grid_fields`
+runs in a [u, d, grad d] batch (`_batch`), `_products` writes sigma and
+N_d into one products buffer and the advection term into the spent grid d,
+and `_stress_force` writes the force and sigma's spectrum into consecutive
+components.  `dynamics.step` passes these buffers, so a stage allocates
+only transform scratch and one force term at a time.  Each in-place write
+is kept because undoing it alone raised the step's traced peak.
 """
 
 from __future__ import annotations
@@ -91,34 +92,47 @@ def normalize_director(s: FluidState) -> FluidState:
     """Renormalize the director to unit length pointwise; u and t unchanged.
 
     Raises DegenerateDirectorError if any grid point has |d| below the
-    resolution-loss threshold or not a number.
+    resolution-loss threshold, not a number or too large to square.
     """
     d = s.d.phys
-    mag = np.sqrt(np.sum(d * d, axis=0))
-    if not float(np.min(mag)) >= DEGENERATE_DIRECTOR_THRESHOLD:
+    return replace(s, d=Field.from_phys(s.grid, d / _magnitude(d)))
+
+
+def _magnitude(d: np.ndarray) -> np.ndarray:
+    """|d| pointwise, checked before d is divided by it:
+    DegenerateDirectorError where |d| is below
+    DEGENERATE_DIRECTOR_THRESHOLD or not a number, or where |d|^2 overflows
+    (dividing by an infinite |d| would silently give 0), in place of the
+    RuntimeWarnings of that arithmetic."""
+    with np.errstate(over="ignore"):
+        mag = np.sqrt(np.sum(d * d, axis=0))
+    low, high = float(np.min(mag)), float(np.max(mag))
+    if not (low >= DEGENERATE_DIRECTOR_THRESHOLD and high < math.inf):
         raise DegenerateDirectorError(
-            f"min |d| = {np.min(mag):.3e} below {DEGENERATE_DIRECTOR_THRESHOLD}"
-        )
-    return replace(s, d=Field.from_phys(s.grid, d / mag))
+            f"|d| spans [{low:.3e}, {high:.3e}] on the grid; it must be "
+            f"finite and at least {DEGENERATE_DIRECTOR_THRESHOLD}")
+    return mag
+
+
+def _batch(grid: Grid) -> np.ndarray:
+    """An empty [u, d, grad d] batch: 4 dim + 3 spectral components."""
+    return np.empty((4 * grid.dim + 3,) + grid.spec_shape, np.complex128)
 
 
 def _grid_fields(grid: Grid, u_spec: np.ndarray, d_spec: np.ndarray,
-                 out: np.ndarray | None = None) -> tuple:
+                 out: np.ndarray) -> tuple:
     """(u, d, grad d) on the grid, grad d[i, m] = d d_m / d x_i, from one
     batched inverse transform of [u, d] whose gradient blocks d d / d x_j
     are formed from d's partly transformed spectrum before the pass along
     axis j (`_ifftn`'s `grad`), so they skip the passes along axes < j.
 
-    The batch is `out`, 4 dim + 3 C-contiguous spectral components (fresh
-    by default), and the fields are views of it.  The spectra are copied
-    into its first dim + 3 components, which is no copy at all when they
-    are those components."""
+    The transform runs in `out`, a C-contiguous `_batch`, and the fields
+    are views of it.  The spectra are copied into its first dim + 3
+    components, which is no copy at all when they are those components."""
     dim = grid.dim
-    spec = (np.empty((4 * dim + 3,) + grid.spec_shape, np.complex128)
-            if out is None else out)
-    spec[:dim] = u_spec
-    spec[dim:dim + 3] = d_spec
-    fields = _ifftn(grid, spec, grad=3)
+    out[:dim] = u_spec
+    out[dim:dim + 3] = d_spec
+    fields = _ifftn(grid, out, grad=3)
     return (fields[:dim], fields[dim:dim + 3],
             fields[dim + 3:].reshape((dim, 3) + grid.shape))
 
@@ -128,30 +142,22 @@ def _products(grid: Grid, u: np.ndarray, d: np.ndarray, grad_d: np.ndarray,
     """(sigma over `_PAIRS`, |grad d|^2 d - (u.grad)d) on the grid, as views
     of `out`, dim(dim+1)/2 + 3 grid components (fresh by default).
 
-    No other array is allocated: |grad d|^2 is summed into N_d's first
-    component, and `d`, spent once |grad d|^2 d is formed, holds the
-    advection term and then each u_a u_b.  So `d` holds garbage afterwards;
-    a caller whose fields outlive the call passes a copy of it."""
+    The advection term (u.grad)d is written into `d`, which is spent once
+    |grad d|^2 d is formed: a fresh 3-component array for it raised the
+    step's peak by 4 MB at 3-D 64^3.  So `d` holds garbage afterwards; a
+    caller whose fields outlive the call passes a copy of it."""
     pairs = _PAIRS[grid.dim]
     if out is None:
         out = np.empty((len(pairs) + 3,) + grid.shape)
     sigma, n_d = out[:len(pairs)], out[len(pairs):]
     for p, (a, b) in enumerate(pairs):
         np.einsum("m...,m...->...", grad_d[a], grad_d[b], out=sigma[p])
-    # |grad d|^2, the trace of sigma so far, in N_d's first component,
-    # which is multiplied by d_0 last
-    grad_sq = n_d[0]
-    diagonal = [sigma[p] for p, (a, b) in enumerate(pairs) if a == b]
-    np.add(diagonal[0], diagonal[1], out=grad_sq)
-    for term in diagonal[2:]:
-        np.add(grad_sq, term, out=grad_sq)
-    np.multiply(grad_sq, d[1:], out=n_d[1:])
-    np.multiply(grad_sq, d[0], out=n_d[0])
-    advection = np.einsum("j...,jm...->m...", u, grad_d, out=d)
-    np.subtract(n_d, advection, out=n_d)
+    # |grad d|^2 is the trace of sigma so far
+    np.multiply(sum(sigma[p] for p, (a, b) in enumerate(pairs) if a == b), d,
+                out=n_d)
+    np.subtract(n_d, np.einsum("j...,jm...->m...", u, grad_d, out=d), out=n_d)
     for p, (a, b) in enumerate(pairs):
-        np.multiply(u[a], u[b], out=d[0])
-        np.add(sigma[p], d[0], out=sigma[p])
+        sigma[p] += u[a] * u[b]
     return sigma, n_d
 
 
@@ -161,9 +167,7 @@ def _stress_force(grid: Grid, sigma: np.ndarray,
 
     `out` holds dim + dim(dim+1)/2 spectral components (fresh by default):
     the force is written into the first dim and returned, and sigma's
-    spectrum goes into the others, where the force's terms are formed over
-    it.  The first term spends sigma_00's component, which then serves as
-    scratch, so nothing else is allocated."""
+    spectrum into the others, which the force leaves intact."""
     pairs, ik = _PAIRS[grid.dim], grid.ik_deriv
     if out is None:
         out = np.empty((grid.dim + len(pairs),) + grid.spec_shape,
@@ -172,11 +176,9 @@ def _stress_force(grid: Grid, sigma: np.ndarray,
     _fftn(grid, sigma, grid.dealias_cutoff, out=spec)
     force[...] = 0.0
     for p, (a, b) in enumerate(pairs):
+        force[a] -= ik[b] * spec[p]
         if a != b:
-            np.multiply(ik[a], spec[p], out=spec[0])
-            np.subtract(force[b], spec[0], out=force[b])
-        np.multiply(ik[b], spec[p], out=spec[p])
-        np.subtract(force[a], spec[p], out=force[a])
+            force[b] -= ik[a] * spec[p]
     return force
 
 
@@ -186,9 +188,8 @@ def _pass(s: FluidState) -> dict:
     the batch they are views of ("batch"), |grad d|^2, max|u| and
     max|grad d|.  The next step clears it and takes over the batch."""
     if "fields" not in s._memo:
-        batch = np.empty((4 * s.grid.dim + 3,) + s.grid.spec_shape,
-                         np.complex128)
-        u, d, grad_d = _grid_fields(s.grid, s.u.spec, s.d.spec, out=batch)
+        batch = _batch(s.grid)
+        u, d, grad_d = _grid_fields(s.grid, s.u.spec, s.d.spec, batch)
         grad_sq = np.einsum("im...,im...->...", grad_d, grad_d)
         s._memo.update(
             batch=batch, fields=(u, d, grad_d), grad_sq=grad_sq,

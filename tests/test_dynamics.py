@@ -1,5 +1,6 @@
 """Tests for the right-hand sides and integrating-factor time steppers."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -237,9 +238,10 @@ class TestStep:
     def test_runs_in_the_pass_batch(self, dim, res, integrator):
         # after a warm-up step and a record, the step takes over the pass's
         # batch, so its peak above live memory is the products (dim(dim+1)/2
-        # + 3 grid components), the running sum (dim + 3 spectral ones) and
-        # the projection's 2 spectral components of scratch; 3 grid
-        # components more cover numpy's ufunc buffers and the Python objects
+        # + 3 grid components) and the running sum (dim + 3 spectral ones);
+        # 2 spectral and 3 grid components more cover the inverse
+        # transform's scratch, a force term, numpy's ufunc buffers and the
+        # Python objects
         grid, params = Grid(dim, res), PhysicsParams()
         s = step(random_smooth(grid, seed=4), params, 0.01,
                  integrator=integrator)
@@ -336,8 +338,10 @@ class TestStep:
 
     def test_invalid_arguments(self, grid, params):
         s = taylor_green(grid)
-        with pytest.raises(ValueError):
-            step(s, params, -0.1)
+        # an infinite dt is bad input, not a suspected blow-up
+        for dt in (-0.1, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                step(s, params, dt)
         with pytest.raises(ValueError):
             step(s, params, 0.1, integrator="leapfrog")
 

@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from nematicflow import diagnostics, runner
 from nematicflow.config import load_config
 from nematicflow.diagnostics import blowup_integrand, measure
-from nematicflow.dynamics import (StepPolicy, _nonlinear, _stage_one,
-                                  director_rhs, momentum_rhs, step, suggest_dt)
+from nematicflow.dynamics import StepPolicy, _nonlinear, step, suggest_dt
 from nematicflow.scenarios import random_smooth
 from nematicflow.spectral import (Field, Grid, curl, dealias, gradient,
                                   l2_norm, laplacian, linf_norm)
@@ -93,16 +92,6 @@ def transforms(monkeypatch):
     return log
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_stage_one_is_bit_identical_to_nonlinear(dim):
-    s = random_smooth(GRIDS[dim], seed=4)
-    blowup_integrand(s)  # memoizes the pass before stage 1 reads it
-    ku, kd = _stage_one(s)
-    eu, ed = _nonlinear(s.grid, s.u.spec, s.d.spec)
-    assert np.array_equal(ku, eu)
-    assert np.array_equal(kd, ed)
-
-
 @pytest.mark.parametrize("integrator", ["IF-RK2", "IF-RK4"])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_step_on_memoized_state_is_bit_identical(dim, integrator):
@@ -113,15 +102,6 @@ def test_step_on_memoized_state_is_bit_identical(dim, integrator):
     fresh = step(replace(s), PhysicsParams(), 0.01, integrator=integrator)
     assert np.array_equal(out.u.spec, fresh.u.spec)
     assert np.array_equal(out.d.phys, fresh.d.phys)
-
-
-def test_rhs_pair_shares_one_pass(transforms):
-    s = random_smooth(GRIDS[2], seed=4)
-    transforms.clear()
-    momentum_rhs(s, PhysicsParams())
-    director_rhs(s)
-    # one pass: [u, d, grad d] (11 arrays)
-    assert [n for _, kind, n, _ in transforms if kind == "inverse"] == [11]
 
 
 @pytest.mark.parametrize("dim, arrays", [(2, 17), (3, 24)])

@@ -14,7 +14,7 @@ from nematicflow.spectral import (Field, Grid, _fftn, _ifftn, _lines, curl,
                                   oversampled_phys, project_spec,
                                   second_derivative)
 from nematicflow.scenarios import winding_director
-from nematicflow.state import _grid_fields
+from nematicflow.state import _batch, _grid_fields
 
 
 @pytest.fixture
@@ -278,7 +278,7 @@ class TestTransforms:
     def test_gradient_sharing_is_exact_on_winding_director(self, dim, res):
         grid = Grid(dim, res)
         s = winding_director(grid, k=2)
-        u, d, grad_d = _grid_fields(grid, s.u.spec, s.d.spec)
+        u, d, grad_d = _grid_fields(grid, s.u.spec, s.d.spec, _batch(grid))
         separate = np.concatenate(
             [s.u.spec, s.d.spec]
             + [ik * s.d.spec for ik in grid.ik_deriv])
@@ -443,13 +443,23 @@ class TestLerayProjection:
         assert np.max(np.abs(leray_project(v).phys - v.phys)) < 1e-14
 
     @pytest.mark.parametrize("dim, res", [(2, 32), (3, 16)])
-    def test_in_place_matches_fresh_array(self, dim, res):
+    def test_out_matches_fresh_array(self, dim, res):
         grid = Grid(dim, res)
         v = random_field(grid, ncomp=dim, seed=4).spec.copy()
         fresh = project_spec(grid, v)
         assert not np.shares_memory(fresh, v)
-        assert project_spec(grid, v, out=v) is v
-        assert np.array_equal(v, fresh)
+        out = np.empty_like(v)
+        assert project_spec(grid, v, out=out) is out
+        assert np.array_equal(out, fresh)
+
+    @pytest.mark.parametrize("dim, res", [(2, 32), (3, 16)])
+    def test_overlapping_out_raises(self, dim, res):
+        grid = Grid(dim, res)
+        v = random_field(grid, ncomp=dim, seed=4).spec.copy()
+        kept = v.copy()
+        with pytest.raises(ValueError):
+            project_spec(grid, v, out=v)
+        assert np.array_equal(v, kept)
 
 
 class TestDealias:
@@ -507,51 +517,54 @@ class TestNorms:
         assert np.max(np.abs(oversampled_phys(f) - expected)) < 1e-13
 
 
-def _numpy_fft_transforms(source):
-    """Line numbers at which `source` reaches a numpy.fft transform (not a
-    frequency helper such as fftfreq): `np.fft.<transform>` under any alias
-    of numpy, or an import of the transforms or of the submodule."""
+_FFT_PACKAGES = ("numpy", "scipy")
+
+
+def _fft_uses(source):
+    """Line numbers at which `source` names the fft submodule of numpy or
+    scipy: `<alias>.fft` under any alias of either package, or an import of
+    the submodule or of anything in it."""
     tree = ast.parse(source)
     aliases = {alias.asname or alias.name for node in ast.walk(tree)
                if isinstance(node, ast.Import) for alias in node.names
-               if alias.name == "numpy"}
-
-    def transform(name):
-        return "fft" in name and "freq" not in name and "shift" not in name
-
+               if alias.name in _FFT_PACKAGES}
+    submodules = {f"{package}.fft" for package in _FFT_PACKAGES}
     lines = []
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and transform(node.attr)
-                and isinstance(node.value, ast.Attribute)
-                and node.value.attr == "fft"
-                and isinstance(node.value.value, ast.Name)
-                and node.value.value.id in aliases):
+        if (isinstance(node, ast.Attribute) and node.attr == "fft"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
             lines.append(node.lineno)
-        elif isinstance(node, ast.ImportFrom) and node.module and (
-                node.module == "numpy.fft" and any(
-                    transform(a.name) for a in node.names)
-                or node.module == "numpy" and any(
-                    a.name == "fft" for a in node.names)):
+        elif isinstance(node, ast.ImportFrom) and (
+                node.module in submodules
+                or node.module in _FFT_PACKAGES
+                and any(a.name == "fft" for a in node.names)):
             lines.append(node.lineno)
         elif isinstance(node, ast.Import) and any(
-                a.name == "numpy.fft" for a in node.names):
+                a.name in submodules for a in node.names):
             lines.append(node.lineno)
     return lines
 
 
 def test_fft_guard_detects_each_form():
-    assert _numpy_fft_transforms(
-        "import numpy as xp\nxp.fft.rfftn(a)\nxp.fft.fftfreq(4)\n") == [2]
-    assert _numpy_fft_transforms("from numpy.fft import irfftn\n") == [1]
-    assert _numpy_fft_transforms("from numpy.fft import fftfreq\n") == []
-    assert _numpy_fft_transforms("from numpy import fft\n") == [1]
-    assert _numpy_fft_transforms("import numpy.fft\n") == [1]
+    assert _fft_uses("import numpy as xp\nxp.fft.rfftn(a)\nxp.fft.fftfreq(4)\n"
+                     "xp.linalg.norm(a)\n") == [2, 3]
+    assert _fft_uses("from numpy.fft import irfftn\n") == [1]
+    assert _fft_uses("from numpy.fft import fftfreq\n") == [1]
+    assert _fft_uses("from numpy import fft\n") == [1]
+    assert _fft_uses("import numpy.fft\n") == [1]
+    assert _fft_uses("import scipy\nscipy.fft.dct(a)\n") == [2]
+    assert _fft_uses("import scipy.fft as sf\n") == [1]
+    assert _fft_uses("from scipy import fft\n") == [1]
+    assert _fft_uses("from scipy.fft import rfftn\n") == [1]
+    assert _fft_uses("import numpy as np\nnp.sum(a)\n") == []
 
 
 def test_only_spectral_calls_numpy_fft():
     # one transform path: every other module goes through spectral's pair
+    # and names neither numpy's nor scipy's fft
     package = Path(nematicflow.__file__).parent
-    found = {path.name: _numpy_fft_transforms(path.read_text("utf-8"))
+    found = {path.name: _fft_uses(path.read_text("utf-8"))
              for path in sorted(package.glob("*.py"))}
     assert found.pop("spectral.py"), "the guard no longer sees the pair"
     assert {name: lines for name, lines in found.items() if lines} == {}

@@ -58,6 +58,14 @@ class TestNormalize:
         with pytest.raises(DegenerateDirectorError):
             normalize_director(s)
 
+    def test_overflowing_magnitude_raises(self, grid):
+        # |d|^2 overflows to inf, and d / |d| would be 0 there
+        d = winding_director(grid, k=1).d.phys.copy()
+        d[:, 3, 5] *= 1e155
+        s = FluidState(grid, Field.zeros(grid, 2), Field.from_phys(grid, d))
+        with pytest.raises(DegenerateDirectorError):
+            normalize_director(s)
+
     def test_nan_director_raises(self):
         # a NaN magnitude compares False with the threshold either way
         grid = Grid(2, 8)
@@ -72,7 +80,8 @@ class TestNormalize:
 def _director_products(grid, u, d):
     """The stepper's director products |grad d|^2 d - (u.grad)d on the
     grid, before dealiasing."""
-    return state._products(grid, *state._grid_fields(grid, u.spec, d.spec))[1]
+    return state._products(grid, *state._grid_fields(
+        grid, u.spec, d.spec, state._batch(grid)))[1]
 
 
 def _products(grid, u, d):
@@ -80,7 +89,7 @@ def _products(grid, u, d):
     momentum part, -(u.grad)u - lap d . grad d, is -div sigma +
     grad(|grad d|^2 / 2); the stepper drops the gradient term, which the
     projection removes."""
-    fields = state._grid_fields(grid, u.spec, d.spec)
+    fields = state._grid_fields(grid, u.spec, d.spec, state._batch(grid))
     sigma, n_d = state._products(grid, *fields)
     grad_sq = dealias(Field.from_phys(
         grid, np.einsum("im...,im...->...", fields[2], fields[2])))
@@ -96,14 +105,15 @@ def test_products_into_out_match_fresh_arrays(dim, res):
     # were, d is spent
     grid = Grid(dim, res)
     s = random_smooth(grid, seed=6)
-    u, d, grad_d = state._grid_fields(grid, s.u.spec, s.d.spec)
+    u, d, grad_d = state._grid_fields(grid, s.u.spec, s.d.spec,
+                                      state._batch(grid))
     kept = u.copy(), grad_d.copy()
     out = np.empty((dim * (dim + 1) // 2 + 3,) + grid.shape)
     sigma, n_d = state._products(grid, u, d, grad_d, out=out)
     assert np.shares_memory(sigma, out) and np.shares_memory(n_d, out)
     assert np.array_equal(u, kept[0]) and np.array_equal(grad_d, kept[1])
-    fresh = state._products(grid, *state._grid_fields(grid, s.u.spec,
-                                                      s.d.spec))
+    fresh = state._products(grid, *state._grid_fields(
+        grid, s.u.spec, s.d.spec, state._batch(grid)))
     assert np.array_equal(sigma, fresh[0])
     assert np.array_equal(n_d, fresh[1])
 
