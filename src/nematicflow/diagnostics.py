@@ -12,7 +12,7 @@ trapezoid rule and drives the early-stopping rule of the runner: a finite
 threshold on B(t) stands in for the unobservable divergence at the first
 singular time.
 
-max|grad d| comes from the state's one transform pass (`state._pass`),
+max|grad d| comes from the state's one transform pass (`dynamics._pass`),
 which the next step's first stage also uses; max|omega| (a curl batch,
 every step in 3-D, only for a record in 2-D) and the oversampled maxima
 are memoized on the state.  A record sums squares in spectral space
@@ -28,13 +28,14 @@ from dataclasses import dataclass, fields as dataclass_fields
 import numpy as np
 
 from .errors import EnvelopeUndefinedError
-from .spectral import (Field, Grid, _fftn, _ifftn, curl, first_derivatives,
-                       linf_norm)
-from .state import FluidState, _pass, constraint_residual
+from .dynamics import _pass
+from .spectral import Field, Grid, _fftn, _ifftn, curl, gradient, linf_norm
+from .state import FluidState
 
 __all__ = [
     "DiagnosticsRecord",
     "blowup_integrand",
+    "constraint_residual",
     "accumulate_monitor",
     "energy_and_dissipation",
     "energy_residual",
@@ -81,8 +82,8 @@ def _sup_norm(s: FluidState, name: str, oversample: bool) -> float:
     if key not in s._memo:
         grid = s.grid
         f = curl(s.u) if name == "omega" else Field.from_spec(
-            grid, first_derivatives(grid, s.d.spec).reshape(
-                (-1,) + grid.spec_shape))
+            grid, np.concatenate([gradient(s.d, j).spec
+                                  for j in range(grid.dim)]))
         s._memo[key] = linf_norm(f, oversample=oversample)
     return s._memo[key]
 
@@ -108,6 +109,22 @@ def _l2_sq(grid: Grid, spec: np.ndarray, weight=1.0) -> float:
     field with half spectrum `spec`, each mode times `weight` (Parseval)."""
     power = np.sum(spec.real**2 + spec.imag**2, axis=0)
     return grid.volume * float(np.sum(grid.hermitian_weights * weight * power))
+
+
+def constraint_residual(s: FluidState,
+                        lap_d: np.ndarray | None = None) -> tuple:
+    """(max | |d|-1 |, max | |grad d|^2 + d . lap d |).
+
+    The second entry is the discrete residual of the sphere identity that
+    holds exactly for smooth unit-length directors.  `lap_d`, lap d on the
+    grid, is transformed from d's spectrum unless given.
+    """
+    d = s.d.phys
+    if lap_d is None:
+        lap_d = _ifftn(s.grid, -s.grid.k2 * s.d.spec)
+    mag_err = float(np.max(np.abs(np.sqrt(np.sum(d * d, axis=0)) - 1.0)))
+    identity = _pass(s)["grad_sq"] + np.sum(d * lap_d, axis=0)
+    return mag_err, float(np.max(np.abs(identity)))
 
 
 def _record_fields(s: FluidState) -> dict:

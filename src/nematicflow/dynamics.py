@@ -1,34 +1,49 @@
-"""Right-hand-side evaluation and integrating-factor IMEX time stepping.
+"""Right-hand-side evaluation, integrating-factor IMEX time stepping and
+the pressure.
 
 The semi-discrete system in spectral space is
 
     u_hat' = -nu |k|^2 u_hat + N_u(u, d)
     d_hat' = -    |k|^2 d_hat + N_d(u, d)
 
-with N_u = P[-(u.grad)u - lap d . grad d] = P[-i k . sigma_hat] (P the
-Leray projection, sigma the stress u u^T + grad d^T grad d of `state`)
-and N_d = |grad d|^2 d - (u.grad)d.  Diffusion is integrated exactly via the
+with N_u = P[-(u.grad)u - lap d . grad d] (P the Leray projection) and
+N_d = |grad d|^2 d - (u.grad)d.  Diffusion is integrated exactly via the
 per-mode factors exp(-nu |k|^2 dt), exp(-|k|^2 dt); the nonlinear parts are
 advanced explicitly in Lawson's integrating-factor Runge-Kutta form, IF-RK2
 (Heun) and IF-RK4 (classical) being two rows of one table, run by one loop
-that keeps one stage tendency alive at a time.  A stage transforms [u, d,
-grad d] to the grid as one batch; sigma and the director products are formed
-pointwise and dealiased by the 2/3 rule, 17 transformed arrays per stage in
-2-D and 24 in 3-D; linear terms are never dealiased.
+that keeps one stage tendency alive at a time.
+
+Stress form: for divergence-free u, (u.grad)u = div(u u^T) and
+lap d . grad d = div(grad d^T grad d) - grad(|grad d|^2 / 2), so
+
+    -(u.grad)u - lap d . grad d = -div(sigma - |grad d|^2 I / 2),
+    sigma_ab = u_a u_b + d_a d . d_b d     (d_a = d / d x_a),
+
+and N_u = P[-i k . sigma_hat], since the projection removes the gradient.
+A stage transforms [u, d, grad d] to the grid as one batch, forms sigma
+(dim(dim+1)/2 components, `_PAIRS`) and N_d pointwise and transforms them
+back dealiased by the 2/3 rule: 17 arrays in 2-D, 24 in 3-D; linear terms
+are never dealiased.  The pressure takes |grad d|^2 / 2 off the diagonal of
+sigma before its double divergence.
+
+Each state is transformed to the grid once (`_pass`), for the next step's
+first stage, the CFL step, the monitor, the record and the pressure.
 
 Where a stage's arrays live: a step runs every stage inside one batch of
-4 dim + 3 spectral components, one products buffer of dim(dim+1)/2 + 3 grid
-components and the running sum.  The batch is the state's pass batch:
-stage 1 reads its grid fields from the pass, then the memo is cleared and
-the step keeps the batch, so the pass and the stages never hold two.  The
-stage input is written into the batch's u and d slots, which the inverse
-transform turns into [u, d, grad d] on the grid; sigma and N_d go into the
-products buffer; their spectra come back into the batch, N_u and N_d into
-the u and d slots, so k is a view of the batch and the next stage input is
-formed over it.  The sum terms, E y0 and the unprojected u of y1 are formed
-in the spent force after k (a fresh 3-component buffer for them raised the
-step's peak by 6.5 MB at 3-D 64^3), and u's y1 is projected from there into
-the running sum.
+4 dim + 3 spectral components (`_batch`), one products buffer of
+dim(dim+1)/2 + 3 grid components and the running sum.  The batch is the
+state's pass batch: stage 1 forms its products from the pass, spending its
+grid d, then the memo is cleared and the step keeps the batch, so a run
+holds one batch at a time.  The stage input is written into the batch's u
+and d slots, which the inverse transform turns into [u, d, grad d] on the
+grid (`_grid_fields`); sigma and N_d go into the products buffer, and the
+advection term into the spent grid d (`_products`); `_tendencies` lays the
+batch out as [N_u, N_d, the force, sigma_hat], so k is a view of the batch
+and the next stage input is formed over it.  The sum terms, E y0 and the
+unprojected u of y1 are formed in the spent force after k (a fresh
+3-component buffer for them raised the step's peak by 6.5 MB at 3-D 64^3),
+and u's y1 is projected from there into the running sum.  Each in-place
+write is kept because undoing it alone raised the step's traced peak.
 
 The director is renormalized to unit length once per full step, not per
 substage, so the formal RK order is preserved; the radial drift removed by
@@ -37,6 +52,7 @@ renormalization is of the same order as the local truncation error.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -45,10 +61,14 @@ import numpy as np
 
 from .errors import NumericalOverflowError, check_range
 from .spectral import Field, Grid, _fftn, _ifftn, project_spec
-from .state import (_PAIRS, FluidState, PhysicsParams, _batch, _grid_fields,
-                    _pass, _products, _stress_force, normalize_director)
+from .state import FluidState, PhysicsParams, normalize_director
 
-__all__ = ["StepPolicy", "momentum_rhs", "director_rhs", "step", "suggest_dt"]
+__all__ = ["StepPolicy", "momentum_rhs", "director_rhs", "step", "suggest_dt",
+           "recover_pressure"]
+
+# The stored components (a, b), a <= b, of the symmetric stress, row-major
+_PAIRS = {dim: tuple(itertools.combinations_with_replacement(range(dim), 2))
+          for dim in (2, 3)}
 
 # Tableaus (c, a, b) of explicit Runge-Kutta methods whose stage i+1 reads
 # k_i alone: a[i] is the one nonzero entry of row i+1 of the Butcher matrix
@@ -89,6 +109,69 @@ class StepPolicy:
         _check_integrator(self.integrator)
 
 
+def _batch(grid: Grid) -> np.ndarray:
+    """An empty [u, d, grad d] batch: 4 dim + 3 spectral components."""
+    return np.empty((4 * grid.dim + 3,) + grid.spec_shape, np.complex128)
+
+
+def _grid_fields(grid: Grid, u_spec: np.ndarray, d_spec: np.ndarray,
+                 out: np.ndarray) -> tuple:
+    """(u, d, grad d) on the grid, grad d[i, m] = d d_m / d x_i, from one
+    batched inverse transform of [u, d] whose gradient blocks d d / d x_j
+    are formed from d's partly transformed spectrum before the pass along
+    axis j (`_ifftn`'s `grad`), so they skip the passes along axes < j.
+
+    The transform runs in `out`, a C-contiguous `_batch`, and the fields
+    are views of it.  The spectra are copied into its first dim + 3
+    components, which is no copy at all when they are those components."""
+    dim = grid.dim
+    out[:dim] = u_spec
+    out[dim:dim + 3] = d_spec
+    fields = _ifftn(grid, out, grad=3)
+    return (fields[:dim], fields[dim:dim + 3],
+            fields[dim + 3:].reshape((dim, 3) + grid.shape))
+
+
+def _products(grid: Grid, u: np.ndarray, d: np.ndarray, grad_d: np.ndarray,
+              out: np.ndarray | None = None) -> tuple:
+    """(sigma over `_PAIRS`, |grad d|^2 d - (u.grad)d) on the grid, as views
+    of `out`, dim(dim+1)/2 + 3 grid components (fresh by default).
+
+    The advection term (u.grad)d is written into `d`, which is spent once
+    |grad d|^2 d is formed: a fresh 3-component array for it raised the
+    step's peak by 4 MB at 3-D 64^3.  So `d` holds garbage afterwards; a
+    caller whose fields outlive the call passes a copy of it."""
+    pairs = _PAIRS[grid.dim]
+    if out is None:
+        out = np.empty((len(pairs) + 3,) + grid.shape)
+    sigma, n_d = out[:len(pairs)], out[len(pairs):]
+    for p, (a, b) in enumerate(pairs):
+        np.einsum("m...,m...->...", grad_d[a], grad_d[b], out=sigma[p])
+    # |grad d|^2 is the trace of sigma so far
+    np.multiply(sum(sigma[p] for p, (a, b) in enumerate(pairs) if a == b), d,
+                out=n_d)
+    np.subtract(n_d, np.einsum("j...,jm...->m...", u, grad_d, out=d), out=n_d)
+    for p, (a, b) in enumerate(pairs):
+        sigma[p] += u[a] * u[b]
+    return sigma, n_d
+
+
+def _pass(s: FluidState) -> dict:
+    """The state's one transform pass, memoized on it: `_grid_fields` of its
+    spectra ("fields"; d enters from its spectrum, as in every stage) with
+    the batch they are views of ("batch"), |grad d|^2, max|u| and
+    max|grad d|.  The next step clears it and takes over the batch."""
+    if "fields" not in s._memo:
+        batch = _batch(s.grid)
+        u, d, grad_d = _grid_fields(s.grid, s.u.spec, s.d.spec, batch)
+        grad_sq = np.einsum("im...,im...->...", grad_d, grad_d)
+        s._memo.update(
+            batch=batch, fields=(u, d, grad_d), grad_sq=grad_sq,
+            u_max=math.sqrt(np.max(np.einsum("i...,i...->...", u, u))),
+            grad_d_max=math.sqrt(np.max(grad_sq)))
+    return s._memo
+
+
 def _nonlinear(grid: Grid, u_spec: np.ndarray, d_spec: np.ndarray,
                work: tuple | None = None) -> tuple:
     """Explicitly-treated tendencies (N_u_hat, N_d_hat), dealiased.
@@ -108,11 +191,18 @@ def _tendencies(grid: Grid, sigma: np.ndarray, n_d: np.ndarray,
 
     `out`, a `_batch` whose grid fields are spent, is laid out as [N_u,
     N_d, the force, sigma's spectrum]: N_d is transformed first, the force
-    is formed from sigma's spectrum and projected into N_u, so no
-    spectral array is allocated."""
-    dim, end = grid.dim, 2 * grid.dim + 3 + len(sigma)
+    -div sigma is formed one term at a time from sigma's spectrum and
+    projected into N_u, so no spectral array is allocated."""
+    pairs, ik, dim = _PAIRS[grid.dim], grid.ik_deriv, grid.dim
+    end = 2 * dim + 3  # of N_u, N_d and the force
     n_d = _fftn(grid, n_d, grid.dealias_cutoff, out=out[dim:dim + 3])
-    force = _stress_force(grid, sigma, out=out[dim + 3:end])
+    force, spec = out[dim + 3:end], out[end:end + len(pairs)]
+    _fftn(grid, sigma, grid.dealias_cutoff, out=spec)
+    force[...] = 0.0
+    for p, (a, b) in enumerate(pairs):
+        force[a] -= ik[b] * spec[p]
+        if a != b:
+            force[b] -= ik[a] * spec[p]
     return project_spec(grid, force, out=out[:dim]), n_d
 
 
@@ -241,3 +331,24 @@ def suggest_dt(s: FluidState, policy: StepPolicy) -> float:
     memo = _pass(s)
     speed = max(memo["u_max"], memo["grad_d_max"], 1.0)
     return min(policy.cfl_factor * s.grid.dx / speed, remaining)
+
+
+def recover_pressure(s: FluidState) -> Field:
+    """Solve the spectral pressure Poisson equation
+    lap p = -div(u . grad u + lap d . grad d); zero-mean output.
+
+    p_hat = -k_a k_b sigma'_ab_hat / |k|^2, the double divergence of the
+    stress sigma' = sigma - |grad d|^2 I / 2 formed from the state's pass,
+    so a memoized pass needs no inverse transform.  Diagnostic only: time
+    stepping eliminates the pressure by projection."""
+    grid, memo = s.grid, _pass(s)
+    pairs, k = _PAIRS[grid.dim], grid.k_deriv
+    u, d, grad_d = memo["fields"]
+    sigma, _ = _products(grid, u, d.copy(), grad_d)  # the pass outlives it
+    sigma[[p for p, (a, b) in enumerate(pairs) if a == b]] -= \
+        0.5 * memo["grad_sq"]
+    spec = _fftn(grid, sigma, grid.dealias_cutoff)
+    # each off-diagonal pair stands for itself and its transpose
+    div2 = sum((1.0 if a == b else 2.0) * k[a] * k[b] * spec[p]
+               for p, (a, b) in enumerate(pairs))
+    return Field.from_spec(grid, (-div2 * grid.inv_k2)[np.newaxis])

@@ -18,13 +18,13 @@ import numpy as np
 from . import diagnostics
 from .config import SimulationConfig
 from .diagnostics import DiagnosticsRecord
-from .dynamics import step, suggest_dt
+from .dynamics import _pass, step, suggest_dt
 from .errors import (ConfigRangeError, DegenerateDirectorError,
                      EnvelopeUndefinedError, NumericalOverflowError,
                      ParameterRangeError, SnapshotFormatError)
 from .scenarios import ScenarioSpec, build_scenario
 from .spectral import Field, Grid
-from .state import FluidState, _pass
+from .state import FluidState
 
 __all__ = ["RunReport", "run", "write_timeseries", "read_timeseries",
            "write_snapshot", "read_snapshot",
@@ -200,18 +200,16 @@ def read_snapshot(path) -> FluidState:
     version, dim, res, length, t = struct.unpack("<BBIdd", blob[4:26])
     if version != SNAPSHOT_VERSION:
         raise SnapshotFormatError(f"{path}: unsupported version {version}")
-    if dim not in (2, 3):
-        raise SnapshotFormatError(f"{path}: bad dimension {dim}")
+    try:
+        grid = Grid(int(dim), int(res), float(length))
+    except ValueError as exc:
+        raise SnapshotFormatError(f"{path}: {exc}") from exc
     npoints = res**dim
     expected = 26 + (dim + 3) * npoints * 8
     if len(blob) != expected:
         raise SnapshotFormatError(
             f"{path}: expected {expected} bytes, got {len(blob)}"
         )
-    try:
-        grid = Grid(int(dim), int(res), float(length))
-    except ValueError as exc:
-        raise SnapshotFormatError(f"{path}: {exc}") from exc
     data = np.frombuffer(blob, dtype="<f8", offset=26)
     if not (np.isfinite(t) and np.isfinite(data).all()):
         raise SnapshotFormatError(f"{path}: non-finite time or field values")

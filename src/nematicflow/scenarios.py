@@ -154,15 +154,25 @@ def _check_amplitude(grid: Grid, amplitude) -> None:
                 "positive and finite")
 
 
+def _integral(value) -> bool:
+    """Whether `value` is an integer: an int, or a float with an integer
+    value such as 2.0 (not 1.5, inf or nan, which int() would truncate or
+    refuse)."""
+    return (isinstance(value, (int, np.integer))
+            or isinstance(value, float) and value.is_integer())
+
+
 def _check_k(grid: Grid, k) -> None:
-    check_range("k", k, abs(int(k)) >= 1, "an integer with |k| >= 1")
-    if not abs(int(k)) < grid.res / 3:
+    check_range("k", k, _integral(k) and abs(k) >= 1,
+                "an integer with |k| >= 1")
+    if not abs(k) < grid.res / 3:
         raise UnderResolvedError("k", f"below res/3 in magnitude to be "
                                  f"resolved at res {grid.res}", k)
 
 
 def _check_seed(grid: Grid, seed) -> None:
-    check_range("seed", seed, int(seed) >= 0, "a non-negative integer")
+    check_range("seed", seed, _integral(seed) and seed >= 0,
+                "a non-negative integer")
 
 
 def _check_slope(grid: Grid, slope) -> None:

@@ -60,7 +60,6 @@ __all__ = [
     "Grid",
     "Field",
     "gradient",
-    "first_derivatives",
     "laplacian",
     "second_derivative",
     "divergence",
@@ -373,16 +372,6 @@ def gradient(f: Field, axis: int) -> Field:
     if not 0 <= axis < f.grid.dim:
         raise ValueError(f"axis {axis} out of range for dim {f.grid.dim}")
     return Field.from_spec(f.grid, f.grid.ik_deriv[axis] * f.spec)
-
-
-def first_derivatives(grid: Grid, spec: np.ndarray) -> np.ndarray:
-    """All first derivatives of a (ncomp, *spec_shape) spectrum as one
-    (dim, ncomp, *spec_shape) array: out[j, c] is the spectrum of
-    d f_c / dx_j."""
-    out = np.empty((grid.dim,) + spec.shape, dtype=np.complex128)
-    for j, ik in enumerate(grid.ik_deriv):
-        np.multiply(ik, spec, out=out[j])
-    return out
 
 
 def laplacian(f: Field) -> Field:

@@ -110,7 +110,7 @@ def check_navier_stokes_reduction():
     # verified against a finite-difference momentum-balance oracle
     x0, x1 = grid.coords()
     p_exact = 0.25 * (np.cos(2 * x0) + np.cos(2 * x1)) * math.exp(-4.0)
-    p = state.recover_pressure(st).phys[0]
+    p = dynamics.recover_pressure(st).phys[0]
     err = np.max(np.abs(p - p_exact))
     results.append(_check("recovered Taylor-Green pressure", err, 1e-5))
     return results

@@ -8,14 +8,14 @@ import pytest
 
 from nematicflow import spectral
 from nematicflow.diagnostics import (DiagnosticsRecord, accumulate_monitor,
-                                     blowup_integrand, energy_and_dissipation,
-                                     energy_residual, gronwall_envelope,
-                                     lemma21_norms, measure)
+                                     blowup_integrand, constraint_residual,
+                                     energy_and_dissipation, energy_residual,
+                                     gronwall_envelope, lemma21_norms, measure)
 from nematicflow.errors import EnvelopeUndefinedError
 from nematicflow.scenarios import random_smooth, taylor_green, winding_director
 from nematicflow.spectral import (Field, Grid, curl, dealias, gradient,
                                   l2_norm, laplacian, linf_norm)
-from nematicflow.state import FluidState, constraint_residual
+from nematicflow.state import FluidState
 
 
 @pytest.fixture

@@ -1,21 +1,24 @@
 """Tests for the right-hand sides and integrating-factor time steppers."""
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nematicflow.diagnostics import blowup_integrand, measure
+import nematicflow
+from nematicflow.diagnostics import (blowup_integrand, constraint_residual,
+                                     measure)
 from nematicflow.dynamics import (_TABLEAUS, StepPolicy, _decay, _nonlinear,
-                                  director_rhs, momentum_rhs, step,
-                                  suggest_dt)
+                                  director_rhs, momentum_rhs,
+                                  recover_pressure, step, suggest_dt)
 from nematicflow.errors import NumericalOverflowError
 from nematicflow.scenarios import random_smooth, taylor_green, winding_director
 from nematicflow.spectral import (Field, Grid, dealias, divergence, gradient,
                                   laplacian, leray_project, project_spec)
-from nematicflow.state import (FluidState, PhysicsParams, constraint_residual,
-                               normalize_director, recover_pressure)
+from nematicflow.state import FluidState, PhysicsParams, normalize_director
 
 
 @pytest.fixture
@@ -411,3 +414,78 @@ class TestDecayCache:
         # the full step's
         expected = {"IF-RK2": (4, 8), "IF-RK4": (9, 15)}[integrator]
         assert (info.misses, info.hits) == expected
+
+
+# the stage's layout and the functions that write it, which `dynamics` owns
+_STAGE_NAMES = {"_PAIRS", "_batch", "_grid_fields", "_products",
+                "_tendencies"}
+
+
+def _stage_uses(source):
+    """Line numbers at which `source` defines, imports or reads one of
+    `_STAGE_NAMES`: a def or an assignment of the name, an import of it, or
+    `<module>.<name>`."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef):
+            names = {node.name}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names = {node.id}
+        elif isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            names = {node.attr}
+        else:
+            continue
+        if names & _STAGE_NAMES:
+            lines.append(node.lineno)
+    return lines
+
+
+def _package_imports(source):
+    """The modules of the package that `source`, one of its modules,
+    imports: relatively or as `nematicflow.<module>`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            if node.level == 0 and module[0] != "nematicflow":
+                continue
+            if node.level == 0:
+                module = module[1:]
+            if module and module[0]:
+                found.add(module[0])
+            else:  # from . import <modules>
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("nematicflow."))
+    return found
+
+
+def test_stage_guards_detect_each_form():
+    assert _stage_uses("def _batch(grid):\n    pass\n") == [1]
+    assert _stage_uses("_PAIRS = {}\n") == [1]
+    assert _stage_uses("from .dynamics import step, _products\n") == [1]
+    assert _stage_uses("from . import dynamics\ndynamics._tendencies(g)\n") \
+        == [2]
+    assert _stage_uses("batch = make(grid)\nstep(s, '_batch')\n") == []
+    assert _package_imports(
+        "from __future__ import annotations\nimport numpy as np\n"
+        "from .errors import E\nfrom . import dynamics, runner\n"
+        "from nematicflow.config import c\nfrom nematicflow import cli\n"
+        "import nematicflow.verify\n") == {
+            "errors", "dynamics", "runner", "config", "cli", "verify"}
+
+
+def test_only_dynamics_knows_the_stage_layout():
+    # one owner for the stage: every other module goes through `_pass`,
+    # `_nonlinear`, `step` and `recover_pressure`, and the state module
+    # holds the state alone
+    package = Path(nematicflow.__file__).parent
+    found = {path.name: _stage_uses(path.read_text("utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    assert found.pop("dynamics.py"), "the guard no longer sees the stage"
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    state_source = (package / "state.py").read_text("utf-8")
+    assert _package_imports(state_source) == {"errors", "spectral"}

@@ -10,11 +10,12 @@ from hypothesis import given, settings, strategies as st
 from nematicflow import diagnostics, runner
 from nematicflow.config import load_config
 from nematicflow.diagnostics import blowup_integrand, measure
-from nematicflow.dynamics import StepPolicy, _nonlinear, step, suggest_dt
+from nematicflow.dynamics import (StepPolicy, _nonlinear, _pass,
+                                  recover_pressure, step, suggest_dt)
 from nematicflow.scenarios import random_smooth
 from nematicflow.spectral import (Field, Grid, curl, dealias, gradient,
                                   l2_norm, laplacian, linf_norm)
-from nematicflow.state import PhysicsParams, _pass, recover_pressure
+from nematicflow.state import PhysicsParams
 
 GRIDS = {2: Grid(2, 16), 3: Grid(3, 8)}
 

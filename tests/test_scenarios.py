@@ -1,16 +1,18 @@
 """Tests for the initial-condition generators."""
 
+import math
+
 import numpy as np
 import pytest
 
-from nematicflow.errors import UnderResolvedError
+from nematicflow.diagnostics import constraint_residual
+from nematicflow.errors import ParameterRangeError, UnderResolvedError
 from nematicflow.scenarios import (SCENARIO_NAMES, ScenarioSpec,
                                    build_scenario, random_smooth,
                                    taylor_green, winding_director)
 from nematicflow.spectral import (Field, Grid, _fftn, _ifftn, divergence,
                                   leray_project)
-from nematicflow.state import (FluidState, constraint_residual,
-                               normalize_director)
+from nematicflow.state import FluidState, normalize_director
 
 
 @pytest.fixture
@@ -147,6 +149,29 @@ class TestRandomSmooth:
         assert np.max(np.abs(divergence(s.u).phys)) < 1e-12
         norm_err, _ = constraint_residual(s)
         assert norm_err < 1e-8
+
+
+@pytest.mark.parametrize("builder, key, value", [
+    (winding_director, "k", 1.5), (winding_director, "k", -2.5),
+    (winding_director, "k", math.inf), (winding_director, "k", math.nan),
+    (random_smooth, "seed", -0.5), (random_smooth, "seed", 2.5),
+    (random_smooth, "seed", math.inf), (random_smooth, "seed", math.nan)])
+def test_non_integral_parameter_is_range_error(grid, builder, key, value):
+    # int() would truncate the value or raise an error of its own
+    with pytest.raises(ParameterRangeError) as info:
+        builder(grid, **{key: value})
+    assert info.value.name == key
+
+
+@pytest.mark.parametrize("builder, key, value", [
+    (winding_director, "k", 2.0), (winding_director, "k", -1.0),
+    (random_smooth, "seed", 3.0)])
+def test_integral_float_parameter_builds_as_its_int(grid, builder, key,
+                                                    value):
+    built = builder(grid, **{key: value})
+    exact = builder(grid, **{key: int(value)})
+    assert np.array_equal(built.u.phys, exact.u.phys)
+    assert np.array_equal(built.d.phys, exact.d.phys)
 
 
 class TestRegistry:

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 import nematicflow
+from nematicflow.dynamics import _batch, _grid_fields
 from nematicflow.spectral import (Field, Grid, _fftn, _ifftn, _lines, curl,
-                                  dealias, divergence, first_derivatives, gradient,
-                                  l2_norm, laplacian, leray_project, linf_norm,
+                                  dealias, divergence, gradient, l2_norm,
+                                  laplacian, leray_project, linf_norm,
                                   oversampled_phys, project_spec,
                                   second_derivative)
 from nematicflow.scenarios import winding_director
-from nematicflow.state import _batch, _grid_fields
 
 
 @pytest.fixture
@@ -358,16 +358,6 @@ class TestDerivatives:
             composed = gradient(gradient(f, a), b).phys
             assert np.max(np.abs(second_derivative(f, a, b).phys
                                  - composed)) < 1e-11
-
-
-    @pytest.mark.parametrize("dim,res", [(2, 16), (3, 8)])
-    def test_first_derivatives_match_gradient(self, dim, res):
-        grid = Grid(dim, res)
-        f = random_field(grid, ncomp=3, seed=4)
-        out = first_derivatives(grid, f.spec)
-        assert out.shape == (dim, 3) + grid.spec_shape
-        for j in range(dim):
-            assert np.array_equal(out[j], gradient(f, j).spec)
 
 
 class TestVectorOps:

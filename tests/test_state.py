@@ -1,15 +1,18 @@
 """Tests for state invariants, constraint maintenance and pressure recovery."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from nematicflow import state
+from nematicflow import dynamics
+from nematicflow.diagnostics import constraint_residual
+from nematicflow.dynamics import recover_pressure
 from nematicflow.errors import DegenerateDirectorError
 from nematicflow.scenarios import (random_smooth, taylor_green,
                                    winding_director)
 from nematicflow.spectral import Field, Grid, dealias, gradient, leray_project
-from nematicflow.state import (FluidState, PhysicsParams, constraint_residual,
-                               normalize_director, recover_pressure)
+from nematicflow.state import FluidState, PhysicsParams, normalize_director
 
 
 @pytest.fixture
@@ -32,6 +35,18 @@ def test_state_shape_validation(grid):
         FluidState(grid, d, d)  # 3-component velocity on a 2-D grid
     with pytest.raises(ValueError):
         FluidState(grid, u, u)  # 2-component director
+
+
+def test_state_grid_validation(grid):
+    # fields of another grid are refused when the state is built, before
+    # numpy fails to broadcast them or a run uses the wrong box
+    coarse, short = Grid(2, 16), Grid(2, 32, length=1.0)
+    with pytest.raises(ValueError):
+        FluidState(grid, taylor_green(coarse).u, taylor_green(grid).d)
+    with pytest.raises(ValueError):
+        FluidState(grid, taylor_green(grid).u, taylor_green(short).d)
+    with pytest.raises(ValueError):
+        FluidState(grid, taylor_green(coarse).u, taylor_green(coarse).d)
 
 
 class TestNormalize:
@@ -80,8 +95,8 @@ class TestNormalize:
 def _director_products(grid, u, d):
     """The stepper's director products |grad d|^2 d - (u.grad)d on the
     grid, before dealiasing."""
-    return state._products(grid, *state._grid_fields(
-        grid, u.spec, d.spec, state._batch(grid)))[1]
+    return dynamics._products(grid, *dynamics._grid_fields(
+        grid, u.spec, d.spec, dynamics._batch(grid)))[1]
 
 
 def _products(grid, u, d):
@@ -89,11 +104,19 @@ def _products(grid, u, d):
     momentum part, -(u.grad)u - lap d . grad d, is -div sigma +
     grad(|grad d|^2 / 2); the stepper drops the gradient term, which the
     projection removes."""
-    fields = state._grid_fields(grid, u.spec, d.spec, state._batch(grid))
-    sigma, n_d = state._products(grid, *fields)
+    fields = dynamics._grid_fields(grid, u.spec, d.spec,
+                                   dynamics._batch(grid))
+    sigma, n_d = dynamics._products(grid, *fields)
     grad_sq = dealias(Field.from_phys(
         grid, np.einsum("im...,im...->...", fields[2], fields[2])))
-    force = Field.from_spec(grid, state._stress_force(grid, sigma)).phys
+    sigma = dealias(Field.from_phys(grid, sigma))
+    row = {}  # sigma_ab = sigma_ba, stored once for a <= b
+    for p, (a, b) in enumerate(
+            itertools.combinations_with_replacement(range(grid.dim), 2)):
+        row[a, b] = row[b, a] = Field.from_spec(grid, sigma.spec[p])
+    force = -np.concatenate(
+        [sum(gradient(row[a, b], b).phys for b in range(grid.dim))
+         for a in range(grid.dim)])
     force += 0.5 * np.concatenate(
         [gradient(grad_sq, j).phys for j in range(grid.dim)])
     return np.concatenate([force, dealias(Field.from_phys(grid, n_d)).phys])
@@ -105,15 +128,15 @@ def test_products_into_out_match_fresh_arrays(dim, res):
     # were, d is spent
     grid = Grid(dim, res)
     s = random_smooth(grid, seed=6)
-    u, d, grad_d = state._grid_fields(grid, s.u.spec, s.d.spec,
-                                      state._batch(grid))
+    u, d, grad_d = dynamics._grid_fields(grid, s.u.spec, s.d.spec,
+                                         dynamics._batch(grid))
     kept = u.copy(), grad_d.copy()
     out = np.empty((dim * (dim + 1) // 2 + 3,) + grid.shape)
-    sigma, n_d = state._products(grid, u, d, grad_d, out=out)
+    sigma, n_d = dynamics._products(grid, u, d, grad_d, out=out)
     assert np.shares_memory(sigma, out) and np.shares_memory(n_d, out)
     assert np.array_equal(u, kept[0]) and np.array_equal(grad_d, kept[1])
-    fresh = state._products(grid, *state._grid_fields(
-        grid, s.u.spec, s.d.spec, state._batch(grid)))
+    fresh = dynamics._products(grid, *dynamics._grid_fields(
+        grid, s.u.spec, s.d.spec, dynamics._batch(grid)))
     assert np.array_equal(sigma, fresh[0])
     assert np.array_equal(n_d, fresh[1])
 
