@@ -20,30 +20,36 @@ lap d . grad d = div(grad d^T grad d) - grad(|grad d|^2 / 2), so
     sigma_ab = u_a u_b + d_a d . d_b d     (d_a = d / d x_a),
 
 and N_u = P[-i k . sigma_hat], since the projection removes the gradient.
-A stage transforms [u, d, grad d] to the grid as one batch, forms sigma
-(dim(dim+1)/2 components, `_PAIRS`) and N_d pointwise and transforms them
-back dealiased by the 2/3 rule: 17 arrays in 2-D, 24 in 3-D; linear terms
-are never dealiased.  The pressure takes |grad d|^2 / 2 off the diagonal of
+A stage transforms [u, d, grad d] to the grid, forms sigma (dim(dim+1)/2
+components, `_PAIRS`) and N_d pointwise and transforms them back
+dealiased by the 2/3 rule: 17 arrays in 2-D, 24 in 3-D; linear terms are
+never dealiased.  The pressure takes |grad d|^2 / 2 off the diagonal of
 sigma before its double divergence.
 
-Each state is transformed to the grid once (`_pass`), for the next step's
-first stage, the CFL step, the monitor, the record and the pressure.
+A stage runs chunk by chunk of x0 rows (`_chunks`).  Its spectral batch
+holds [u, d, d d / d x_0] (dim + 6 components, `_batch`); the inverse's
+pass along axis 0 runs once on it, and then every x0 row is independent
+until the forward's pass along axis 0.  So each chunk of rows finishes its
+inverse (d d / d x_1 and d d / d x_2 are formed from d's partly
+transformed rows), forms sigma and N_d in a chunk-sized products buffer
+and is forward-transformed, band-limited, into the same rows of the batch,
+whose inputs it has consumed.  `_CHUNK_BYTES` sets the chunk height, and
+the values do not depend on it; once a grid's fields outgrow it, no
+full-grid [u, d, grad d] or products array is built at all.  The batch and
+the chunk's buffers are a stage's `_workspace`.  After the last chunk the forward's pass along axis 0, the force -div sigma and its
+projection run inside the batch, which then holds [N_u, N_d, three spare
+components]: sigma's pairs (0, b) land in the spare slots, where the force
+is formed over them one component at a time, the other pairs in u's, N_d
+in d's (`_SLOTS`).
 
-Where a stage's arrays live: a step runs every stage inside one batch of
-4 dim + 3 spectral components (`_batch`), one products buffer of
-dim(dim+1)/2 + 3 grid components and the running sum.  The batch is the
-state's pass batch: stage 1 forms its products from the pass, spending its
-grid d, then the memo is cleared and the step keeps the batch, so a run
-holds one batch at a time.  The stage input is written into the batch's u
-and d slots, which the inverse transform turns into [u, d, grad d] on the
-grid (`_grid_fields`); sigma and N_d go into the products buffer, and the
-advection term into the spent grid d (`_products`); `_tendencies` lays the
-batch out as [N_u, N_d, the force, sigma_hat], so k is a view of the batch
-and the next stage input is formed over it.  The sum terms, E y0 and the
-unprojected u of y1 are formed in the spent force after k (a fresh
-3-component buffer for them raised the step's peak by 6.5 MB at 3-D 64^3),
-and u's y1 is projected from there into the running sum.  Each in-place
-write is kept because undoing it alone raised the step's traced peak.
+Each state runs stage 1 once (`_pass`), for the next step's first stage,
+the CFL step, the monitor and the record: it keeps the tendency in its
+batch and folds |grad d|^2, max|u| and max|grad d| chunk by chunk.  A step
+clears the memo and takes the workspace over, so a run holds one at a
+time.  Every later stage is written into the batch's u and d slots, where
+the last tendency lies, and runs in the same workspace.  The sum terms, E y0
+and the unprojected u of y1 are formed in the spare slots, and u's y1 is
+projected from there into the running sum.
 
 The director is renormalized to unit length once per full step, not per
 substage, so the formal RK order is preserved; the radial drift removed by
@@ -60,7 +66,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalOverflowError, check_range
-from .spectral import Field, Grid, _fftn, _ifftn, project_spec
+from .spectral import (Field, Grid, _fftn_rows, _forward_pass, _ifftn,
+                       _ifftn_chunks, project_spec)
 from .state import FluidState, PhysicsParams, normalize_director
 
 __all__ = ["StepPolicy", "momentum_rhs", "director_rhs", "step", "suggest_dt",
@@ -69,6 +76,26 @@ __all__ = ["StepPolicy", "momentum_rhs", "director_rhs", "step", "suggest_dt",
 # The stored components (a, b), a <= b, of the symmetric stress, row-major
 _PAIRS = {dim: tuple(itertools.combinations_with_replacement(range(dim), 2))
           for dim in (2, 3)}
+
+
+def _slots(dim: int) -> tuple:
+    """Where a stage's products land in its batch: (first, index), the
+    products being the batch's components first .. 2 dim + 2 and index[p]
+    the product of pair p.  The pairs (0, b) go to the spare slots
+    dim + 3 + b, where the force is formed over them, N_d to d's slots and
+    the other pairs to the u slots just before them."""
+    rest = [pair for pair in _PAIRS[dim] if pair[0]]
+    first = dim - len(rest)
+    return first, tuple(dim + 3 + b - first if a == 0 else rest.index((a, b))
+                        for a, b in _PAIRS[dim])
+
+
+_SLOTS = {dim: _slots(dim) for dim in (2, 3)}
+
+# Bytes of a chunk's grid fields [u, d, grad d]: the stage runs chunk by
+# chunk of x0 rows (`_chunks`), and this sets the rows per chunk
+# (`_chunk_rows`)
+_CHUNK_BYTES = 2 ** 20
 
 # Tableaus (c, a, b) of explicit Runge-Kutta methods whose stage i+1 reads
 # k_i alone: a[i] is the one nonzero entry of row i+1 of the Butcher matrix
@@ -110,100 +137,135 @@ class StepPolicy:
 
 
 def _batch(grid: Grid) -> np.ndarray:
-    """An empty [u, d, grad d] batch: 4 dim + 3 spectral components."""
-    return np.empty((4 * grid.dim + 3,) + grid.spec_shape, np.complex128)
+    """An empty stage batch: [u, d, d d / d x_0], dim + 6 spectral
+    components."""
+    return np.empty((grid.dim + 6,) + grid.spec_shape, np.complex128)
 
 
-def _grid_fields(grid: Grid, u_spec: np.ndarray, d_spec: np.ndarray,
-                 out: np.ndarray) -> tuple:
-    """(u, d, grad d) on the grid, grad d[i, m] = d d_m / d x_i, from one
-    batched inverse transform of [u, d] whose gradient blocks d d / d x_j
-    are formed from d's partly transformed spectrum before the pass along
-    axis j (`_ifftn`'s `grad`), so they skip the passes along axes < j.
+def _chunk_rows(grid: Grid) -> int:
+    """The x0 rows of a chunk: as many as fit its grid fields [u, d,
+    grad d] (4 dim + 3 components) into `_CHUNK_BYTES`, at least one, and
+    then evened out over the chunks that takes."""
+    row = (4 * grid.dim + 3) * 8 * grid.res ** (grid.dim - 1)
+    chunks = -(-grid.res // max(1, _CHUNK_BYTES // row))
+    return -(-grid.res // chunks)
 
-    The transform runs in `out`, a C-contiguous `_batch`, and the fields
-    are views of it.  The spectra are copied into its first dim + 3
-    components, which is no copy at all when they are those components."""
-    dim = grid.dim
-    out[:dim] = u_spec
-    out[dim:dim + 3] = d_spec
-    fields = _ifftn(grid, out, grad=3)
-    return (fields[:dim], fields[dim:dim + 3],
-            fields[dim + 3:].reshape((dim, 3) + grid.shape))
+
+def _workspace(grid: Grid) -> tuple:
+    """Fresh buffers for a stage, (batch, blocks, fields, products): the
+    `_batch` and, for one chunk of `_chunk_rows` x0 rows, the gradient
+    blocks 1 .. dim-1 and the grid fields [u, d, grad d] of `_ifftn_chunks`
+    and the products, dim(dim+1)/2 + 3 grid components."""
+    dim, rows = grid.dim, _chunk_rows(grid)
+    return (_batch(grid),
+            np.empty((3 * (dim - 1), rows) + grid.spec_shape[1:],
+                     np.complex128),
+            np.empty((4 * dim + 3, rows) + grid.shape[1:]),
+            np.empty((len(_PAIRS[dim]) + 3, rows) + grid.shape[1:]))
+
+
+def _chunks(grid: Grid, work: tuple, target: np.ndarray):
+    """The stage's transforms, chunk by chunk of x0 rows, in `work`, a
+    `_workspace`: yields (rows, u, d, grad d, out) per chunk, grad d[i, m]
+    = d d_m / d x_i, from the inverse of the batch's [u, d] with the
+    shared gradient (`_ifftn_chunks`).  The caller fills `out`, the chunk's
+    products, as many grid components as `target`, components of the
+    batch; before the next chunk they are forward-transformed, dealiased,
+    into the chunk's rows of `target`, and after the last one `target` gets
+    the pass along axis 0.  The batch's inputs are consumed."""
+    batch, blocks, fields, products = work
+    dim, cutoff = grid.dim, grid.dealias_cutoff
+    for rows, phys in _ifftn_chunks(grid, batch, products.shape[1], 3,
+                                    (blocks, fields)):
+        out = products[:len(target), :rows.stop - rows.start]
+        yield (rows, phys[:dim], phys[dim:dim + 3],
+               phys[dim + 3:].reshape((dim, 3) + phys.shape[1:]), out)
+        _fftn_rows(grid, out, cutoff, target[:, rows])
+    _forward_pass(grid, target, 0, cutoff)
 
 
 def _products(grid: Grid, u: np.ndarray, d: np.ndarray, grad_d: np.ndarray,
-              out: np.ndarray | None = None) -> tuple:
-    """(sigma over `_PAIRS`, |grad d|^2 d - (u.grad)d) on the grid, as views
-    of `out`, dim(dim+1)/2 + 3 grid components (fresh by default).
+              sigma, n_d: np.ndarray | None = None) -> None:
+    """sigma on the grid into `sigma`, one array per pair of `_PAIRS`, and
+    |grad d|^2 d - (u.grad)d into `n_d` if it is given.
 
     The advection term (u.grad)d is written into `d`, which is spent once
-    |grad d|^2 d is formed: a fresh 3-component array for it raised the
-    step's peak by 4 MB at 3-D 64^3.  So `d` holds garbage afterwards; a
-    caller whose fields outlive the call passes a copy of it."""
+    |grad d|^2 d is formed, so with `n_d` `d` holds garbage afterwards."""
     pairs = _PAIRS[grid.dim]
-    if out is None:
-        out = np.empty((len(pairs) + 3,) + grid.shape)
-    sigma, n_d = out[:len(pairs)], out[len(pairs):]
-    for p, (a, b) in enumerate(pairs):
-        np.einsum("m...,m...->...", grad_d[a], grad_d[b], out=sigma[p])
-    # |grad d|^2 is the trace of sigma so far
-    np.multiply(sum(sigma[p] for p, (a, b) in enumerate(pairs) if a == b), d,
-                out=n_d)
-    np.subtract(n_d, np.einsum("j...,jm...->m...", u, grad_d, out=d), out=n_d)
-    for p, (a, b) in enumerate(pairs):
-        sigma[p] += u[a] * u[b]
-    return sigma, n_d
+    for out, (a, b) in zip(sigma, pairs):
+        np.einsum("m...,m...->...", grad_d[a], grad_d[b], out=out)
+    if n_d is not None:
+        # |grad d|^2 is the trace of sigma so far
+        np.multiply(sum(out for out, (a, b) in zip(sigma, pairs) if a == b),
+                    d, out=n_d)
+        np.subtract(n_d, np.einsum("j...,jm...->m...", u, grad_d, out=d),
+                    out=n_d)
+    for out, (a, b) in zip(sigma, pairs):
+        out += u[a] * u[b]
+
+
+def _stage(grid: Grid, u_spec: np.ndarray, d_spec: np.ndarray,
+           work: tuple, maxima: bool = False) -> dict:
+    """The stage's tendency (N_u, N_d), dealiased, into the first dim + 3
+    components of the batch of `work` (a `_workspace`), from (u_spec,
+    d_spec), copied into them first (no copy at all when they are those
+    components).
+
+    With `maxima`, also |grad d|^2 on the grid ("grad_sq"), max|u| and
+    max|grad d|, folded chunk by chunk; otherwise an empty dict."""
+    dim, pairs, ik = grid.dim, _PAIRS[grid.dim], grid.ik_deriv
+    first, index = _SLOTS[dim]
+    batch = work[0]
+    batch[:dim] = u_spec
+    batch[dim:dim + 3] = d_spec
+    products = batch[first:2 * dim + 3]
+    grad_sq, u_sq = (np.empty(grid.shape), []) if maxima else (None, None)
+    for rows, u, d, grad_d, out in _chunks(grid, work, products):
+        if maxima:
+            u_sq.append(np.max(np.einsum("i...,i...->...", u, u)))
+            np.einsum("im...,im...->...", grad_d, grad_d, out=grad_sq[rows])
+        _products(grid, u, d, grad_d, [out[p] for p in index],
+                  out[dim - first:dim + 3 - first])
+    # the force -div sigma, component a formed over sigma_0a: its term
+    # b = 0 first, as 0 - ik_0 sigma_0a, then b = 1 .. dim-1
+    sigma = {pair: products[p] for pair, p in zip(pairs, index)}
+    force = batch[dim + 3:2 * dim + 3]
+    for a in range(dim):
+        np.multiply(ik[0], force[a], out=force[a])
+        np.subtract(0.0, force[a], out=force[a])
+        for b in range(1, dim):
+            force[a] -= ik[b] * sigma[min(a, b), max(a, b)]
+    project_spec(grid, force, out=batch[:dim])
+    if not maxima:
+        return {}
+    return dict(grad_sq=grad_sq, u_max=math.sqrt(np.max(u_sq)),
+                grad_d_max=math.sqrt(np.max(grad_sq)))
 
 
 def _pass(s: FluidState) -> dict:
-    """The state's one transform pass, memoized on it: `_grid_fields` of its
-    spectra ("fields"; d enters from its spectrum, as in every stage) with
-    the batch they are views of ("batch"), |grad d|^2, max|u| and
-    max|grad d|.  The next step clears it and takes over the batch."""
-    if "fields" not in s._memo:
-        batch = _batch(s.grid)
-        u, d, grad_d = _grid_fields(s.grid, s.u.spec, s.d.spec, batch)
-        grad_sq = np.einsum("im...,im...->...", grad_d, grad_d)
-        s._memo.update(
-            batch=batch, fields=(u, d, grad_d), grad_sq=grad_sq,
-            u_max=math.sqrt(np.max(np.einsum("i...,i...->...", u, u))),
-            grad_d_max=math.sqrt(np.max(grad_sq)))
+    """The state's one transform pass, memoized on it: the first stage in
+    its `_workspace` ("stage"), the tendency in the batch, with
+    |grad d|^2, max|u| and max|grad d| (`_stage`'s maxima).  The next step
+    clears it and takes over the workspace."""
+    if "stage" not in s._memo:
+        work = _workspace(s.grid)
+        # a state's values are judged by the pass's readers: the run's start
+        # check reads the maxima, the step the finiteness of what it builds
+        # from the tendency, so overflow in the products is no warning here
+        with np.errstate(over="ignore", invalid="ignore"):
+            maxima = _stage(s.grid, s.u.spec, s.d.spec, work, maxima=True)
+        s._memo.update(stage=work, **maxima)
     return s._memo
 
 
 def _nonlinear(grid: Grid, u_spec: np.ndarray, d_spec: np.ndarray,
                work: tuple | None = None) -> tuple:
-    """Explicitly-treated tendencies (N_u_hat, N_d_hat), dealiased.
-
-    `work` is (batch, products), the buffers of `_grid_fields` and
-    `_products`, in which the stage runs; by default a fresh `_batch` and
-    products.  N_u and N_d are returned as views of the batch
-    (`_tendencies`), so the stage needs no spectral array of its own."""
-    batch, products = (_batch(grid), None) if work is None else work
-    fields = _grid_fields(grid, u_spec, d_spec, batch)
-    return _tendencies(grid, *_products(grid, *fields, out=products), batch)
-
-
-def _tendencies(grid: Grid, sigma: np.ndarray, n_d: np.ndarray,
-                out: np.ndarray) -> tuple:
-    """The grid products transformed, dealiased and N_u projected.
-
-    `out`, a `_batch` whose grid fields are spent, is laid out as [N_u,
-    N_d, the force, sigma's spectrum]: N_d is transformed first, the force
-    -div sigma is formed one term at a time from sigma's spectrum and
-    projected into N_u, so no spectral array is allocated."""
-    pairs, ik, dim = _PAIRS[grid.dim], grid.ik_deriv, grid.dim
-    end = 2 * dim + 3  # of N_u, N_d and the force
-    n_d = _fftn(grid, n_d, grid.dealias_cutoff, out=out[dim:dim + 3])
-    force, spec = out[dim + 3:end], out[end:end + len(pairs)]
-    _fftn(grid, sigma, grid.dealias_cutoff, out=spec)
-    force[...] = 0.0
-    for p, (a, b) in enumerate(pairs):
-        force[a] -= ik[b] * spec[p]
-        if a != b:
-            force[b] -= ik[a] * spec[p]
-    return project_spec(grid, force, out=out[:dim]), n_d
+    """Explicitly-treated tendencies (N_u_hat, N_d_hat), dealiased, as
+    views of the batch of `work` (`_stage`), a fresh `_workspace` by
+    default."""
+    work = _workspace(grid) if work is None else work
+    _stage(grid, u_spec, d_spec, work)
+    return work[0][:grid.dim], work[0][grid.dim:grid.dim + 3]
 
 
 @lru_cache(maxsize=4)
@@ -267,25 +329,19 @@ def _stages(s: FluidState, params: PhysicsParams, dt: float,
     """The spectra (u, d) of y1 from the stages of `tableau`, u projected
     to keep div u at roundoff against drift.
 
-    Every stage runs inside the pass's batch and one products buffer
-    (module docstring), which die when this returns; y1 is formed in the
-    running sum's arrays."""
+    Every stage runs inside the pass's workspace (module docstring), which
+    dies when this returns; y1 is formed in the running sum's arrays."""
     grid, dim = s.grid, s.grid.dim
     c, a, b = tableau
     y0 = (s.u.spec, s.d.spec)
-    # stage 1 forms its products from the state's pass, spending its d, and
-    # the step takes over the pass's batch: one batch serves both
-    memo = _pass(s)
-    products = np.empty((len(_PAIRS[dim]) + 3,) + grid.shape)
-    sigma, n_d = _products(grid, *memo["fields"], out=products)
-    batch = memo["batch"]
+    # stage 1 is the state's pass, and the step takes over its workspace
+    work = _pass(s)["stage"]
+    batch = work[0]
     s._memo.clear()
-    k = _tendencies(grid, sigma, n_d, out=batch)
+    k = stage = (batch[:dim], batch[dim:dim + 3])
     total = (np.empty_like(y0[0]), np.empty_like(y0[1]))
-    # k sits where `_grid_fields` reads u and d, so each stage input is
-    # formed over it; the sum terms and E y0 go into the spent force and
-    # stress spectrum after it
-    stage = (batch[:dim], batch[dim:dim + 3])
+    # k sits where a stage reads u and d, so each stage input is formed
+    # over it; the sum terms and E y0 go into the spare slots after it
     spare = batch[dim + 3:dim + 6]
     # the step's factors E(theta), E(0) = 1 being skipped
     thetas = {1.0, *c[1:], *(1.0 - x for x in c),
@@ -294,7 +350,7 @@ def _stages(s: FluidState, params: PhysicsParams, dt: float,
                for rate in (params.nu * dt, dt)]
     for i in range(len(b)):
         if i:
-            k = _nonlinear(grid, *stage, (batch, products))
+            k = _nonlinear(grid, *stage, work)
         for f, e in enumerate(factors):
             free = spare[:len(y0[f])]
             # k's term of the sum first, as the next stage's input is
@@ -338,16 +394,21 @@ def recover_pressure(s: FluidState) -> Field:
     lap p = -div(u . grad u + lap d . grad d); zero-mean output.
 
     p_hat = -k_a k_b sigma'_ab_hat / |k|^2, the double divergence of the
-    stress sigma' = sigma - |grad d|^2 I / 2 formed from the state's pass,
-    so a memoized pass needs no inverse transform.  Diagnostic only: time
-    stepping eliminates the pressure by projection."""
-    grid, memo = s.grid, _pass(s)
-    pairs, k = _PAIRS[grid.dim], grid.k_deriv
-    u, d, grad_d = memo["fields"]
-    sigma, _ = _products(grid, u, d.copy(), grad_d)  # the pass outlives it
-    sigma[[p for p, (a, b) in enumerate(pairs) if a == b]] -= \
-        0.5 * memo["grad_sq"]
-    spec = _fftn(grid, sigma, grid.dealias_cutoff)
+    stress sigma' = sigma - |grad d|^2 I / 2, formed chunk by chunk as in a
+    stage (`_chunks`) without N_d.  Diagnostic only: time stepping
+    eliminates the pressure by projection."""
+    grid = s.grid
+    pairs, k, dim = _PAIRS[grid.dim], grid.k_deriv, grid.dim
+    diagonal = [p for p, (a, b) in enumerate(pairs) if a == b]
+    work = _workspace(grid)
+    batch = work[0]
+    batch[:dim] = s.u.spec
+    batch[dim:dim + 3] = s.d.spec
+    spec = batch[:len(pairs)]
+    for _, u, d, grad_d, sigma in _chunks(grid, work, spec):
+        _products(grid, u, d, grad_d, sigma)
+        # |grad d|^2 summed as the pass sums it
+        sigma[diagonal] -= 0.5 * np.einsum("im...,im...->...", grad_d, grad_d)
     # each off-diagonal pair stands for itself and its transpose
     div2 = sum((1.0 if a == b else 2.0) * k[a] * k[b] * spec[p]
                for p, (a, b) in enumerate(pairs))

@@ -23,10 +23,17 @@ spectrum's buffer and needs one component of scratch beyond it.
 - band-limited inverse: a spectrum declared band-limited (zero-padded to
   the 2x grid, random data drawn in a band) skips the lines that are all
   zero, bit-identically, since ifft(0) = 0;
-- shared gradient: the inverse forms d f / dx_j from f's partly
+- chunks: after the inverse's pass along axis 0, and before the
+  forward's, every x0 row is independent.  `_ifftn_chunks` runs the rest
+  of an inverse one chunk of rows at a time in chunk-sized buffers, and
+  `_fftn_rows` and `_forward_pass` split the forward the same way, so a
+  caller forms pointwise products chunk by chunk and never holds the whole
+  grid.  Every 1-D line sees the same data whatever the chunk height, so
+  the values do not depend on it;
+- shared gradient: the chunked inverse forms d f / dx_j from f's partly
   transformed spectrum just before the pass along axis j, so the gradient
-  of the state's pass and of every stage skips the passes along the axes
-  before j (agreeing with a separate batch to roundoff, not bit for bit).
+  of every nonlinear stage skips the passes along the axes before j
+  (agreeing with a separate batch to roundoff, not bit for bit).
 
 Normalization convention: the forward transform divides by the number of
 grid points, so the mode-0 coefficient equals the field mean.  Under this
@@ -229,31 +236,58 @@ def _fftn(grid: Grid, phys: np.ndarray, cutoff: int | None = None,
     band-limited to the modes with |k_j| <= `cutoff` on every axis (all of
     them by default); the others are 0.
 
-    numpy's rfftn sequence of 1-D passes, into `out` (a C-contiguous
-    complex128 array of the spectrum's shape, fresh by default): `rfft`
-    along the last axis, then `fft` along each leading axis, last to first,
-    in place.  A leading-axis pass transforms only the lines inside the
-    band on the axes already transformed, so each kept mode is bit-identical
-    to `rfftn(phys) * mask`.
+    numpy's rfftn sequence of 1-D passes, into `out` (a complex128 array of
+    the spectrum's shape, fresh by default): `rfft` along the last axis,
+    then `fft` along each leading axis, last to first, in place.  A
+    leading-axis pass transforms only the lines inside the band on the axes
+    already transformed, so each kept mode is bit-identical to
+    `rfftn(phys) * mask`.  `_fftn_rows` and the `_forward_pass` along
+    axis 0 are its two halves, for a caller that forms `phys` one chunk of
+    x0 rows at a time.
     """
-    dim, res = grid.dim, grid.res
-    cutoff = res // 2 if cutoff is None else cutoff
+    cutoff = grid.res // 2 if cutoff is None else cutoff
     if out is None:
-        out = np.empty(phys.shape[:-dim] + grid.spec_shape, np.complex128)
-    np.fft.rfft(phys, axis=-1, norm="forward", out=out)
-    out[..., cutoff + 1:] = 0.0
-    for axis in range(dim - 2, -1, -1):
-        for line in _lines(grid, axis, cutoff):
-            view = out[line]
-            np.fft.fft(view, axis=axis - dim, norm="forward", out=view)
-        if 2 * cutoff + 1 < res:
-            out[(Ellipsis, slice(cutoff + 1, res - cutoff))
-                + (slice(None),) * (dim - 1 - axis)] = 0.0
+        out = np.empty(phys.shape[:-grid.dim] + grid.spec_shape, np.complex128)
+    _fftn_rows(grid, phys, cutoff, out)
+    _forward_pass(grid, out, 0, cutoff)
     return out
 
 
-def _ifftn(grid: Grid, spec: np.ndarray, cutoff: int | None = None,
-           grad: int = 0) -> np.ndarray:
+def _fftn_rows(grid: Grid, phys: np.ndarray, cutoff: int,
+               out: np.ndarray) -> None:
+    """Every pass of `_fftn` but the one along axis 0, into `out`: each x0
+    row is transformed on its own, so `phys` and `out` may be a chunk of
+    rows (ncomp, rows, *shape[1:]) and its place in the spectrum."""
+    np.fft.rfft(phys, axis=-1, norm="forward", out=out)
+    out[..., cutoff + 1:] = 0.0
+    for axis in range(grid.dim - 2, 0, -1):
+        _forward_pass(grid, out, axis, cutoff)
+
+
+def _forward_pass(grid: Grid, spec: np.ndarray, axis: int,
+                  cutoff: int) -> None:
+    """`fft` along spatial `axis`, in place, on the lines inside the band;
+    then the modes outside the band along `axis` are set to 0."""
+    dim, res = grid.dim, grid.res
+    for line in _lines(grid, axis, cutoff):
+        view = spec[line]
+        np.fft.fft(view, axis=axis - dim, norm="forward", out=view)
+    if 2 * cutoff + 1 < res:
+        spec[(Ellipsis, slice(cutoff + 1, res - cutoff))
+             + (slice(None),) * (dim - 1 - axis)] = 0.0
+
+
+def _inverse_pass(grid: Grid, spec: np.ndarray, axis: int,
+                  cutoff: int) -> None:
+    """`ifft` along leading spatial `axis`, in place, on the lines that
+    cross the band |k_j| <= cutoff."""
+    for line in _lines(grid, axis, cutoff):
+        view = spec[line]
+        np.fft.ifft(view, axis=axis - grid.dim, norm="forward", out=view)
+
+
+def _ifftn(grid: Grid, spec: np.ndarray,
+           cutoff: int | None = None) -> np.ndarray:
     """Inverse of `_fftn`: a half spectrum back to real physical values.
 
     numpy's irfftn sequence of 1-D passes, done in place: each leading
@@ -274,28 +308,12 @@ def _ifftn(grid: Grid, spec: np.ndarray, cutoff: int | None = None,
     `cutoff` declares `spec` band-limited to |k_j| <= cutoff on every axis:
     the lines that cross no mode of the band are all zero, so the leading
     passes skip them (ifft(0) = 0, so the values are unchanged).
-
-    With `grad` = n > 0, the last dim * n components of `spec` are outputs:
-    block j (n components) receives d/dx_j of the n components before the
-    blocks.  Block j is formed as ik_j times those components just before
-    the pass along axis j, when the passes along the earlier axes are
-    already done on them, and joins the batch from there on; the input of
-    the blocks is never read.
     """
     dim = grid.dim
     cutoff = grid.res // 2 if cutoff is None else cutoff
     spec = np.ascontiguousarray(spec)
-    stop = spec.shape[0] - dim * grad  # components transformed from the start
-    source = spec[stop - grad:stop]
-    for axis in range(dim):
-        if grad:  # block `axis` joins the batch before the pass along it
-            np.multiply(grid.ik_deriv[axis], source,
-                        out=spec[stop:stop + grad])
-            stop += grad
-        if axis < dim - 1:
-            for line in _lines(grid, axis, cutoff):
-                view = spec[:stop][line]
-                np.fft.ifft(view, axis=axis - dim, norm="forward", out=view)
+    for axis in range(dim - 1):
+        _inverse_pass(grid, spec, axis, cutoff)
     comps = spec.reshape((-1,) + grid.spec_shape)
     phys = spec.reshape(-1).view(np.float64)[:comps.shape[0] * grid.res**dim]
     phys = phys.reshape((-1,) + grid.shape)
@@ -304,6 +322,59 @@ def _ifftn(grid: Grid, spec: np.ndarray, cutoff: int | None = None,
         np.copyto(scratch, comp)
         np.fft.irfft(scratch, n=grid.res, axis=-1, norm="forward", out=out)
     return phys.reshape(spec.shape[:-dim] + grid.shape)
+
+
+def _ifftn_chunks(grid: Grid, spec: np.ndarray, rows: int, grad: int = 0,
+                  work: tuple | None = None):
+    """Inverse of `_fftn` one chunk of `rows` x0 rows at a time, with the
+    shared gradient: yields (chunk, phys), `chunk` a slice of axis 0 and
+    `phys` the grid values of its rows, (ncomp + (dim-1) grad, rows in the
+    chunk, *shape[1:]), in a buffer that the next chunk reuses.  `work` is
+    (blocks, buffer), the chunk's buffers of the gradient blocks 1 .. dim-1
+    (complex) and of `phys`, at least `rows` rows each; fresh by default.
+
+    The pass along axis 0 runs once, in place in `spec` (ncomp complex128
+    components, consumed like `_ifftn`'s argument).  After it every x0 row
+    is independent, so the other passes and the `irfft` run one chunk at a
+    time, in `spec`'s rows and in chunk-sized buffers.  Once a chunk is
+    yielded its rows of `spec` are free: the caller may write over them.
+
+    With `grad` = n > 0 the last n components of `spec` are outputs (their
+    input is never read) and the n before them are the source f.  Block j,
+    d f / dx_j, is formed as ik_j times f's partly transformed spectrum
+    just before the pass along axis j, so it skips the passes along the
+    axes before j: block 0 in `spec`'s last n components, the others per
+    chunk.  `phys` holds `spec`'s components and then blocks 1 .. dim-1, so
+    the blocks 0 .. dim-1 are contiguous at its end.
+    """
+    dim, res, full = grid.dim, grid.res, grid.res // 2
+    ncomp = spec.shape[0]
+    source = slice(ncomp - 2 * grad, ncomp - grad)
+    if grad:
+        np.multiply(grid.ik_deriv[0], spec[source], out=spec[ncomp - grad:])
+    _inverse_pass(grid, spec, 0, full)
+    if work is None:
+        work = (np.empty(((dim - 1) * grad, rows) + grid.spec_shape[1:],
+                         np.complex128),
+                np.empty((ncomp + (dim - 1) * grad, rows) + grid.shape[1:]))
+    blocks, buffer = work
+    for start in range(0, res, rows):
+        chunk = slice(start, min(start + rows, res))
+        part, n = spec[:, chunk], chunk.stop - start
+        for axis in range(1, dim):
+            if grad:  # block `axis` joins the chunk before the pass along it
+                np.multiply(grid.ik_deriv[axis], part[source],
+                            out=blocks[(axis - 1) * grad:axis * grad, :n])
+            if axis < dim - 1:
+                _inverse_pass(grid, part, axis, full)
+                if grad:
+                    _inverse_pass(grid, blocks[:axis * grad, :n], axis, full)
+        phys = buffer[:, :n]
+        np.fft.irfft(part, n=res, axis=-1, norm="forward", out=phys[:ncomp])
+        if grad:
+            np.fft.irfft(blocks[:, :n], n=res, axis=-1, norm="forward",
+                         out=phys[ncomp:])
+        yield chunk, phys
 
 
 def _coerce(data, dtype, shape: tuple) -> np.ndarray:

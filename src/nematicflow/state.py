@@ -5,9 +5,10 @@ sphere), including for 2-D flows.  Invariants after construction through
 the public entry points: the velocity is divergence-free and the director
 is unit length at every grid point.  Both fields live on the state's grid.
 
-A state carries a memo of its grid values (`dynamics._pass`) and of the
-maxima the monitors read, filled by the first consumer and emptied by the
-step that advances it.
+A state carries a memo, filled by its first consumer and emptied by the
+step that advances it: its first nonlinear stage (`dynamics._pass`: the
+tendency, |grad d|^2 on the grid, max|u| and max|grad d|) and the curl and
+oversampled maxima the monitors read.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import nematicflow
+from nematicflow import dynamics
 from nematicflow.diagnostics import (blowup_integrand, constraint_residual,
                                      measure)
 from nematicflow.dynamics import (_TABLEAUS, StepPolicy, _decay, _nonlinear,
@@ -220,15 +221,40 @@ def test_tableau_row_sums_and_order_conditions(integrator, order):
         assert abs(got - want) <= 4 * np.finfo(float).eps
 
 
+@pytest.mark.parametrize("integrator", ["IF-RK2", "IF-RK4"])
+@pytest.mark.parametrize("dim, res", [(2, 32), (3, 16)])
+def test_stage_does_not_depend_on_the_chunk_height(monkeypatch, dim, res,
+                                                   integrator):
+    # one x0 row per chunk, 3 rows (the last chunk short) and the whole
+    # grid: the step, the pass's maxima and the pressure are bit-identical,
+    # as every 1-D line and every grid point sees the same data
+    grid, params = Grid(dim, res), PhysicsParams(nu=0.7)
+    row = (4 * dim + 3) * 8 * res ** (dim - 1)
+    results = []
+    for rows in (1, 3, res):
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "_CHUNK_BYTES", rows * row)
+            assert dynamics._chunk_rows(grid) == rows
+            s = random_smooth(grid, seed=3)
+            memo = dynamics._pass(s)
+            maxima = (memo["grad_sq"], memo["u_max"], memo["grad_d_max"])
+            pressure = recover_pressure(s).spec
+            out = step(s, params, 0.01, integrator=integrator)
+            results.append((out.u.spec, out.d.phys, pressure) + maxima)
+    for result in results[1:]:
+        for got, expected in zip(result, results[0]):
+            assert np.array_equal(got, expected)
+
+
 @pytest.mark.parametrize("dim, res", [(2, 32), (3, 16)])
 def test_nonlinear_on_step_buffers_matches_fresh_arrays(dim, res):
     # the stage input sits in the batch's u and d slots, as in `step`
     grid = Grid(dim, res)
     s = random_smooth(grid, seed=5)
-    batch = np.empty((4 * dim + 3,) + grid.spec_shape, complex)
-    products = np.empty((dim * (dim + 1) // 2 + 3,) + grid.shape)
+    work = dynamics._workspace(grid)
+    batch = work[0]
     batch[:dim], batch[dim:dim + 3] = s.u.spec, s.d.spec
-    k = _nonlinear(grid, batch[:dim], batch[dim:dim + 3], (batch, products))
+    k = _nonlinear(grid, batch[:dim], batch[dim:dim + 3], work)
     fresh = _nonlinear(grid, s.u.spec, s.d.spec)
     for view, expected in zip(k, fresh):
         assert np.shares_memory(view, batch)
@@ -240,11 +266,12 @@ class TestStep:
     @pytest.mark.parametrize("dim, res", [(2, 32), (3, 16)])
     def test_runs_in_the_pass_batch(self, dim, res, integrator):
         # after a warm-up step and a record, the step takes over the pass's
-        # batch, so its peak above live memory is the products (dim(dim+1)/2
-        # + 3 grid components) and the running sum (dim + 3 spectral ones);
-        # 2 spectral and 3 grid components more cover the inverse
-        # transform's scratch, a force term, numpy's ufunc buffers and the
-        # Python objects
+        # workspace, its batch and chunk buffers, so its peak above live
+        # memory is the running sum (dim + 3 spectral components), within
+        # the products (dim(dim+1)/2 + 3 grid components) the unchunked
+        # stage allocated; 2 spectral and 3 grid components more cover the
+        # inverse transform's scratch, a force term, numpy's ufunc buffers
+        # and the Python objects
         grid, params = Grid(dim, res), PhysicsParams()
         s = step(random_smooth(grid, seed=4), params, 0.01,
                  integrator=integrator)
@@ -259,6 +286,28 @@ class TestStep:
         spectral = (grid.res // 2 + 1) / (grid.res // 2)  # grid components
         budget = (dim + 5) * spectral + dim * (dim + 1) // 2 + 3 + 3
         assert peak / (8 * res**dim) <= budget
+
+    def test_peak_stays_below_the_sum_and_one_products_buffer(self):
+        # the stage runs chunk by chunk of x0 rows in the workspace of the
+        # state's pass, so a step on a memoized state builds no full-grid
+        # products buffer: its peak above live memory stays below the
+        # running sum (dim + 3 spectral components) plus one such buffer
+        # (dim(dim+1)/2 + 3 grid components)
+        dim, res = 3, 32
+        grid, params = Grid(dim, res), PhysicsParams()
+        s = step(random_smooth(grid, seed=4), params, 0.01,
+                 integrator="IF-RK2")
+        blowup_integrand(s)  # memoizes the pass
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            step(s, params, 0.01, integrator="IF-RK2")
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        running_sum = (dim + 3) * 16 * math.prod(grid.spec_shape)
+        products = (dim * (dim + 1) // 2 + 3) * 8 * res**dim
+        assert peak < running_sum + products
 
     @pytest.mark.parametrize("nu", [1.0, 0.3])
     @pytest.mark.parametrize("integrator", ["IF-RK2", "IF-RK4"])
@@ -416,9 +465,10 @@ class TestDecayCache:
         assert (info.misses, info.hits) == expected
 
 
-# the stage's layout and the functions that write it, which `dynamics` owns
-_STAGE_NAMES = {"_PAIRS", "_batch", "_grid_fields", "_products",
-                "_tendencies"}
+# the stage's layout, its chunks and the functions that write them, which
+# `dynamics` owns
+_STAGE_NAMES = {"_PAIRS", "_SLOTS", "_CHUNK_BYTES", "_batch", "_chunk_rows",
+                "_workspace", "_chunks", "_products", "_stage"}
 
 
 def _stage_uses(source):
@@ -467,7 +517,7 @@ def test_stage_guards_detect_each_form():
     assert _stage_uses("def _batch(grid):\n    pass\n") == [1]
     assert _stage_uses("_PAIRS = {}\n") == [1]
     assert _stage_uses("from .dynamics import step, _products\n") == [1]
-    assert _stage_uses("from . import dynamics\ndynamics._tendencies(g)\n") \
+    assert _stage_uses("from . import dynamics\ndynamics._chunks(g)\n") \
         == [2]
     assert _stage_uses("batch = make(grid)\nstep(s, '_batch')\n") == []
     assert _package_imports(

@@ -2,6 +2,7 @@
 monitor maxima, the CFL speed and the record all read one evaluation."""
 
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,32 +36,41 @@ def transforms(monkeypatch):
 
     # both transforms are sequences of 1-D passes: the forward an `rfft`
     # along the last axis, then `fft` passes from axis -2 down to -dim; the
-    # inverse `ifft` passes from axis -dim up to -2, then one `irfft` per
-    # component.  A batch is logged once, at its `rfft` or its first
-    # `irfft`, with the spatial rank its deepest pass reaches: a forward
-    # entry is completed by the `fft` passes that follow it, an inverse
-    # entry sums the components of the `irfft` calls that follow it.
+    # inverse `ifft` passes from axis -dim up to -2, then `irfft` calls
+    # along the last axis, one per component or one per chunk of x0 rows.
+    # Every transformed array has one component axis.  An entry counts
+    # whole arrays: a batch's elements over those of one of its arrays, so
+    # the chunks of a chunked batch sum to it.  A forward entry opens at an
+    # `rfft`, takes the `rfft` calls of the chunks that follow and closes
+    # at the batch's pass along x0, axis -(ndim - 1).  An inverse entry
+    # opens at the first `irfft` after an `ifft` along axis -rank or
+    # deeper, rank the deepest pass of the open entry, and sums the
+    # `irfft` calls up to the next such `ifft`; a chunk's `ifft` along a
+    # later axis does not close it.
     fft, ifft, rfft, irfft = np.fft.fft, np.fft.ifft, np.fft.rfft, np.fft.irfft
-    forward = [None]  # (log index, phase, rfft input shape) of the open batch
+    forward = [None]  # (log index, elements, res) of the open batch
     inverse = [None]  # (log index, rank) of the open batch
     depth = [0]  # the rank of the `ifft` passes since the last batch
 
-    def arrays(shape, dim):
-        return int(np.prod(shape[:len(shape) - dim]))
-
     def counting_rfft(a, *args, **kwargs):
-        forward[0] = (len(log), phase[0], a.shape)
-        log.append(None)
+        if forward[0] is None:
+            forward[0] = (len(log), 0, a.shape[-1])
+            log.append((phase[0], "forward", 0, a.shape[-1]))
+        index, size, res = forward[0]
+        forward[0] = (index, size + a.size, res)
         return rfft(a, *args, **kwargs)
 
     def counting_fft(a, *args, **kwargs):
-        index, name, shape = forward[0]
-        log[index] = (name, "forward", arrays(shape, -kwargs["axis"]),
-                      shape[-1])
+        if forward[0] is not None and -kwargs["axis"] == a.ndim - 1:
+            index, size, res = forward[0]
+            name, kind, _, _ = log[index]
+            log[index] = (name, kind, Fraction(size, res ** (a.ndim - 1)), res)
+            forward[0] = None
         return fft(a, *args, **kwargs)
 
     def counting_ifft(a, *args, **kwargs):
-        inverse[0] = None
+        if inverse[0] is None or -kwargs["axis"] >= inverse[0][1]:
+            inverse[0] = None
         depth[0] = max(depth[0], -kwargs["axis"])
         return ifft(a, *args, **kwargs)
 
@@ -68,9 +78,10 @@ def transforms(monkeypatch):
         if inverse[0] is None:
             inverse[0], depth[0] = (len(log), depth[0]), 0
             log.append((phase[0], "inverse", 0, kwargs["n"]))
-        index, dim = inverse[0]
+        index, rank = inverse[0]
         name, kind, n, res = log[index]
-        log[index] = (name, kind, n + arrays(a.shape, dim), res)
+        array = res ** (rank - 1) * (res // 2 + 1)
+        log[index] = (name, kind, n + Fraction(a.size, array), res)
         return irfft(a, *args, **kwargs)
 
     def in_phase(fn, name):
@@ -99,7 +110,7 @@ def test_step_on_memoized_state_is_bit_identical(dim, integrator):
     s = random_smooth(GRIDS[dim], seed=4)
     measure(s, blowup_integrand(s), 0.0)
     out = step(s, PhysicsParams(), 0.01, integrator=integrator)
-    assert "fields" not in s._memo  # the step released the pass's arrays
+    assert "stage" not in s._memo  # the step took the pass's workspace
     fresh = step(replace(s), PhysicsParams(), 0.01, integrator=integrator)
     assert np.array_equal(out.u.spec, fresh.u.spec)
     assert np.array_equal(out.d.phys, fresh.d.phys)
@@ -112,10 +123,11 @@ def test_nonlinear_stage_transforms_its_budget(transforms, dim, arrays):
     transforms.clear()
     _nonlinear(s.grid, u_spec, d_spec)
     # inverse [u, d, grad d]; forward the dim(dim+1)/2 stress components
-    # and the 3 director products
+    # and the 3 director products as one batch; each summed over the
+    # stage's chunks of x0 rows
     stress = dim * (dim + 1) // 2
     assert [(kind, n) for _, kind, n, _ in transforms] == [
-        ("inverse", 4 * dim + 3), ("forward", 3), ("forward", stress)]
+        ("inverse", 4 * dim + 3), ("forward", stress + 3)]
     assert sum(n for _, _, n, _ in transforms) == arrays
 
 
@@ -125,9 +137,11 @@ def test_pressure_reads_a_memoized_pass(transforms, dim):
     blowup_integrand(s)  # memoizes the pass
     transforms.clear()
     recover_pressure(s)
-    # only the forward transform of the dim(dim+1)/2 stress components
+    # the pass keeps the tendency, not sigma, so the pressure runs a stage
+    # of its own without N_d: inverse [u, d, grad d], forward the
+    # dim(dim+1)/2 stress components
     assert [(kind, n) for _, kind, n, _ in transforms] == \
-        [("forward", dim * (dim + 1) // 2)]
+        [("inverse", 4 * dim + 3), ("forward", dim * (dim + 1) // 2)]
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -141,9 +155,11 @@ def test_random_smooth_transforms_its_budget(transforms, dim):
         ("inverse", 3)]
     transforms.clear()
     _pass(s)
-    # u keeps its spectrum, so the pass forward-transforms d only
+    # u keeps its spectrum, so the pass forward-transforms d, and then runs
+    # the first stage
     assert [(kind, n) for _, kind, n, _ in transforms] == [
-        ("forward", 3), ("inverse", 4 * dim + 3)]
+        ("forward", 3), ("inverse", 4 * dim + 3),
+        ("forward", dim * (dim + 1) // 2 + 3)]
 
 
 def _batches(transforms, phase, kind, res=16):
@@ -165,17 +181,19 @@ def test_fixed_dt_run_transforms_each_state_once(tmp_path, transforms):
     assert all(r == 16 for _, _, _, r in transforms)
     assert batches("suggest_dt", "inverse") == []
     assert batches("suggest_dt", "forward") == []
-    # the 2-D monitor reads the pass of each of the 5 states, [u, d, grad d],
-    # no batch of its own
+    # the 2-D monitor reads the pass of each of the 5 states, the first
+    # stage's [u, d, grad d] and products, no batch of its own; each state
+    # holds d on the grid, so the pass forward-transforms it first
     assert batches("blowup_integrand", "inverse") == [11] * 5
+    assert batches("blowup_integrand", "forward") == [3] * 5 + [6] * 5
     # each record adds the cubic term's forward transform, lap d (the
     # tension is summed by Parseval) and the 2-D omega for max|omega|
     assert batches("measure", "forward") == [3] * 3
     assert batches("measure", "inverse") == [1] * 3 + [3] * 3
     # stages 2-4 and the renormalized director; stage 1 is the pass
     assert batches("step", "inverse") == sorted([11] * 3 * 4 + [3] * 4)
-    # each stage: the 3 stress components and the 3 director products
-    assert batches("step", "forward") == [3] * 2 * 4 * 4
+    # stages 2-4: the 3 stress components and the 3 director products
+    assert batches("step", "forward") == [6] * 3 * 4
 
 
 def test_adaptive_run_computes_the_pass_in_suggest_dt(tmp_path, transforms):

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 import nematicflow
-from nematicflow.dynamics import _batch, _grid_fields
-from nematicflow.spectral import (Field, Grid, _fftn, _ifftn, _lines, curl,
-                                  dealias, divergence, gradient, l2_norm,
-                                  laplacian, leray_project, linf_norm,
-                                  oversampled_phys, project_spec,
+from nematicflow.spectral import (Field, Grid, _fftn, _fftn_rows,
+                                  _forward_pass, _ifftn, _ifftn_chunks,
+                                  _lines, curl, dealias, divergence, gradient,
+                                  l2_norm, laplacian, leray_project,
+                                  linf_norm, oversampled_phys, project_spec,
                                   second_derivative)
 from nematicflow.scenarios import winding_director
 
@@ -52,6 +52,12 @@ def _allocating_ifftn(grid, spec, cutoff=None, grad=0):
                 view = spec[:stop][line]
                 view[...] = np.fft.ifft(view, axis=axis - dim, norm="forward")
     return np.fft.irfft(spec, n=grid.res, axis=-1, norm="forward")
+
+
+def _chunked_ifftn(grid, spec, grad, rows=3):
+    """The chunked inverse's grid values, its chunks joined along x0."""
+    return np.concatenate([phys.copy() for _, phys in
+                           _ifftn_chunks(grid, spec, rows, grad)], axis=1)
 
 
 def random_field(grid, ncomp=1, seed=0):
@@ -160,6 +166,23 @@ class TestTransforms:
         assert np.array_equal(buffer[2:5], _fftn(grid, phys, cutoff))
         assert np.isnan(buffer[[0, 1, 5, 6]]).all()
 
+    @pytest.mark.parametrize("cutoff", [None, 5])
+    @pytest.mark.parametrize("dim, res", [(2, 32), (3, 16)])
+    def test_forward_by_chunks_matches_fftn(self, dim, res, cutoff):
+        # the passes but the one along axis 0 chunk by chunk of 3 x0 rows
+        # (the last one short) into a batch's rows, then that pass
+        grid = Grid(dim, res)
+        phys = np.random.Generator(np.random.PCG64(4)).standard_normal(
+            (3,) + grid.shape)
+        band = res // 2 if cutoff is None else cutoff
+        buffer = np.full((5,) + grid.spec_shape, np.nan, complex)
+        for start in range(0, res, 3):
+            rows = slice(start, start + 3)
+            _fftn_rows(grid, phys[:, rows], band, buffer[1:4, rows])
+        _forward_pass(grid, buffer[1:4], 0, band)
+        assert np.array_equal(buffer[1:4], _fftn(grid, phys, cutoff))
+        assert np.isnan(buffer[[0, 4]]).all()
+
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     @pytest.mark.parametrize("ncomp", [1, 3, 15])
     @pytest.mark.parametrize("dim, res", [(2, 32), (3, 16)])
@@ -184,25 +207,39 @@ class TestTransforms:
     @pytest.mark.parametrize("grad", [0, 3])
     @pytest.mark.parametrize("dim, res", [(2, 64), (3, 16)])
     def test_inverse_writes_over_its_argument(self, dim, res, grad):
-        # the grid values live in the spectrum's own buffer; the call
-        # allocates one complex component of scratch beyond it, plus a few
-        # small Python objects and, for the broadcast ik_j multiply of the
-        # gradient blocks, numpy's ufunc buffer (bounded, not per component)
+        # the leading passes run inside the spectrum.  `_ifftn` (grad 0)
+        # writes the grid values over it too and allocates one complex
+        # component of scratch beyond it; the chunked inverse with 3
+        # gradient blocks allocates its buffers of one chunk (here one x0
+        # row) and, for the broadcast ik_j multiply of the blocks, numpy's
+        # ufunc buffer (bounded, not per component); both a few small
+        # Python objects
         grid = Grid(dim, res)
         rng = np.random.Generator(np.random.PCG64(grad))
-        ncomp = 5 + dim * grad
+        ncomp = 5 + grad
         spec = _fftn(grid, rng.standard_normal((ncomp,) + grid.shape))
-        _ifftn(grid, spec.copy(), grad=grad)  # fills the grid's tables
+        kept = spec.copy()
+        _chunked_ifftn(grid, spec.copy(), grad)  # fills the grid's tables
         tracemalloc.start()
         try:
-            phys = _ifftn(grid, spec, grad=grad)
+            if grad:
+                for _, phys in _ifftn_chunks(grid, spec, 1, grad):
+                    pass
+            else:
+                phys = _ifftn(grid, spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert phys.shape == (ncomp,) + grid.shape
-        assert np.shares_memory(phys, spec)
-        ufunc_buffer = np.getbufsize() * spec.itemsize if grad else 0
-        assert peak <= spec[0].nbytes + ufunc_buffer + 16 * 1024
+        assert not np.array_equal(spec, kept)
+        if grad:
+            chunk = (ncomp + (dim - 1) * grad) * res ** (dim - 1) * 8 \
+                + (dim - 1) * grad * spec[0, 0].nbytes
+            assert phys.shape == (ncomp + (dim - 1) * grad, 1) + grid.shape[1:]
+            assert peak <= chunk + np.getbufsize() * spec.itemsize + 16 * 1024
+        else:
+            assert phys.shape == (ncomp,) + grid.shape
+            assert np.shares_memory(phys, spec)
+            assert peak <= spec[0].nbytes + 16 * 1024
 
     @pytest.mark.parametrize("dim, res", [(2, 16), (2, 64), (3, 8), (3, 32)])
     def test_inverse_values_are_unchanged(self, dim, res):
@@ -217,7 +254,7 @@ class TestTransforms:
                                   _allocating_ifftn(grid, spec.copy(), cutoff))
         spec = np.zeros((4 * dim + 3,) + grid.spec_shape, complex)
         spec[:dim + 3] = white[:dim + 3]
-        assert np.array_equal(_ifftn(grid, spec.copy(), grad=3),
+        assert np.array_equal(_chunked_ifftn(grid, spec[:dim + 6].copy(), 3),
                               _allocating_ifftn(grid, spec, grad=3))
 
     @pytest.mark.parametrize("layout", ["C", "F", "reversed"])
@@ -265,10 +302,10 @@ class TestTransforms:
         separate = np.concatenate(
             [fields] + [ik * fields[-ngrad:] for ik in grid.ik_deriv])
         expected = _ifftn(grid, separate)
-        spec = np.empty(separate.shape, complex,
+        spec = np.empty((ncomp + ngrad,) + grid.spec_shape, complex,
                         order="F" if layout == "F" else "C")
         spec[:ncomp] = fields
-        shared = _ifftn(grid, spec, grad=ngrad)
+        shared = _chunked_ifftn(grid, spec, ngrad)
         assert np.max(np.abs(shared - expected)) <= \
             1e-12 * np.max(np.abs(expected))
         # the fields themselves take the same passes as before
@@ -278,13 +315,13 @@ class TestTransforms:
     def test_gradient_sharing_is_exact_on_winding_director(self, dim, res):
         grid = Grid(dim, res)
         s = winding_director(grid, k=2)
-        u, d, grad_d = _grid_fields(grid, s.u.spec, s.d.spec, _batch(grid))
+        spec = np.empty((dim + 6,) + grid.spec_shape, complex)
+        spec[:dim], spec[dim:dim + 3] = s.u.spec, s.d.spec
         separate = np.concatenate(
             [s.u.spec, s.d.spec]
             + [ik * s.d.spec for ik in grid.ik_deriv])
         expected = _ifftn(grid, separate)
-        assert np.array_equal(np.concatenate(
-            [u, d, grad_d.reshape((-1,) + grid.shape)]), expected)
+        assert np.array_equal(_chunked_ifftn(grid, spec, 3), expected)
 
     @pytest.mark.parametrize("dim, res", [(2, 32), (3, 16)])
     def test_phys_keeps_its_spectrum(self, dim, res):

@@ -11,7 +11,8 @@ from nematicflow.dynamics import recover_pressure
 from nematicflow.errors import DegenerateDirectorError
 from nematicflow.scenarios import (random_smooth, taylor_green,
                                    winding_director)
-from nematicflow.spectral import Field, Grid, dealias, gradient, leray_project
+from nematicflow.spectral import (Field, Grid, _ifftn_chunks, dealias,
+                                  gradient, leray_project)
 from nematicflow.state import FluidState, PhysicsParams, normalize_director
 
 
@@ -92,11 +93,36 @@ class TestNormalize:
             normalize_director(s)
 
 
+def _grid_fields(grid, u, d, rows=3):
+    """(u, d, grad d) on the grid, grad d[i, m] = d d_m / d x_i, from the
+    stage's chunked inverse, as views of one fresh array; `rows` rows per
+    chunk."""
+    dim = grid.dim
+    batch = dynamics._batch(grid)
+    batch[:dim], batch[dim:dim + 3] = u.spec, d.spec
+    fields = np.empty((4 * dim + 3,) + grid.shape)
+    for chunk, phys in _ifftn_chunks(grid, batch, rows, grad=3):
+        fields[:, chunk] = phys
+    return (fields[:dim], fields[dim:dim + 3],
+            fields[dim + 3:].reshape((dim, 3) + grid.shape))
+
+
+def _grid_products(grid, u, d):
+    """The stepper's sigma (over `dynamics._PAIRS`) and director products
+    |grad d|^2 d - (u.grad)d on the grid, before dealiasing, with
+    |grad d|^2."""
+    u, d, grad_d = _grid_fields(grid, u, d)
+    sigma = np.empty((grid.dim * (grid.dim + 1) // 2,) + grid.shape)
+    n_d = np.empty((3,) + grid.shape)
+    grad_sq = np.einsum("im...,im...->...", grad_d, grad_d)
+    dynamics._products(grid, u, d, grad_d, sigma, n_d)
+    return sigma, n_d, grad_sq
+
+
 def _director_products(grid, u, d):
     """The stepper's director products |grad d|^2 d - (u.grad)d on the
     grid, before dealiasing."""
-    return dynamics._products(grid, *dynamics._grid_fields(
-        grid, u.spec, d.spec, dynamics._batch(grid)))[1]
+    return _grid_products(grid, u, d)[1]
 
 
 def _products(grid, u, d):
@@ -104,11 +130,8 @@ def _products(grid, u, d):
     momentum part, -(u.grad)u - lap d . grad d, is -div sigma +
     grad(|grad d|^2 / 2); the stepper drops the gradient term, which the
     projection removes."""
-    fields = dynamics._grid_fields(grid, u.spec, d.spec,
-                                   dynamics._batch(grid))
-    sigma, n_d = dynamics._products(grid, *fields)
-    grad_sq = dealias(Field.from_phys(
-        grid, np.einsum("im...,im...->...", fields[2], fields[2])))
+    sigma, n_d, grad_sq = _grid_products(grid, u, d)
+    grad_sq = dealias(Field.from_phys(grid, grad_sq))
     sigma = dealias(Field.from_phys(grid, sigma))
     row = {}  # sigma_ab = sigma_ba, stored once for a <= b
     for p, (a, b) in enumerate(
@@ -124,21 +147,25 @@ def _products(grid, u, d):
 
 @pytest.mark.parametrize("dim, res", [(2, 32), (3, 16)])
 def test_products_into_out_match_fresh_arrays(dim, res):
-    # `out` is one buffer of sigma and N_d; u and grad d are left as they
-    # were, d is spent
+    # sigma and N_d written into one buffer as a stage lays them out
+    # (`dynamics._SLOTS`) match fresh arrays; u and grad d are left as they
+    # were, d is spent only when N_d is formed
     grid = Grid(dim, res)
     s = random_smooth(grid, seed=6)
-    u, d, grad_d = dynamics._grid_fields(grid, s.u.spec, s.d.spec,
-                                         dynamics._batch(grid))
-    kept = u.copy(), grad_d.copy()
-    out = np.empty((dim * (dim + 1) // 2 + 3,) + grid.shape)
-    sigma, n_d = dynamics._products(grid, u, d, grad_d, out=out)
-    assert np.shares_memory(sigma, out) and np.shares_memory(n_d, out)
-    assert np.array_equal(u, kept[0]) and np.array_equal(grad_d, kept[1])
-    fresh = dynamics._products(grid, *dynamics._grid_fields(
-        grid, s.u.spec, s.d.spec, dynamics._batch(grid)))
-    assert np.array_equal(sigma, fresh[0])
-    assert np.array_equal(n_d, fresh[1])
+    u, d, grad_d = _grid_fields(grid, s.u, s.d)
+    kept = u.copy(), d.copy(), grad_d.copy()
+    sigma = np.empty((dim * (dim + 1) // 2,) + grid.shape)
+    dynamics._products(grid, u, d, grad_d, sigma)
+    assert np.array_equal(d, kept[1])
+    first, index = dynamics._SLOTS[dim]
+    out = np.empty((len(sigma) + 3,) + grid.shape)
+    dynamics._products(grid, u, d, grad_d, [out[p] for p in index],
+                       out[dim - first:dim + 3 - first])
+    assert np.array_equal(u, kept[0]) and np.array_equal(grad_d, kept[2])
+    n_d = np.empty((3,) + grid.shape)
+    dynamics._products(grid, u, kept[1].copy(), grad_d, sigma.copy(), n_d)
+    assert np.array_equal(out[list(index)], sigma)
+    assert np.array_equal(out[dim - first:dim + 3 - first], n_d)
 
 
 class TestElasticForce:
