@@ -15,7 +15,8 @@ singular time.
 max|grad d| comes from the state's one transform pass (`dynamics._pass`),
 which the next step's first stage also uses; max|omega| (a curl batch,
 every step in 3-D, only for a record in 2-D) and the oversampled maxima
-are memoized on the state.  A record sums squares in spectral space
+are kept in the named fields of the same per-state record
+(`dynamics._memo_of`).  A record sums squares in spectral space
 (Parseval), the tension's too, and transforms only lap d back to the grid.
 """
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 import numpy as np
 
 from .errors import EnvelopeUndefinedError
-from .dynamics import _pass
+from .dynamics import _memo_of, _pass
 from .spectral import Field, Grid, _fftn, _ifftn, curl, gradient, linf_norm
 from .state import FluidState
 
@@ -73,27 +74,36 @@ class DiagnosticsRecord:
         return tuple(getattr(self, name) for name in self.field_names())
 
 
-def _sup_norm(s: FluidState, name: str, oversample: bool) -> float:
-    """Max pointwise magnitude of omega ("omega") or grad d ("grad_d"), on
-    the grid or, with `oversample`, on the 2x finer grid."""
-    key = name + ("_fine" if oversample else "_max")
-    if key == "grad_d_max":
-        return _pass(s)[key]
-    if key not in s._memo:
-        grid = s.grid
-        f = curl(s.u) if name == "omega" else Field.from_spec(
-            grid, np.concatenate([gradient(s.d, j).spec
-                                  for j in range(grid.dim)]))
-        s._memo[key] = linf_norm(f, oversample=oversample)
-    return s._memo[key]
+def _omega_linf(s: FluidState, oversample: bool) -> float:
+    """max|omega| on the grid or, with `oversample`, on the 2x finer grid,
+    kept in the state's record."""
+    memo = _memo_of(s)
+    if oversample and memo.omega_fine is None:
+        memo.omega_fine = linf_norm(curl(s.u), oversample=True)
+    if not oversample and memo.omega_max is None:
+        memo.omega_max = linf_norm(curl(s.u))
+    return memo.omega_fine if oversample else memo.omega_max
+
+
+def _grad_d_linf(s: FluidState, oversample: bool) -> float:
+    """max|grad d|: the pass's or, with `oversample`, on the 2x finer grid,
+    kept in the state's record."""
+    if not oversample:
+        return _pass(s).grad_d_max
+    memo = _memo_of(s)
+    if memo.grad_d_fine is None:
+        grad_d = Field.from_spec(s.grid, np.concatenate(
+            [gradient(s.d, j).spec for j in range(s.grid.dim)]))
+        memo.grad_d_fine = linf_norm(grad_d, oversample=True)
+    return memo.grad_d_fine
 
 
 def blowup_integrand(s: FluidState, oversample: bool = False) -> float:
     """Pointwise-supremum integrand of the blow-up monitor."""
-    g = _sup_norm(s, "grad_d", oversample)
+    g = _grad_d_linf(s, oversample)
     if s.grid.dim == 2:
         return g * g
-    return _sup_norm(s, "omega", oversample) + g * g
+    return _omega_linf(s, oversample) + g * g
 
 
 def accumulate_monitor(accum: float, prev_integrand: float,
@@ -123,7 +133,7 @@ def constraint_residual(s: FluidState,
     if lap_d is None:
         lap_d = _ifftn(s.grid, -s.grid.k2 * s.d.spec)
     mag_err = float(np.max(np.abs(np.sqrt(np.sum(d * d, axis=0)) - 1.0)))
-    identity = _pass(s)["grad_sq"] + np.sum(d * lap_d, axis=0)
+    identity = _pass(s).grad_sq + np.sum(d * lap_d, axis=0)
     return mag_err, float(np.max(np.abs(identity)))
 
 
@@ -133,7 +143,7 @@ def _record_fields(s: FluidState) -> dict:
     Parseval; only lap d goes back to the grid, for the grid sums below."""
     grid, u_spec, d_spec = s.grid, s.u.spec, s.d.spec
     k2 = grid.k2_deriv
-    tension = _fftn(grid, _pass(s)["grad_sq"] * s.d.phys, grid.dealias_cutoff)
+    tension = _fftn(grid, _pass(s).grad_sq * s.d.phys, grid.dealias_cutoff)
     lap_d_spec = -grid.k2 * d_spec
     tension += lap_d_spec
     lap_d = _ifftn(grid, lap_d_spec)
@@ -223,7 +233,7 @@ def measure(s: FluidState, monitor_integrand: float,
     """Evaluate every recorded norm of the current state.  The monitor
     values are accumulated by the caller (they need the step history)."""
     return DiagnosticsRecord(t=s.t,
-                             omega_linf=_sup_norm(s, "omega", oversample),
-                             grad_d_linf=_sup_norm(s, "grad_d", oversample),
+                             omega_linf=_omega_linf(s, oversample),
+                             grad_d_linf=_grad_d_linf(s, oversample),
                              monitor_integrand=monitor_integrand,
                              monitor_accum=monitor_accum, **_record_fields(s))

@@ -36,20 +36,28 @@ and is forward-transformed, band-limited, into the same rows of the batch,
 whose inputs it has consumed.  `_CHUNK_BYTES` sets the chunk height, and
 the values do not depend on it; once a grid's fields outgrow it, no
 full-grid [u, d, grad d] or products array is built at all.  The batch and
-the chunk's buffers are a stage's `_workspace`.  After the last chunk the forward's pass along axis 0, the force -div sigma and its
-projection run inside the batch, which then holds [N_u, N_d, three spare
-components]: sigma's pairs (0, b) land in the spare slots, where the force
-is formed over them one component at a time, the other pairs in u's, N_d
-in d's (`_SLOTS`).
+the chunk's buffers are a stage's `_workspace`.  After the last chunk the
+forward's pass along axis 0, the force -div sigma and its projection run
+inside the batch, which then holds [N_u, N_d, three spare components]:
+sigma's pairs (0, b) land in the spare slots, where the force is formed
+over them one component at a time, the other pairs in u's, N_d in d's
+(`_SLOTS`).
 
 Each state runs stage 1 once (`_pass`), for the next step's first stage,
 the CFL step, the monitor and the record: it keeps the tendency in its
-batch and folds |grad d|^2, max|u| and max|grad d| chunk by chunk.  A step
-clears the memo and takes the workspace over, so a run holds one at a
-time.  Every later stage is written into the batch's u and d slots, where
-the last tendency lies, and runs in the same workspace.  The sum terms, E y0
-and the unprojected u of y1 are formed in the spare slots, and u's y1 is
-projected from there into the running sum.
+batch and folds |grad d|^2, max|u| and max|grad d| chunk by chunk.  The
+pass is memoized in a `_Memo`, the state's one record of what its
+consumers computed from it: the pass's workspace and maxima and the curl
+and oversampled maxima that `diagnostics` fills.  The record is kept in
+the state's instance dict, as `functools.cached_property` keeps a value,
+and this module alone creates, stores and empties it (`_memo_of`), so
+`state` holds the state alone and `dataclasses.replace` starts every new
+state without one.  A step empties the record and takes the workspace
+over, so a run holds one at a time, and a later consumer of the stepped
+state runs its pass again.  Every later stage is written into the batch's u and
+d slots, where the last tendency lies, and runs in the same workspace.
+The sum terms, E y0 and the unprojected u of y1 are formed in the spare
+slots, and u's y1 is projected from there into the running sum.
 
 The director is renormalized to unit length once per full step, not per
 substage, so the formal RK order is preserved; the radial drift removed by
@@ -164,17 +172,21 @@ def _workspace(grid: Grid) -> tuple:
             np.empty((len(_PAIRS[dim]) + 3, rows) + grid.shape[1:]))
 
 
-def _chunks(grid: Grid, work: tuple, target: np.ndarray):
+def _chunks(grid: Grid, work: tuple, u_spec: np.ndarray, d_spec: np.ndarray,
+            target: np.ndarray):
     """The stage's transforms, chunk by chunk of x0 rows, in `work`, a
     `_workspace`: yields (rows, u, d, grad d, out) per chunk, grad d[i, m]
-    = d d_m / d x_i, from the inverse of the batch's [u, d] with the
-    shared gradient (`_ifftn_chunks`).  The caller fills `out`, the chunk's
-    products, as many grid components as `target`, components of the
-    batch; before the next chunk they are forward-transformed, dealiased,
-    into the chunk's rows of `target`, and after the last one `target` gets
-    the pass along axis 0.  The batch's inputs are consumed."""
+    = d d_m / d x_i, from the inverse of (u_spec, d_spec) with the shared
+    gradient (`_ifftn_chunks`), copied into the batch's u and d slots first
+    (no copy at all when they are those slots) and consumed there.  The
+    caller fills `out`, the chunk's products, as many grid components as
+    `target`, components of the batch; before the next chunk they are
+    forward-transformed, dealiased, into the chunk's rows of `target`, and
+    after the last one `target` gets the pass along axis 0."""
     batch, blocks, fields, products = work
     dim, cutoff = grid.dim, grid.dealias_cutoff
+    batch[:dim] = u_spec
+    batch[dim:dim + 3] = d_spec
     for rows, phys in _ifftn_chunks(grid, batch, products.shape[1], 3,
                                     (blocks, fields)):
         out = products[:len(target), :rows.stop - rows.start]
@@ -204,26 +216,45 @@ def _products(grid: Grid, u: np.ndarray, d: np.ndarray, grad_d: np.ndarray,
         out += u[a] * u[b]
 
 
+@dataclass
+class _Memo:
+    """The record of what a state's consumers computed from it, each field
+    None until then: the state's pass (`_pass`), its first stage, which
+    keeps the tendency in the batch of `work`, a `_workspace`, with
+    |grad d|^2 on the grid (`grad_sq`), max|u| and max|grad d| (`_stage`);
+    and max|omega| on the grid and on the 2x finer one and the finer
+    max|grad d|, which `diagnostics` fills.  Every field's default is a
+    class attribute, so clearing an instance's dict empties the record
+    (`_stages`)."""
+
+    work: tuple | None = None
+    grad_sq: np.ndarray | None = None
+    u_max: float | None = None
+    grad_d_max: float | None = None
+    omega_max: float | None = None
+    omega_fine: float | None = None
+    grad_d_fine: float | None = None
+
+
 def _stage(grid: Grid, u_spec: np.ndarray, d_spec: np.ndarray,
-           work: tuple, maxima: bool = False) -> dict:
+           work: tuple, memo: _Memo | None = None) -> None:
     """The stage's tendency (N_u, N_d), dealiased, into the first dim + 3
     components of the batch of `work` (a `_workspace`), from (u_spec,
-    d_spec), copied into them first (no copy at all when they are those
-    components).
+    d_spec) (`_chunks`).
 
-    With `maxima`, also |grad d|^2 on the grid ("grad_sq"), max|u| and
-    max|grad d|, folded chunk by chunk; otherwise an empty dict."""
+    With `memo`, also |grad d|^2 on the grid into its `grad_sq`, and its
+    max|u| and max|grad d|, folded chunk by chunk."""
     dim, pairs, ik = grid.dim, _PAIRS[grid.dim], grid.ik_deriv
     first, index = _SLOTS[dim]
     batch = work[0]
-    batch[:dim] = u_spec
-    batch[dim:dim + 3] = d_spec
     products = batch[first:2 * dim + 3]
-    grad_sq, u_sq = (np.empty(grid.shape), []) if maxima else (None, None)
-    for rows, u, d, grad_d, out in _chunks(grid, work, products):
-        if maxima:
+    u_sq = []
+    for rows, u, d, grad_d, out in _chunks(grid, work, u_spec, d_spec,
+                                           products):
+        if memo is not None:
             u_sq.append(np.max(np.einsum("i...,i...->...", u, u)))
-            np.einsum("im...,im...->...", grad_d, grad_d, out=grad_sq[rows])
+            np.einsum("im...,im...->...", grad_d, grad_d,
+                      out=memo.grad_sq[rows])
         _products(grid, u, d, grad_d, [out[p] for p in index],
                   out[dim - first:dim + 3 - first])
     # the force -div sigma, component a formed over sigma_0a: its term
@@ -236,26 +267,28 @@ def _stage(grid: Grid, u_spec: np.ndarray, d_spec: np.ndarray,
         for b in range(1, dim):
             force[a] -= ik[b] * sigma[min(a, b), max(a, b)]
     project_spec(grid, force, out=batch[:dim])
-    if not maxima:
-        return {}
-    return dict(grad_sq=grad_sq, u_max=math.sqrt(np.max(u_sq)),
-                grad_d_max=math.sqrt(np.max(grad_sq)))
+    if memo is not None:
+        memo.u_max = math.sqrt(np.max(u_sq))
+        memo.grad_d_max = math.sqrt(np.max(memo.grad_sq))
 
 
-def _pass(s: FluidState) -> dict:
-    """The state's one transform pass, memoized on it: the first stage in
-    its `_workspace` ("stage"), the tendency in the batch, with
-    |grad d|^2, max|u| and max|grad d| (`_stage`'s maxima).  The next step
-    clears it and takes over the workspace."""
-    if "stage" not in s._memo:
-        work = _workspace(s.grid)
+def _memo_of(s: FluidState) -> _Memo:
+    """The state's record, created empty by its first consumer."""
+    return vars(s).setdefault("_memo", _Memo())
+
+
+def _pass(s: FluidState) -> _Memo:
+    """The state's record with its one transform pass run (`_Memo`).  The
+    next step empties the record and takes over the workspace."""
+    memo = _memo_of(s)
+    if memo.grad_d_max is None:  # `_stage` sets it last
+        memo.work, memo.grad_sq = _workspace(s.grid), np.empty(s.grid.shape)
         # a state's values are judged by the pass's readers: the run's start
         # check reads the maxima, the step the finiteness of what it builds
         # from the tendency, so overflow in the products is no warning here
         with np.errstate(over="ignore", invalid="ignore"):
-            maxima = _stage(s.grid, s.u.spec, s.d.spec, work, maxima=True)
-        s._memo.update(stage=work, **maxima)
-    return s._memo
+            _stage(s.grid, s.u.spec, s.d.spec, memo.work, memo)
+    return memo
 
 
 def _nonlinear(grid: Grid, u_spec: np.ndarray, d_spec: np.ndarray,
@@ -334,10 +367,13 @@ def _stages(s: FluidState, params: PhysicsParams, dt: float,
     grid, dim = s.grid, s.grid.dim
     c, a, b = tableau
     y0 = (s.u.spec, s.d.spec)
-    # stage 1 is the state's pass, and the step takes over its workspace
-    work = _pass(s)["stage"]
+    # stage 1 is the state's pass, and the step takes over its workspace:
+    # the record is emptied in place, its fields back at their None
+    # defaults, so whoever holds it (a shallow copy of s too) runs the pass
+    # again and no reference to it keeps the workspace alive
+    work = _pass(s).work
+    vars(_memo_of(s)).clear()
     batch = work[0]
-    s._memo.clear()
     k = stage = (batch[:dim], batch[dim:dim + 3])
     total = (np.empty_like(y0[0]), np.empty_like(y0[1]))
     # k sits where a stage reads u and d, so each stage input is formed
@@ -385,7 +421,7 @@ def suggest_dt(s: FluidState, policy: StepPolicy) -> float:
     if policy.dt is not None:
         return min(policy.dt, remaining)
     memo = _pass(s)
-    speed = max(memo["u_max"], memo["grad_d_max"], 1.0)
+    speed = max(memo.u_max, memo.grad_d_max, 1.0)
     return min(policy.cfl_factor * s.grid.dx / speed, remaining)
 
 
@@ -398,14 +434,12 @@ def recover_pressure(s: FluidState) -> Field:
     stage (`_chunks`) without N_d.  Diagnostic only: time stepping
     eliminates the pressure by projection."""
     grid = s.grid
-    pairs, k, dim = _PAIRS[grid.dim], grid.k_deriv, grid.dim
+    pairs, k = _PAIRS[grid.dim], grid.k_deriv
     diagonal = [p for p, (a, b) in enumerate(pairs) if a == b]
     work = _workspace(grid)
-    batch = work[0]
-    batch[:dim] = s.u.spec
-    batch[dim:dim + 3] = s.d.spec
-    spec = batch[:len(pairs)]
-    for _, u, d, grad_d, sigma in _chunks(grid, work, spec):
+    spec = work[0][:len(pairs)]
+    for _, u, d, grad_d, sigma in _chunks(grid, work, s.u.spec, s.d.spec,
+                                          spec):
         _products(grid, u, d, grad_d, sigma)
         # |grad d|^2 summed as the pass sums it
         sigma[diagonal] -= 0.5 * np.einsum("im...,im...->...", grad_d, grad_d)

@@ -76,9 +76,9 @@ def run(config: SimulationConfig) -> RunReport:
     dt = suggest_dt(state, policy)
     integrand = diagnostics.blowup_integrand(state, oversample=oversample)
     memo = _pass(state)  # of the calls above; non-finite where u or d is
-    if not np.isfinite(memo["u_max"] + memo["grad_d_max"]):
-        raise _bad_scenario(config.scenario, "max|u| = {u_max:.3g}, "
-                            "max|grad d| = {grad_d_max:.3g}".format(**memo))
+    if not np.isfinite(memo.u_max + memo.grad_d_max):
+        raise _bad_scenario(config.scenario, f"max|u| = {memo.u_max:.3g}, "
+                            f"max|grad d| = {memo.grad_d_max:.3g}")
     # created only once the start is known to be usable
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -167,13 +167,19 @@ def write_timeseries(history, path) -> None:
 
 
 def read_timeseries(path) -> list:
-    """Inverse of write_timeseries."""
+    """Inverse of write_timeseries.  Raises ValueError naming the path on a
+    foreign header, and the path and line on a row whose field count is not
+    the header's."""
     text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != CSV_HEADER:
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln]
+    if not lines or lines[0][1] != CSV_HEADER:
         raise ValueError(f"unexpected CSV header in {path}")
-    return [DiagnosticsRecord(*[float(tok) for tok in ln.split(",")])
-            for ln in lines[1:]]
+    rows = [(n, ln.split(",")) for n, ln in lines[1:]]
+    for number, row in rows:
+        if len(row) != len(DiagnosticsRecord.field_names()):
+            raise ValueError(f"{path}, line {number}: {len(row)} fields, "
+                             f"the header has {CSV_HEADER.count(',') + 1}")
+    return [DiagnosticsRecord(*[float(tok) for tok in row]) for _, row in rows]
 
 
 def write_snapshot(s: FluidState, path) -> None:

@@ -4,17 +4,12 @@ The director is always stored with 3 components (values on the unit
 sphere), including for 2-D flows.  Invariants after construction through
 the public entry points: the velocity is divergence-free and the director
 is unit length at every grid point.  Both fields live on the state's grid.
-
-A state carries a memo, filled by its first consumer and emptied by the
-step that advances it: its first nonlinear stage (`dynamics._pass`: the
-tendency, |grad d|^2 on the grid, max|u| and max|grad d|) and the curl and
-oversampled maxima the monitors read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,11 +42,6 @@ class FluidState:
     u: Field
     d: Field
     t: float = 0.0
-    # memo of `dynamics._pass` and of the curl and oversampled maxima;
-    # init=False, so that `dataclasses.replace` starts every new state with
-    # an empty memo
-    _memo: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
 
     def __post_init__(self):
         if self.u.ncomp != self.grid.dim:

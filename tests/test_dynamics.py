@@ -237,7 +237,7 @@ def test_stage_does_not_depend_on_the_chunk_height(monkeypatch, dim, res,
             assert dynamics._chunk_rows(grid) == rows
             s = random_smooth(grid, seed=3)
             memo = dynamics._pass(s)
-            maxima = (memo["grad_sq"], memo["u_max"], memo["grad_d_max"])
+            maxima = (memo.grad_sq, memo.u_max, memo.grad_d_max)
             pressure = recover_pressure(s).spec
             out = step(s, params, 0.01, integrator=integrator)
             results.append((out.u.spec, out.d.phys, pressure) + maxima)
@@ -471,25 +471,41 @@ _STAGE_NAMES = {"_PAIRS", "_SLOTS", "_CHUNK_BYTES", "_batch", "_chunk_rows",
                 "_workspace", "_chunks", "_products", "_stage"}
 
 
-def _stage_uses(source):
+# the per-state record (`dynamics._Memo`) and the key of a state's instance
+# dict that holds it: `dynamics` alone creates, stores and empties it
+_MEMO_NAMES = {"_Memo", "_memo"}
+
+
+def _stage_uses(source, names=_STAGE_NAMES):
     """Line numbers at which `source` defines, imports or reads one of
-    `_STAGE_NAMES`: a def or an assignment of the name, an import of it, or
+    `names`: a def, class or assignment of the name, an import of it, or
     `<module>.<name>`."""
     lines = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.FunctionDef):
-            names = {node.name}
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found = {node.name}
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            names = {node.id}
+            found = {node.id}
         elif isinstance(node, ast.ImportFrom):
-            names = {alias.name for alias in node.names}
+            found = {alias.name for alias in node.names}
         elif isinstance(node, ast.Attribute):
-            names = {node.attr}
+            found = {node.attr}
         else:
             continue
-        if names & _STAGE_NAMES:
+        if found & names:
             lines.append(node.lineno)
     return lines
+
+
+def _memo_uses(source):
+    """Line numbers at which `source` names the record's storage: the forms
+    of `_stage_uses` for `_MEMO_NAMES`, which take in `<state>._memo` read
+    or written, and a string constant that is one of them, such as a key
+    of `vars(state)` or a name given to getattr or setattr."""
+    return sorted(_stage_uses(source, _MEMO_NAMES) + [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value in _MEMO_NAMES])
 
 
 def _package_imports(source):
@@ -520,6 +536,17 @@ def test_stage_guards_detect_each_form():
     assert _stage_uses("from . import dynamics\ndynamics._chunks(g)\n") \
         == [2]
     assert _stage_uses("batch = make(grid)\nstep(s, '_batch')\n") == []
+    assert _memo_uses("class _Memo:\n    pass\n") == [1]
+    assert _memo_uses("s._memo.clear()\n") == [1]
+    assert _memo_uses("x = 1\ns._memo = {}\n") == [2]
+    assert _memo_uses("record = vars(s)['_memo']\n") == [1]
+    assert _memo_uses("s.__dict__.pop('_memo')\n") == [1]
+    assert _memo_uses("getattr(s, '_memo').u_max\n") == [1]
+    assert _memo_uses("from .dynamics import _pass, _Memo\n") == [1]
+    assert _memo_uses("record = dynamics._Memo()\n") == [1]
+    assert _memo_uses("from .dynamics import _memo_of\nm = _memo_of(s)\n"
+                      "m.omega_max = max(m.omega_max, _pass(s).u_max)\n") \
+        == []
     assert _package_imports(
         "from __future__ import annotations\nimport numpy as np\n"
         "from .errors import E\nfrom . import dynamics, runner\n"
@@ -539,3 +566,16 @@ def test_only_dynamics_knows_the_stage_layout():
     assert {name: lines for name, lines in found.items() if lines} == {}
     state_source = (package / "state.py").read_text("utf-8")
     assert _package_imports(state_source) == {"errors", "spectral"}
+
+
+def test_only_dynamics_keeps_the_state_record():
+    # one owner for the per-state record: `diagnostics` and `runner` reach
+    # it through `_memo_of` and `_pass` and use its attributes, and the
+    # state module does not know it exists
+    package = Path(nematicflow.__file__).parent
+    found = {path.name: _memo_uses(path.read_text("utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    assert found.pop("dynamics.py"), "the guard no longer sees the record"
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    state_source = (package / "state.py").read_text("utf-8")
+    assert "memo" not in state_source.lower()

@@ -1,6 +1,8 @@
 """Tests for the per-state transform pass: the first stage of a step, the
 monitor maxima, the CFL speed and the record all read one evaluation."""
 
+import copy
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,10 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nematicflow import diagnostics, runner
+from nematicflow import diagnostics, dynamics, runner
 from nematicflow.config import load_config
 from nematicflow.diagnostics import blowup_integrand, measure
-from nematicflow.dynamics import (StepPolicy, _nonlinear, _pass,
+from nematicflow.dynamics import (StepPolicy, _memo_of, _nonlinear, _pass,
                                   recover_pressure, step, suggest_dt)
 from nematicflow.scenarios import random_smooth
 from nematicflow.spectral import (Field, Grid, curl, dealias, gradient,
@@ -110,8 +112,48 @@ def test_step_on_memoized_state_is_bit_identical(dim, integrator):
     s = random_smooth(GRIDS[dim], seed=4)
     measure(s, blowup_integrand(s), 0.0)
     out = step(s, PhysicsParams(), 0.01, integrator=integrator)
-    assert "stage" not in s._memo  # the step took the pass's workspace
+    assert _memo_of(s).work is None  # the step took the pass's workspace
     fresh = step(replace(s), PhysicsParams(), 0.01, integrator=integrator)
+    assert np.array_equal(out.u.spec, fresh.u.spec)
+    assert np.array_equal(out.d.phys, fresh.d.phys)
+
+
+@pytest.mark.parametrize("integrator", ["IF-RK2", "IF-RK4"])
+@pytest.mark.parametrize("dim, res", [(2, 32), (3, 16)])
+def test_stepping_a_memoized_state_twice_gives_one_result(dim, res,
+                                                          integrator):
+    # the first step takes over the pass's workspace and empties the
+    # state's record, which a shallow copy shares, so the second step and
+    # the copy's run the pass again; the state itself is untouched, and a
+    # record of it reads as before
+    s = random_smooth(Grid(dim, res), seed=6)
+    integrand = blowup_integrand(s)  # memoizes the pass
+    before = measure(s, integrand, 0.0)
+    twin = copy.copy(s)
+    first = step(s, PhysicsParams(), 0.01, integrator=integrator)
+    for again in (step(s, PhysicsParams(), 0.01, integrator=integrator),
+                  step(twin, PhysicsParams(), 0.01, integrator=integrator)):
+        assert np.array_equal(first.u.spec, again.u.spec)
+        assert np.array_equal(first.u.phys, again.u.phys)
+        assert np.array_equal(first.d.phys, again.d.phys)
+    assert blowup_integrand(s) == integrand
+    assert measure(s, integrand, 0.0) == before
+
+
+def _interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+def test_an_interrupted_pass_runs_again(monkeypatch):
+    # a pass cut short leaves no record that reads as complete: the next
+    # consumer runs it again, and the step matches a fresh state's
+    s = random_smooth(GRIDS[2], seed=4)
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_products", _interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            _pass(s)
+    out = step(s, PhysicsParams(), 0.01)
+    fresh = step(replace(s), PhysicsParams(), 0.01)
     assert np.array_equal(out.u.spec, fresh.u.spec)
     assert np.array_equal(out.d.phys, fresh.d.phys)
 
@@ -196,6 +238,37 @@ def test_fixed_dt_run_transforms_each_state_once(tmp_path, transforms):
     assert batches("step", "forward") == [6] * 3 * 4
 
 
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_run_holds_one_pass_workspace_at_a_time(tmp_path, monkeypatch,
+                                                adaptive):
+    # each state's pass creates a workspace, and the step that advances the
+    # state takes it over and empties the state's record, so a reference to
+    # the record (`runner.run`'s start check keeps one) holds nothing: when
+    # a step starts only the stepped state's workspace is alive
+    batches = []
+
+    def workspace(grid, make=dynamics._workspace):
+        work = make(grid)
+        batches.append(weakref.ref(work[0]))
+        return work
+
+    alive = []
+
+    def counted(*args, step=runner.step, **kwargs):
+        alive.append(sum(ref() is not None for ref in batches))
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_workspace", workspace)
+    monkeypatch.setattr(runner, "step", counted)
+    policy = ("cfl_factor = 0.1\nt_max = 0.2" if adaptive else
+              f"dt = {2.0 ** -10!r}\nt_max = {4 * 2.0 ** -10!r}")
+    text = (f"dim = 2\nres = 16\nscenario = random_smooth\n{policy}\n"
+            f"record_every = 2\noutput_dir = {tmp_path}\n")
+    runner.run(load_config(text))
+    assert len(alive) >= 4
+    assert alive == [1] * len(alive)
+
+
 def test_adaptive_run_computes_the_pass_in_suggest_dt(tmp_path, transforms):
     # suggest_dt runs first after each step, so it transforms each state;
     # the oversampled monitor and record add only their fine-grid maxima
@@ -229,9 +302,9 @@ def test_pass_scalars_match_their_operators(dim, seed, amplitude):
     cubic = np.sum(grad_d.phys**2, axis=0) * s.d.phys
     tension = laplacian(s.d).phys + dealias(Field.from_phys(grid, cubic)).phys
     expected = {
-        "u_max": (memo["u_max"], linf_norm(s.u)),
+        "u_max": (memo.u_max, linf_norm(s.u)),
         "omega_max": (rec.omega_linf, linf_norm(omega)),
-        "grad_d_max": (memo["grad_d_max"], linf_norm(grad_d)),
+        "grad_d_max": (memo.grad_d_max, linf_norm(grad_d)),
         "u_l2": (rec.u_l2, l2_norm(s.u)),
         "grad_u_sq": (diagnostics._l2_sq(grid, s.u.spec, k2),
                       l2_norm(grad_u) ** 2),

@@ -166,6 +166,19 @@ class TestTimeseries:
         with pytest.raises(ValueError):
             read_timeseries(path)
 
+    @pytest.mark.parametrize("fields", [12, 14])
+    def test_read_rejects_a_row_of_the_wrong_width(self, tmp_path, fields):
+        # a truncated last line (12 fields) and a row with one field too
+        # many: a ValueError naming the file and the line, as for a foreign
+        # header, not the TypeError of the record's constructor
+        path = tmp_path / "ragged.csv"
+        row = ",".join(["0.5"] * 13)
+        path.write_text(f"{CSV_HEADER}\n{row}\n\n"
+                        + ",".join(["0.25"] * fields) + "\n")
+        with pytest.raises(ValueError,
+                           match=rf"ragged\.csv, line 4: {fields} fields"):
+            read_timeseries(path)
+
 
 class TestSnapshots:
     def test_round_trip_bit_identity(self, tmp_path):
