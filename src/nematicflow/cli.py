@@ -16,7 +16,7 @@ from pathlib import Path
 from .config import load_config
 from .errors import ConfigError
 from .runner import HALT_DEGENERATE, HALT_OVERFLOW, run
-from .verify import SUITES, run_suite
+from .verify import SUITES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,7 +67,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_suite(args.suite)
+    results = SUITES[args.suite]()
     failed = 0
     for name, ok, detail in results:
         status = "PASS" if ok else "FAIL"

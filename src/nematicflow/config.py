@@ -3,53 +3,29 @@
 Rules: one `key = value` per line, `#` at the start of a line or after
 whitespace starts a comment (so `runs/#3` is a value), blank lines are
 ignored, and empty values, unknown and duplicate keys are rejected.
-Scenario parameters use dotted keys (scenario.k, scenario.amplitude,
-scenario.seed, scenario.slope).  CLI overrides are applied after the file
-parses, with the same validation.  The environment variable SIM_OUTPUT_DIR
-overrides output_dir at run time.
+The keys are SimulationConfig's fields, each parsed as its field's type,
+plus the scenario parameters of `scenarios`, under dotted keys
+(scenario.k, scenario.amplitude, scenario.seed, scenario.slope).  The
+fields without a default are required.  CLI overrides are applied after
+the file parses, with the same validation.  The environment variable
+SIM_OUTPUT_DIR overrides output_dir at run time.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from typing import get_type_hints
 
 from .dynamics import StepPolicy
 from .errors import (ConfigParseError, ConfigRangeError, ParameterRangeError,
                      check_range)
-from .scenarios import ScenarioSpec, check_scenario
+from .scenarios import _PARAMETERS, ScenarioSpec, check_scenario
 from .spectral import Grid
 from .state import PhysicsParams
 
 __all__ = ["SimulationConfig", "load_config", "parse_pairs"]
-
-_SCENARIO_PARAM_KEYS = {
-    "scenario.k": int,
-    "scenario.amplitude": float,
-    "scenario.seed": int,
-    "scenario.slope": float,
-}
-
-_KEY_TYPES = {
-    "dim": int,
-    "res": int,
-    "length": float,
-    "nu": float,
-    "scenario": str,
-    "dt": float,
-    "cfl_factor": float,
-    "integrator": str,
-    "t_max": float,
-    "monitor_max": float,
-    "record_every": int,
-    "snapshot_every": int,
-    "output_dir": str,
-    "oversample_linf": bool,
-    **_SCENARIO_PARAM_KEYS,
-}
-
-_REQUIRED = ("dim", "res", "scenario", "t_max")
 
 # a comment runs from a `#` at the start of a line or after whitespace
 _COMMENT = re.compile(r"(^|\s)#.*")
@@ -103,6 +79,16 @@ class SimulationConfig:
         return StepPolicy(self.t_max, self.dt, self.cfl_factor, self.integrator)
 
 
+# a key parses as its field's type (every annotation of the class is a
+# field), except that a scenario is given by its name and dt (float | None)
+# as a float; then the dotted scenario parameters
+_KEY_TYPES = {**get_type_hints(SimulationConfig), "scenario": str, "dt": float,
+              **{f"scenario.{name}": kind
+                 for name, (kind, _) in _PARAMETERS.items()}}
+
+_REQUIRED = [f.name for f in fields(SimulationConfig) if f.default is MISSING]
+
+
 def _parse_value(key: str, raw: str, lineno=None):
     kind = _KEY_TYPES[key]
     raw = raw.strip()
@@ -145,24 +131,21 @@ def parse_pairs(text: str) -> dict:
     return values
 
 
-def _require(values: dict):
-    for key in _REQUIRED:
-        if key not in values:
-            raise ConfigRangeError(key, "required key missing")
-
-
 def from_values(values: dict) -> SimulationConfig:
     """Validate a raw key dict and build a SimulationConfig.  Every range is
     checked once, by the object that owns the value; a violation becomes a
     ConfigRangeError naming the config key."""
-    _require(values)
-    fields = {key: value for key, value in values.items()
-              if key != "scenario" and key not in _SCENARIO_PARAM_KEYS}
-    params = {dotted.split(".", 1)[1]: values[dotted]
-              for dotted in _SCENARIO_PARAM_KEYS if dotted in values}
+    for key in _REQUIRED:
+        if key not in values:
+            raise ConfigRangeError(key, "required key missing")
+    # scenario parameters in the scenario table's order, not the file's
+    params = {name: values[f"scenario.{name}"] for name in _PARAMETERS
+              if f"scenario.{name}" in values}
+    others = {key: value for key, value in values.items()
+              if key.partition(".")[0] != "scenario"}
     try:
         return SimulationConfig(
-            scenario=ScenarioSpec(values["scenario"], params), **fields)
+            scenario=ScenarioSpec(values["scenario"], params), **others)
     except ParameterRangeError as exc:
         raise ConfigRangeError(
             exc.name, f"must be {exc.expected}, got {exc.value}") from exc

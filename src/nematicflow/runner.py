@@ -169,17 +169,22 @@ def write_timeseries(history, path) -> None:
 def read_timeseries(path) -> list:
     """Inverse of write_timeseries.  Raises ValueError naming the path on a
     foreign header, and the path and line on a row whose field count is not
-    the header's."""
+    the header's or whose field is not a number."""
     text = Path(path).read_text(encoding="utf-8")
     lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln]
     if not lines or lines[0][1] != CSV_HEADER:
         raise ValueError(f"unexpected CSV header in {path}")
-    rows = [(n, ln.split(",")) for n, ln in lines[1:]]
-    for number, row in rows:
-        if len(row) != len(DiagnosticsRecord.field_names()):
-            raise ValueError(f"{path}, line {number}: {len(row)} fields, "
-                             f"the header has {CSV_HEADER.count(',') + 1}")
-    return [DiagnosticsRecord(*[float(tok) for tok in row]) for _, row in rows]
+    records = []
+    for number, line in lines[1:]:
+        row = line.split(",")
+        try:
+            if len(row) != len(DiagnosticsRecord.field_names()):
+                raise ValueError(f"{len(row)} fields, the header has "
+                                 f"{CSV_HEADER.count(',') + 1}")
+            records.append(DiagnosticsRecord(*map(float, row)))
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {number}: {exc}") from exc
+    return records
 
 
 def write_snapshot(s: FluidState, path) -> None:

@@ -181,14 +181,20 @@ def _check_slope(grid: Grid, slope) -> None:
                 f"finite and above dim/2 + 1 = {bound} for smooth data")
 
 
-# registered name -> (builder, {parameter: check}); each check raises
-# ParameterRangeError naming the parameter
+# parameter -> (config type, check), in the order a config collects them;
+# each check raises ParameterRangeError naming the parameter
+_PARAMETERS = {
+    "k": (int, _check_k),
+    "amplitude": (float, _check_amplitude),
+    "seed": (int, _check_seed),
+    "slope": (float, _check_slope),
+}
+
+# registered name -> (builder, the parameters it takes)
 _BUILDERS = {
-    "taylor_green": (taylor_green, {"amplitude": _check_amplitude}),
-    "winding_director": (winding_director, {"k": _check_k}),
-    "random_smooth": (random_smooth, {"seed": _check_seed,
-                                      "slope": _check_slope,
-                                      "amplitude": _check_amplitude}),
+    "taylor_green": (taylor_green, ("amplitude",)),
+    "winding_director": (winding_director, ("k",)),
+    "random_smooth": (random_smooth, ("seed", "slope", "amplitude")),
 }
 
 SCENARIO_NAMES = frozenset(_BUILDERS)
@@ -199,13 +205,13 @@ def check_scenario(grid: Grid, spec: ScenarioSpec) -> None:
     building the state.  A parameter the builder does not take is a
     ConfigRangeError naming its dotted key; a value out of range is a
     ParameterRangeError naming the parameter."""
-    _, checks = _BUILDERS[spec.name]
+    _, taken = _BUILDERS[spec.name]
     for key, value in spec.parameters.items():
-        if key not in checks:
+        if key not in taken:
             raise ConfigRangeError(
                 f"scenario.{key}",
                 f"scenario {spec.name!r} does not take this parameter")
-        checks[key](grid, value)
+        _PARAMETERS[key][1](grid, value)
 
 
 def build_scenario(grid: Grid, spec: ScenarioSpec) -> FluidState:

@@ -10,6 +10,7 @@ asserts them.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tempfile
 
@@ -21,7 +22,7 @@ from .diagnostics import DiagnosticsRecord
 from .scenarios import ScenarioSpec
 from .spectral import Field, Grid
 
-__all__ = ["SUITES", "run_suite"]
+__all__ = ["SUITES"]
 
 RANDOM_SEED = 7  # fixed seed for every random_smooth verification run
 
@@ -36,9 +37,7 @@ def _bounds_check(name: str, value: float, lo: float, hi: float):
 
 def _run_to_dir(config: SimulationConfig) -> runner.RunReport:
     with tempfile.TemporaryDirectory() as tmp:
-        return runner.run(
-            SimulationConfig(**{**config.__dict__, "output_dir": tmp})
-        )
+        return runner.run(dataclasses.replace(config, output_dir=tmp))
 
 
 # ----------------------------------------------------------------- spectral
@@ -267,11 +266,8 @@ def check_lemma_norms():
     return results
 
 
-def check_envelope(winding_report=None):
+def check_envelope(winding_report):
     results = []
-    if winding_report is None:
-        winding_report = _run_to_dir(
-            _monitor_config(ScenarioSpec("winding_director", {"k": 1}), 2.0))
     results.append(_check("envelope constant on stationary run",
                           abs(winding_report.gronwall_c), 1e-9))
 
@@ -323,9 +319,3 @@ SUITES = {
     "energy": check_energy_suite,
     "monitor": check_monitor_suite,
 }
-
-
-def run_suite(name: str):
-    """Run one verification suite; returns (name, passed, detail) tuples."""
-    return SUITES[name]()
-

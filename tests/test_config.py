@@ -1,12 +1,16 @@
 """Tests for the key = value configuration format."""
 
+import inspect
 import math
+from dataclasses import fields
+from typing import get_type_hints
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nematicflow.config import SimulationConfig, load_config, parse_pairs
-from nematicflow.scenarios import ScenarioSpec
+from nematicflow.config import (_REQUIRED, SimulationConfig, load_config,
+                                parse_pairs)
+from nematicflow.scenarios import _BUILDERS, ScenarioSpec
 from nematicflow.errors import ConfigError, ConfigParseError, ConfigRangeError
 
 MINIMAL = """
@@ -176,6 +180,46 @@ class TestBuilders:
         with pytest.raises(AttributeError):
             config.res = 128
         assert isinstance(config, SimulationConfig)
+
+
+class TestTablesInStep:
+    """The key table, the required keys and the scenario registry are
+    derived from SimulationConfig and the builders; these checks fail if
+    one of them drifts from its source."""
+
+    def test_every_field_loads_with_its_type(self):
+        hints = get_type_hints(SimulationConfig)
+        full = load_config(MINIMAL, overrides=["dt=0.01"])  # no None left
+        for field in fields(SimulationConfig):
+            value = getattr(full, field.name)
+            raw = value.name if field.name == "scenario" else value
+            config = load_config(MINIMAL, overrides=[f"{field.name}={raw}"])
+            assert getattr(config, field.name) == value, field.name
+            assert isinstance(getattr(config, field.name),
+                              hints[field.name]), field.name
+
+    def test_required_keys_are_the_fields_without_a_default(self):
+        parameters = inspect.signature(SimulationConfig).parameters.values()
+        required = {p.name for p in parameters if p.default is p.empty}
+        assert set(_REQUIRED) == required
+        for key in required:
+            text = "".join(line + "\n" for line in MINIMAL.splitlines()
+                           if not line.startswith(f"{key} "))
+            with pytest.raises(ConfigRangeError) as err:
+                load_config(text)
+            assert err.value.key == key
+
+    @pytest.mark.parametrize("name", sorted(_BUILDERS))
+    def test_registered_parameters_are_the_builders_keywords(self, name):
+        builder, taken = _BUILDERS[name]
+        signature = inspect.signature(builder).parameters
+        assert set(taken) == set(signature) - {"grid"}
+        for param in taken:
+            default = signature[param].default
+            config = load_config(MINIMAL, overrides=[
+                f"scenario={name}", f"scenario.{param}={default!r}"])
+            assert config.scenario == ScenarioSpec(name, {param: default})
+            assert type(config.scenario.parameters[param]) is type(default)
 
 
 def _positive_floats(**kwargs):

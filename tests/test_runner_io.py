@@ -179,6 +179,16 @@ class TestTimeseries:
                            match=rf"ragged\.csv, line 4: {fields} fields"):
             read_timeseries(path)
 
+    def test_read_rejects_a_field_that_is_not_a_number(self, tmp_path):
+        # a ValueError naming the file and the line, not float()'s bare
+        # "could not convert string to float"
+        path = tmp_path / "garbled.csv"
+        row = ",".join(["0.5"] * 13)
+        path.write_text(f"{CSV_HEADER}\n{row}\n{row[:-3]}x\n")
+        with pytest.raises(ValueError,
+                           match=r"garbled\.csv, line 3: .*'x'"):
+            read_timeseries(path)
+
 
 class TestSnapshots:
     def test_round_trip_bit_identity(self, tmp_path):
