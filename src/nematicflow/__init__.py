@@ -4,11 +4,9 @@ runtime singularity monitors and energy-law verification."""
 
 from .config import SimulationConfig, load_config
 from .diagnostics import (DiagnosticsRecord, accumulate_monitor,
-                          blowup_integrand, constraint_residual,
-                          energy_and_dissipation, energy_residual,
-                          gronwall_envelope, lemma21_norms)
-from .dynamics import (StepPolicy, director_rhs, momentum_rhs,
-                       recover_pressure, step, suggest_dt)
+                          blowup_integrand, energy_residual, gronwall_envelope,
+                          measure)
+from .dynamics import StepPolicy, recover_pressure, rhs, step, suggest_dt
 from .runner import RunReport, read_snapshot, run, write_snapshot, write_timeseries
 from .scenarios import (ScenarioSpec, build_scenario, random_smooth,
                         taylor_green, winding_director)

@@ -16,8 +16,12 @@ max|grad d| comes from the state's one transform pass (`dynamics._pass`),
 which the next step's first stage also uses; max|omega| (a curl batch,
 every step in 3-D, only for a record in 2-D) and the oversampled maxima
 are kept in the named fields of the same per-state record
-(`dynamics._memo_of`).  A record sums squares in spectral space
-(Parseval), the tension's too, and transforms only lap d back to the grid.
+(`dynamics._memo_of`).
+
+`measure` is the one place a record is formed: the monitor maxima, the
+controlled norms ||omega||_2 and ||lap d||_2, the energy law (E, D) and
+the sphere errors.  It sums squares in spectral space (Parseval), the
+tension's too, and transforms only lap d back to the grid.
 """
 
 from __future__ import annotations
@@ -36,12 +40,10 @@ from .state import FluidState
 __all__ = [
     "DiagnosticsRecord",
     "blowup_integrand",
-    "constraint_residual",
     "accumulate_monitor",
-    "energy_and_dissipation",
     "energy_residual",
-    "lemma21_norms",
     "gronwall_envelope",
+    "measure",
 ]
 
 # growth of the envelope's left side below this many ulps is roundoff
@@ -121,54 +123,6 @@ def _l2_sq(grid: Grid, spec: np.ndarray, weight=1.0) -> float:
     return grid.volume * float(np.sum(grid.hermitian_weights * weight * power))
 
 
-def constraint_residual(s: FluidState,
-                        lap_d: np.ndarray | None = None) -> tuple:
-    """(max | |d|-1 |, max | |grad d|^2 + d . lap d |).
-
-    The second entry is the discrete residual of the sphere identity that
-    holds exactly for smooth unit-length directors.  `lap_d`, lap d on the
-    grid, is transformed from d's spectrum unless given.
-    """
-    d = s.d.phys
-    if lap_d is None:
-        lap_d = _ifftn(s.grid, -s.grid.k2 * s.d.spec)
-    mag_err = float(np.max(np.abs(np.sqrt(np.sum(d * d, axis=0)) - 1.0)))
-    identity = _pass(s).grad_sq + np.sum(d * lap_d, axis=0)
-    return mag_err, float(np.max(np.abs(identity)))
-
-
-def _record_fields(s: FluidState) -> dict:
-    """Every record field but t and the monitor values.  The dissipation
-    sums the tension spectrum -|k|^2 d_hat + dealiased |grad d|^2 d by
-    Parseval; only lap d goes back to the grid, for the grid sums below."""
-    grid, u_spec, d_spec = s.grid, s.u.spec, s.d.spec
-    k2 = grid.k2_deriv
-    tension = _fftn(grid, _pass(s).grad_sq * s.d.phys, grid.dealias_cutoff)
-    lap_d_spec = -grid.k2 * d_spec
-    tension += lap_d_spec
-    lap_d = _ifftn(grid, lap_d_spec)
-    u_sq, grad_d_sq = _l2_sq(grid, u_spec), _l2_sq(grid, d_spec, k2)
-    norm_err, identity_err = constraint_residual(s, lap_d)
-    return dict(
-        u_l2=math.sqrt(u_sq), grad_d_l2=math.sqrt(grad_d_sq),
-        omega_l2=math.sqrt(_l2_sq(grid, curl(s.u).spec)),
-        # summed as the record always has: the stationary winding
-        # director's envelope fit is exactly 0 only at this roundoff
-        hess_d_l2=math.sqrt(grid.cell_volume * float(np.sum(lap_d**2))),
-        energy=u_sq + grad_d_sq,
-        dissipation=2.0 * (_l2_sq(grid, u_spec, k2) + _l2_sq(grid, tension)),
-        sphere_norm_err=norm_err,
-        sphere_identity_err=identity_err,
-    )
-
-
-def energy_and_dissipation(s: FluidState) -> tuple:
-    """(E, D): kinetic-plus-elastic energy and twice the instantaneous
-    dissipation rate, integrated over one torus cell."""
-    fields = _record_fields(s)
-    return fields["energy"], fields["dissipation"]
-
-
 def energy_residual(history) -> float:
     """Max over recorded times of the relative defect in the energy
     identity E(t) + int_0^t D - E(0), with the time integral by trapezoid."""
@@ -185,16 +139,6 @@ def energy_residual(history) -> float:
         integral += 0.5 * (curr.t - prev.t) * (prev.dissipation + curr.dissipation)
         worst = max(worst, abs(curr.energy + integral - e0) / scale)
     return worst
-
-
-def lemma21_norms(s: FluidState) -> tuple:
-    """(L^2 norm of the vorticity, L^2 norm of lap d).
-
-    The latter equals the L^2 norm of the full second-derivative tensor of
-    d for periodic fields, so the Hessian is never assembled.
-    """
-    fields = _record_fields(s)
-    return fields["omega_l2"], fields["hess_d_l2"]
 
 
 def gronwall_envelope(history) -> float:
@@ -231,9 +175,35 @@ def gronwall_envelope(history) -> float:
 def measure(s: FluidState, monitor_integrand: float,
             monitor_accum: float, oversample: bool = False) -> DiagnosticsRecord:
     """Evaluate every recorded norm of the current state.  The monitor
-    values are accumulated by the caller (they need the step history)."""
-    return DiagnosticsRecord(t=s.t,
-                             omega_linf=_omega_linf(s, oversample),
-                             grad_d_linf=_grad_d_linf(s, oversample),
-                             monitor_integrand=monitor_integrand,
-                             monitor_accum=monitor_accum, **_record_fields(s))
+    values are accumulated by the caller (they need the step history).
+
+    The dissipation sums the tension spectrum -|k|^2 d_hat + dealiased
+    |grad d|^2 d by Parseval; only lap d goes back to the grid, for the
+    grid sums: ||lap d||_2, which equals the L^2 norm of the full Hessian
+    of d for periodic fields, and the sphere errors max | |d| - 1 | and
+    max | |grad d|^2 + d . lap d |, the residual of an identity that holds
+    exactly for smooth unit-length directors."""
+    omega_linf = _omega_linf(s, oversample)
+    grad_d_linf = _grad_d_linf(s, oversample)
+    grid, u_spec, d_spec, d = s.grid, s.u.spec, s.d.spec, s.d.phys
+    k2 = grid.k2_deriv
+    tension = _fftn(grid, _pass(s).grad_sq * d, grid.dealias_cutoff)
+    lap_d_spec = -grid.k2 * d_spec
+    tension += lap_d_spec
+    lap_d = _ifftn(grid, lap_d_spec)
+    u_sq, grad_d_sq = _l2_sq(grid, u_spec), _l2_sq(grid, d_spec, k2)
+    # reduced to floats here, so no grid array of theirs outlives them
+    norm_err = float(np.max(np.abs(np.sqrt(np.sum(d * d, axis=0)) - 1.0)))
+    identity_err = float(np.max(np.abs(
+        _pass(s).grad_sq + np.sum(d * lap_d, axis=0))))
+    return DiagnosticsRecord(
+        t=s.t, u_l2=math.sqrt(u_sq), grad_d_l2=math.sqrt(grad_d_sq),
+        omega_l2=math.sqrt(_l2_sq(grid, curl(s.u).spec)),
+        omega_linf=omega_linf, grad_d_linf=grad_d_linf,
+        # summed as the record always has: the stationary winding
+        # director's envelope fit is exactly 0 only at this roundoff
+        hess_d_l2=math.sqrt(grid.cell_volume * float(np.sum(lap_d**2))),
+        energy=u_sq + grad_d_sq,
+        dissipation=2.0 * (_l2_sq(grid, u_spec, k2) + _l2_sq(grid, tension)),
+        monitor_integrand=monitor_integrand, monitor_accum=monitor_accum,
+        sphere_norm_err=norm_err, sphere_identity_err=identity_err)

@@ -78,8 +78,7 @@ from .spectral import (Field, Grid, _fftn_rows, _forward_pass, _ifftn,
                        _ifftn_chunks, project_spec)
 from .state import FluidState, PhysicsParams, normalize_director
 
-__all__ = ["StepPolicy", "momentum_rhs", "director_rhs", "step", "suggest_dt",
-           "recover_pressure"]
+__all__ = ["StepPolicy", "rhs", "step", "suggest_dt", "recover_pressure"]
 
 # The stored components (a, b), a <= b, of the symmetric stress, row-major
 _PAIRS = {dim: tuple(itertools.combinations_with_replacement(range(dim), 2))
@@ -312,18 +311,13 @@ def _decay(grid: Grid, coeff: float) -> np.ndarray:
     return out
 
 
-def momentum_rhs(s: FluidState, params: PhysicsParams) -> Field:
-    """Full momentum tendency P[-(u.grad)u - lap d . grad d] + nu lap u."""
+def rhs(s: FluidState, params: PhysicsParams) -> tuple:
+    """Full tendencies (u_t, d_t): P[-(u.grad)u - lap d . grad d] + nu lap u
+    and lap d + |grad d|^2 d - (u.grad)d, from one stage."""
     grid = s.grid
-    n_u, _ = _nonlinear(grid, s.u.spec, s.d.spec)
-    return Field.from_spec(grid, n_u - params.nu * grid.k2 * s.u.spec)
-
-
-def director_rhs(s: FluidState) -> Field:
-    """Full director tendency lap d + |grad d|^2 d - (u.grad)d."""
-    grid = s.grid
-    _, n_d = _nonlinear(grid, s.u.spec, s.d.spec)
-    return Field.from_spec(grid, n_d - grid.k2 * s.d.spec)
+    n_u, n_d = _nonlinear(grid, s.u.spec, s.d.spec)
+    return (Field.from_spec(grid, n_u - params.nu * grid.k2 * s.u.spec),
+            Field.from_spec(grid, n_d - grid.k2 * s.d.spec))
 
 
 def step(s: FluidState, params: PhysicsParams, dt: float,

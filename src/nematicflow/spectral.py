@@ -93,7 +93,8 @@ class Grid:
     ----------
     dim : 2 or 3.
     res : samples per axis; power of two, >= 8.
-    length : torus side length (default 2*pi); positive and finite.
+    length : torus side length (default 2*pi); positive and finite, with
+        the volume, the cell volume and the largest |k|^2 normal floats.
     """
 
     dim: int
@@ -107,6 +108,16 @@ class Grid:
                     "a power of two >= 8")
         check_range("length", self.length,
                     0 < self.length < math.inf, "positive and finite")
+        # else `length**dim` raises OverflowError, or |k|^2 overflows or a
+        # volume underflows and a run turns to nan; the products below
+        # overflow to inf instead of raising
+        k_max = math.pi * self.res / self.length
+        sizes = (math.prod([self.length] * self.dim),
+                 math.prod([self.dx] * self.dim), self.dim * k_max * k_max)
+        check_range("length", self.length,
+                    all(np.finfo(float).tiny <= x < math.inf for x in sizes),
+                    "such that the volume, the cell volume and the largest "
+                    "|k|^2 are normal floats")
 
     @property
     def shape(self) -> tuple:
@@ -230,24 +241,22 @@ def _lines(grid: Grid, axis: int, cutoff: int):
     return [head + sel for sel in itertools.product(*later)]
 
 
-def _fftn(grid: Grid, phys: np.ndarray, cutoff: int | None = None,
-          out: np.ndarray | None = None) -> np.ndarray:
+def _fftn(grid: Grid, phys: np.ndarray,
+          cutoff: int | None = None) -> np.ndarray:
     """Forward transform of real (ncomp, *shape) data to its half spectrum,
     band-limited to the modes with |k_j| <= `cutoff` on every axis (all of
     them by default); the others are 0.
 
-    numpy's rfftn sequence of 1-D passes, into `out` (a complex128 array of
-    the spectrum's shape, fresh by default): `rfft` along the last axis,
-    then `fft` along each leading axis, last to first, in place.  A
-    leading-axis pass transforms only the lines inside the band on the axes
-    already transformed, so each kept mode is bit-identical to
-    `rfftn(phys) * mask`.  `_fftn_rows` and the `_forward_pass` along
-    axis 0 are its two halves, for a caller that forms `phys` one chunk of
-    x0 rows at a time.
+    numpy's rfftn sequence of 1-D passes into a fresh complex128 array:
+    `rfft` along the last axis, then `fft` along each leading axis, last
+    to first, in place.  A leading-axis pass transforms only the lines
+    inside the band on the axes already transformed, so each kept mode is
+    bit-identical to `rfftn(phys) * mask`.  `_fftn_rows` and the
+    `_forward_pass` along axis 0 are its two halves, for a caller that
+    forms `phys` one chunk of x0 rows at a time.
     """
     cutoff = grid.res // 2 if cutoff is None else cutoff
-    if out is None:
-        out = np.empty(phys.shape[:-grid.dim] + grid.spec_shape, np.complex128)
+    out = np.empty(phys.shape[:-grid.dim] + grid.spec_shape, np.complex128)
     _fftn_rows(grid, phys, cutoff, out)
     _forward_pass(grid, out, 0, cutoff)
     return out

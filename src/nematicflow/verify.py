@@ -255,13 +255,13 @@ def check_lemma_norms():
     results = []
     grid = Grid(2, 32)
     wd = scenarios.winding_director(grid, k=1)
-    omega_l2, hess_l2 = diagnostics.lemma21_norms(wd)
-    err = abs(omega_l2 - 0.0) + abs(hess_l2 - 2.0 * math.pi)
+    rec = diagnostics.measure(wd, 0.0, 0.0)
+    err = abs(rec.omega_l2 - 0.0) + abs(rec.hess_d_l2 - 2.0 * math.pi)
     results.append(_check("controlled norms, winding director", err, 1e-10))
 
     tg = scenarios.taylor_green(grid)
-    omega_l2, hess_l2 = diagnostics.lemma21_norms(tg)
-    err = abs(omega_l2 - 2.0 * math.pi) + abs(hess_l2 - 0.0)
+    rec = diagnostics.measure(tg, 0.0, 0.0)
+    err = abs(rec.omega_l2 - 2.0 * math.pi) + abs(rec.hess_d_l2 - 0.0)
     results.append(_check("controlled norms, Taylor-Green", err, 1e-10))
     return results
 

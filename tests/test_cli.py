@@ -43,6 +43,9 @@ def test_invalid_config_value(config_file, capsys):
 @pytest.mark.parametrize("override,key", [
     ("nu=inf", "nu"),
     ("length=inf", "length"),
+    # a volume or |k|^2 outside the float range: an OverflowError or nan
+    ("length=1e300", "length"),
+    ("length=1e-300", "length"),
     ("t_max=inf", "t_max"),
     ("dt=nan", "dt"),
     ("scenario.amplitude=inf", "scenario.amplitude"),

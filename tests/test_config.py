@@ -239,7 +239,9 @@ def _valid_values(draw):
                                                 "winding_director",
                                                 "random_smooth"]))}
     optional = {
-        "length": _positive_floats(min_value=0.0),
+        # the volume, cell volume and |k|^2 of every grid drawn here are
+        # normal floats (`Grid`)
+        "length": st.floats(1e-90, 1e90),
         "nu": _positive_floats(min_value=0.0),
         "dt": _positive_floats(min_value=0.0),
         "cfl_factor": _positive_floats(min_value=0.0, max_value=1.0),

@@ -267,6 +267,18 @@ class TestSnapshots:
         with pytest.raises(SnapshotFormatError, match="non-finite"):
             read_snapshot(path)
 
+    @pytest.mark.parametrize("length", [1e300, 1e-300])
+    def test_length_out_of_float_range_rejected(self, tmp_path, length):
+        # the grid's volume or |k|^2 is not a normal float
+        s = winding_director(Grid(2, 16), k=1)
+        path = tmp_path / "length.bin"
+        write_snapshot(s, path)
+        blob = bytearray(path.read_bytes())
+        blob[10:18] = struct.pack("<d", length)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SnapshotFormatError, match="length"):
+            read_snapshot(path)
+
 
 @pytest.fixture(scope="module")
 def valid_snapshot(tmp_path_factory):

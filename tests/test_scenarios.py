@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nematicflow.diagnostics import constraint_residual
+from nematicflow.diagnostics import measure
 from nematicflow.errors import ParameterRangeError, UnderResolvedError
 from nematicflow.scenarios import (SCENARIO_NAMES, ScenarioSpec,
                                    build_scenario, random_smooth,
@@ -49,9 +49,9 @@ class TestWindingDirector:
         assert np.max(np.abs(s.u.phys)) == 0.0
 
     def test_unit_length(self, grid):
-        norm_err, identity_err = constraint_residual(winding_director(grid, k=3))
-        assert norm_err < 1e-14
-        assert identity_err < 1e-11
+        rec = measure(winding_director(grid, k=3), 0.0, 0.0)
+        assert rec.sphere_norm_err < 1e-14
+        assert rec.sphere_identity_err < 1e-11
 
     def test_invalid_winding_numbers(self, grid):
         with pytest.raises(ValueError):
@@ -120,9 +120,9 @@ class TestRandomSmooth:
     def test_satisfies_state_invariants(self, grid):
         s = random_smooth(grid, seed=1)
         assert np.max(np.abs(divergence(s.u).phys)) < 1e-12
-        norm_err, identity_err = constraint_residual(s)
-        assert norm_err < 1e-8
-        assert identity_err < 1e-6
+        rec = measure(s, 0.0, 0.0)
+        assert rec.sphere_norm_err < 1e-8
+        assert rec.sphere_identity_err < 1e-6
 
     def test_amplitude_and_zero_mean(self, grid):
         s = random_smooth(grid, seed=1, amplitude=0.7)
@@ -147,8 +147,7 @@ class TestRandomSmooth:
     def test_3d(self):
         s = random_smooth(Grid(3, 16), seed=2)
         assert np.max(np.abs(divergence(s.u).phys)) < 1e-12
-        norm_err, _ = constraint_residual(s)
-        assert norm_err < 1e-8
+        assert measure(s, 0.0, 0.0).sphere_norm_err < 1e-8
 
 
 @pytest.mark.parametrize("builder, key, value", [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nematicflow import dynamics
-from nematicflow.diagnostics import constraint_residual
+from nematicflow.diagnostics import measure
 from nematicflow.dynamics import recover_pressure
 from nematicflow.errors import DegenerateDirectorError
 from nematicflow.scenarios import (random_smooth, taylor_green,
@@ -253,18 +253,17 @@ class TestPressure:
 
 class TestConstraintResidual:
     def test_exact_for_winding_director(self, grid):
-        norm_err, identity_err = constraint_residual(winding_director(grid, k=1))
-        assert norm_err < 1e-14
-        assert identity_err < 1e-12
+        rec = measure(winding_director(grid, k=1), 0.0, 0.0)
+        assert rec.sphere_norm_err < 1e-14
+        assert rec.sphere_identity_err < 1e-12
 
     def test_exact_for_constant_director(self, grid):
-        norm_err, identity_err = constraint_residual(taylor_green(grid))
-        assert norm_err < 1e-14
-        assert identity_err < 1e-14
+        rec = measure(taylor_green(grid), 0.0, 0.0)
+        assert rec.sphere_norm_err < 1e-14
+        assert rec.sphere_identity_err < 1e-14
 
     def test_detects_non_unit_director(self, grid):
         d = np.zeros((3,) + grid.shape)
         d[2] = 1.1
         s = FluidState(grid, Field.zeros(grid, 2), Field.from_phys(grid, d))
-        norm_err, _ = constraint_residual(s)
-        assert abs(norm_err - 0.1) < 1e-12
+        assert abs(measure(s, 0.0, 0.0).sphere_norm_err - 0.1) < 1e-12
