@@ -4,7 +4,8 @@
     simulate verify --suite {spectral,dynamics,energy,monitor}
 
 Exit codes: 0 on success, 1 when a run halts by overflow or director
-degeneracy (or a verify check fails), 2 on configuration errors.
+degeneracy (or a verify check fails), 2 on configuration errors, a grid
+too large for memory among them.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def _cmd_run(args) -> int:
     try:
         config = load_config(text, overrides=args.overrides)
         report = run(config)
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     rec = report.final_record

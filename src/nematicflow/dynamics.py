@@ -75,7 +75,7 @@ import numpy as np
 
 from .errors import NumericalOverflowError, check_range
 from .spectral import (Field, Grid, _fftn_rows, _forward_pass, _ifftn,
-                       _ifftn_chunks, project_spec)
+                       _inverse_pass, _irfft, project_spec)
 from .state import FluidState, PhysicsParams, normalize_director
 
 __all__ = ["StepPolicy", "rhs", "step", "suggest_dt", "recover_pressure"]
@@ -161,8 +161,8 @@ def _chunk_rows(grid: Grid) -> int:
 def _workspace(grid: Grid) -> tuple:
     """Fresh buffers for a stage, (batch, blocks, fields, products): the
     `_batch` and, for one chunk of `_chunk_rows` x0 rows, the gradient
-    blocks 1 .. dim-1 and the grid fields [u, d, grad d] of `_ifftn_chunks`
-    and the products, dim(dim+1)/2 + 3 grid components."""
+    blocks 1 .. dim-1 and the grid fields [u, d, grad d] of `_chunks` and
+    the products, dim(dim+1)/2 + 3 grid components."""
     dim, rows = grid.dim, _chunk_rows(grid)
     return (_batch(grid),
             np.empty((3 * (dim - 1), rows) + grid.spec_shape[1:],
@@ -175,21 +175,46 @@ def _chunks(grid: Grid, work: tuple, u_spec: np.ndarray, d_spec: np.ndarray,
             target: np.ndarray):
     """The stage's transforms, chunk by chunk of x0 rows, in `work`, a
     `_workspace`: yields (rows, u, d, grad d, out) per chunk, grad d[i, m]
-    = d d_m / d x_i, from the inverse of (u_spec, d_spec) with the shared
-    gradient (`_ifftn_chunks`), copied into the batch's u and d slots first
-    (no copy at all when they are those slots) and consumed there.  The
-    caller fills `out`, the chunk's products, as many grid components as
-    `target`, components of the batch; before the next chunk they are
+    = d d_m / d x_i, the grid values of the chunk's rows.  The caller fills
+    `out`, the chunk's products, as many grid components as `target`,
+    components of the batch; before the next chunk they are
     forward-transformed, dealiased, into the chunk's rows of `target`, and
-    after the last one `target` gets the pass along axis 0."""
+    after the last one `target` gets the pass along axis 0.
+
+    (u_spec, d_spec) are copied into the batch's u and d slots (no copy at
+    all when they are those slots) and consumed there: the inverse's pass
+    along axis 0 runs once on the batch, and the other passes and the
+    `irfft` run chunk by chunk, in the batch's rows and the chunk's
+    buffers.  Once a chunk is yielded its rows of the batch are free, so
+    the products' forward transform lands there.
+
+    Shared gradient: d d / d x_j is ik_j times d's partly transformed
+    spectrum just before the pass along axis j, so it skips the passes
+    along the axes before j (agreeing with a separate batch to roundoff,
+    not bit for bit): j = 0 in the batch's spare slots, the others per
+    chunk in the gradient blocks, whose grid values follow the batch's in
+    the fields, so grad d is contiguous at their end."""
     batch, blocks, fields, products = work
-    dim, cutoff = grid.dim, grid.dealias_cutoff
+    dim, res, full, ik = grid.dim, grid.res, grid.res // 2, grid.ik_deriv
+    cutoff, d = grid.dealias_cutoff, slice(dim, dim + 3)
     batch[:dim] = u_spec
-    batch[dim:dim + 3] = d_spec
-    for rows, phys in _ifftn_chunks(grid, batch, products.shape[1], 3,
-                                    (blocks, fields)):
-        out = products[:len(target), :rows.stop - rows.start]
-        yield (rows, phys[:dim], phys[dim:dim + 3],
+    batch[d] = d_spec
+    np.multiply(ik[0], batch[d], out=batch[dim + 3:])
+    _inverse_pass(grid, batch, 0, full)
+    for start in range(0, res, products.shape[1]):
+        rows = slice(start, min(start + products.shape[1], res))
+        part, n = batch[:, rows], rows.stop - start
+        for axis in range(1, dim):
+            np.multiply(ik[axis], part[d],
+                        out=blocks[3 * (axis - 1):3 * axis, :n])
+            if axis < dim - 1:
+                _inverse_pass(grid, part, axis, full)
+                _inverse_pass(grid, blocks[:3 * axis, :n], axis, full)
+        phys = fields[:, :n]
+        _irfft(grid, part, phys[:dim + 6])
+        _irfft(grid, blocks[:, :n], phys[dim + 6:])
+        out = products[:len(target), :n]
+        yield (rows, phys[:dim], phys[d],
                phys[dim + 3:].reshape((dim, 3) + phys.shape[1:]), out)
         _fftn_rows(grid, out, cutoff, target[:, rows])
     _forward_pass(grid, target, 0, cutoff)

@@ -37,15 +37,23 @@ class ScenarioSpec:
                     f"one of {sorted(SCENARIO_NAMES)}")
 
 
+def _angles(grid: Grid) -> tuple:
+    """The coordinates scaled by 2 pi / L, so that their sines and cosines
+    are periodic on the torus (the scale is exactly 1 at L = 2 pi)."""
+    scale = 2.0 * np.pi / grid.length
+    return tuple(x * scale for x in grid.coords())
+
+
 def taylor_green(grid: Grid, amplitude: float = 1.0) -> FluidState:
-    """Taylor-Green vortex velocity with a constant director (0, 0, 1).
+    """Taylor-Green vortex velocity, one period across the torus, with a
+    constant director (0, 0, 1).
 
     With the director constant the coupling terms vanish identically and
     the run reduces to plain Navier-Stokes; in 2-D the velocity decays as
-    exp(-2 nu t) times the initial profile.
+    exp(-2 nu (2 pi / L)^2 t) times the initial profile.
     """
     _check_amplitude(grid, amplitude)
-    x = grid.coords()
+    x = _angles(grid)
     shape = grid.shape
     u = np.zeros((grid.dim,) + shape)
     if grid.dim == 2:
@@ -60,15 +68,16 @@ def taylor_green(grid: Grid, amplitude: float = 1.0) -> FluidState:
 
 
 def winding_director(grid: Grid, k: int = 1) -> FluidState:
-    """Quiescent fluid with the director winding k times along x_0:
-    d = (cos k x_0, sin k x_0, 0).
+    """Quiescent fluid with the director winding k times along x_0 across
+    the torus: d = (cos 2 pi k x_0 / L, sin 2 pi k x_0 / L, 0).
 
-    A stationary harmonic map: lap d = -k^2 d and |grad d|^2 = k^2, so the
-    heat-flow tendency vanishes, as does the elastic forcing on u.
+    A stationary harmonic map: lap d = -(2 pi k / L)^2 d and |grad d|^2 =
+    (2 pi k / L)^2, so the heat-flow tendency vanishes, as does the elastic
+    forcing on u.
     """
     _check_k(grid, k)
     k = int(k)
-    x0 = grid.coords()[0]
+    x0 = _angles(grid)[0]
     shape = grid.shape
     d = np.zeros((3,) + shape)
     d[0] = np.cos(k * x0)

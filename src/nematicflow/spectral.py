@@ -23,17 +23,15 @@ spectrum's buffer and needs one component of scratch beyond it.
 - band-limited inverse: a spectrum declared band-limited (zero-padded to
   the 2x grid, random data drawn in a band) skips the lines that are all
   zero, bit-identically, since ifft(0) = 0;
-- chunks: after the inverse's pass along axis 0, and before the
-  forward's, every x0 row is independent.  `_ifftn_chunks` runs the rest
-  of an inverse one chunk of rows at a time in chunk-sized buffers, and
-  `_fftn_rows` and `_forward_pass` split the forward the same way, so a
-  caller forms pointwise products chunk by chunk and never holds the whole
-  grid.  Every 1-D line sees the same data whatever the chunk height, so
-  the values do not depend on it;
-- shared gradient: the chunked inverse forms d f / dx_j from f's partly
-  transformed spectrum just before the pass along axis j, so the gradient
-  of every nonlinear stage skips the passes along the axes before j
-  (agreeing with a separate batch to roundoff, not bit for bit).
+- passes: the pair is built from in-place 1-D passes that a caller may
+  also run on its own, on any rows of a spectrum: `_inverse_pass` and
+  `_forward_pass` along one leading axis, `_irfft` along the last axis
+  into a real buffer, and `_fftn_rows`, every forward pass but the one
+  along axis 0.  After the inverse's pass along axis 0, and before the
+  forward's, every x0 row is independent, so a caller can run the rest
+  one chunk of rows at a time in chunk-sized buffers; every 1-D line sees
+  the same data whatever the chunk height, so the values do not depend on
+  it (`dynamics._chunks` runs the nonlinear stage so).
 
 Normalization convention: the forward transform divides by the number of
 grid points, so the mode-0 coefficient equals the field mean.  Under this
@@ -329,61 +327,14 @@ def _ifftn(grid: Grid, spec: np.ndarray,
     scratch = np.empty(grid.spec_shape, np.complex128)
     for comp, out in zip(comps, phys):
         np.copyto(scratch, comp)
-        np.fft.irfft(scratch, n=grid.res, axis=-1, norm="forward", out=out)
+        _irfft(grid, scratch, out)
     return phys.reshape(spec.shape[:-dim] + grid.shape)
 
 
-def _ifftn_chunks(grid: Grid, spec: np.ndarray, rows: int, grad: int = 0,
-                  work: tuple | None = None):
-    """Inverse of `_fftn` one chunk of `rows` x0 rows at a time, with the
-    shared gradient: yields (chunk, phys), `chunk` a slice of axis 0 and
-    `phys` the grid values of its rows, (ncomp + (dim-1) grad, rows in the
-    chunk, *shape[1:]), in a buffer that the next chunk reuses.  `work` is
-    (blocks, buffer), the chunk's buffers of the gradient blocks 1 .. dim-1
-    (complex) and of `phys`, at least `rows` rows each; fresh by default.
-
-    The pass along axis 0 runs once, in place in `spec` (ncomp complex128
-    components, consumed like `_ifftn`'s argument).  After it every x0 row
-    is independent, so the other passes and the `irfft` run one chunk at a
-    time, in `spec`'s rows and in chunk-sized buffers.  Once a chunk is
-    yielded its rows of `spec` are free: the caller may write over them.
-
-    With `grad` = n > 0 the last n components of `spec` are outputs (their
-    input is never read) and the n before them are the source f.  Block j,
-    d f / dx_j, is formed as ik_j times f's partly transformed spectrum
-    just before the pass along axis j, so it skips the passes along the
-    axes before j: block 0 in `spec`'s last n components, the others per
-    chunk.  `phys` holds `spec`'s components and then blocks 1 .. dim-1, so
-    the blocks 0 .. dim-1 are contiguous at its end.
-    """
-    dim, res, full = grid.dim, grid.res, grid.res // 2
-    ncomp = spec.shape[0]
-    source = slice(ncomp - 2 * grad, ncomp - grad)
-    if grad:
-        np.multiply(grid.ik_deriv[0], spec[source], out=spec[ncomp - grad:])
-    _inverse_pass(grid, spec, 0, full)
-    if work is None:
-        work = (np.empty(((dim - 1) * grad, rows) + grid.spec_shape[1:],
-                         np.complex128),
-                np.empty((ncomp + (dim - 1) * grad, rows) + grid.shape[1:]))
-    blocks, buffer = work
-    for start in range(0, res, rows):
-        chunk = slice(start, min(start + rows, res))
-        part, n = spec[:, chunk], chunk.stop - start
-        for axis in range(1, dim):
-            if grad:  # block `axis` joins the chunk before the pass along it
-                np.multiply(grid.ik_deriv[axis], part[source],
-                            out=blocks[(axis - 1) * grad:axis * grad, :n])
-            if axis < dim - 1:
-                _inverse_pass(grid, part, axis, full)
-                if grad:
-                    _inverse_pass(grid, blocks[:axis * grad, :n], axis, full)
-        phys = buffer[:, :n]
-        np.fft.irfft(part, n=res, axis=-1, norm="forward", out=phys[:ncomp])
-        if grad:
-            np.fft.irfft(blocks[:, :n], n=res, axis=-1, norm="forward",
-                         out=phys[ncomp:])
-        yield chunk, phys
+def _irfft(grid: Grid, spec: np.ndarray, out: np.ndarray) -> None:
+    """`irfft` along the last spatial axis, the inverse's last pass, from
+    `spec` into the real `out`, which must not overlap it."""
+    np.fft.irfft(spec, n=grid.res, axis=-1, norm="forward", out=out)
 
 
 def _coerce(data, dtype, shape: tuple) -> np.ndarray:

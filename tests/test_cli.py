@@ -2,6 +2,7 @@
 
 import pytest
 
+from nematicflow import runner
 from nematicflow.cli import main
 
 
@@ -62,6 +63,19 @@ def test_non_finite_or_negative_value_is_config_error(tmp_path, capsys,
     assert "config error" in err
     assert key in err
     assert not (tmp_path / "timeseries.csv").exists()
+
+
+def test_grid_too_large_for_memory_is_config_error(config_file, capsys,
+                                                  monkeypatch):
+    # as numpy reports a failed allocation (dim 3, res 2048 asks for 192
+    # GiB); never allocated for real, which an overcommitting host answers
+    # by killing the process instead of raising
+    def build_scenario(grid, spec):
+        raise MemoryError("Unable to allocate 192. GiB for an array")
+
+    monkeypatch.setattr(runner, "build_scenario", build_scenario)
+    assert main(["run", "--config", str(config_file)]) == 2
+    assert "config error: Unable to allocate" in capsys.readouterr().err
 
 
 def test_foreign_scenario_parameter_is_config_error(tmp_path, capsys):

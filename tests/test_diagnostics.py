@@ -216,27 +216,32 @@ class TestRecordOracle:
     @pytest.mark.parametrize("oversample", [False, True])
     @pytest.mark.parametrize("dim,res", [(2, 32), (3, 16)])
     def test_every_field_matches_its_operator(self, dim, res, oversample):
-        s = random_smooth(Grid(dim, res), seed=5)
-        rec = measure(s, 0.25, 0.5, oversample=oversample)
-        omega, grad_d = curl(s.u), _grad_d_oracle(s)
-        energy, dissipation = _energy_oracle(s)
-        norm_err, identity_err = _sphere_oracle(s)
-        expected = {
-            "u_l2": l2_norm(s.u),
-            "grad_d_l2": l2_norm(grad_d),
-            "omega_l2": l2_norm(omega),
-            "omega_linf": linf_norm(omega, oversample=oversample),
-            "grad_d_linf": linf_norm(grad_d, oversample=oversample),
-            "hess_d_l2": l2_norm(laplacian(s.d)),
-            "energy": energy,
-            "dissipation": dissipation,
-        }
-        for name, value in expected.items():
-            assert getattr(rec, name) == pytest.approx(value, rel=1e-12), name
-        assert (rec.t, rec.monitor_integrand, rec.monitor_accum) == \
-            (s.t, 0.25, 0.5)
-        assert abs(rec.sphere_norm_err - norm_err) < 1e-12
-        assert abs(rec.sphere_identity_err - identity_err) < 1e-12
+        # a unit director, and one scaled to |d| = 1.1, whose norm error
+        # tells | |d| - 1 | from | |d|^2 - 1 |
+        unit = random_smooth(Grid(dim, res), seed=5)
+        for s in (unit, replace(unit, d=Field.from_phys(unit.grid,
+                                                        1.1 * unit.d.phys))):
+            rec = measure(s, 0.25, 0.5, oversample=oversample)
+            omega, grad_d = curl(s.u), _grad_d_oracle(s)
+            energy, dissipation = _energy_oracle(s)
+            norm_err, identity_err = _sphere_oracle(s)
+            expected = {
+                "u_l2": l2_norm(s.u),
+                "grad_d_l2": l2_norm(grad_d),
+                "omega_l2": l2_norm(omega),
+                "omega_linf": linf_norm(omega, oversample=oversample),
+                "grad_d_linf": linf_norm(grad_d, oversample=oversample),
+                "hess_d_l2": l2_norm(laplacian(s.d)),
+                "energy": energy,
+                "dissipation": dissipation,
+            }
+            for name, value in expected.items():
+                assert getattr(rec, name) == pytest.approx(value, rel=1e-12), \
+                    name
+            assert (rec.t, rec.monitor_integrand, rec.monitor_accum) == \
+                (s.t, 0.25, 0.5)
+            assert abs(rec.sphere_norm_err - norm_err) < 1e-12
+            assert abs(rec.sphere_identity_err - identity_err) < 1e-12
 
     @pytest.mark.parametrize("dim,res", [(2, 32), (3, 16)])
     def test_oversampled_grad_d_transformed_once(self, dim, res, monkeypatch):

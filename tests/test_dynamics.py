@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 
 import nematicflow
-from nematicflow import dynamics
+from nematicflow import dynamics, spectral
 from nematicflow.diagnostics import blowup_integrand, measure
 from nematicflow.dynamics import (_TABLEAUS, StepPolicy, _decay, _nonlinear,
                                   recover_pressure, rhs, step, suggest_dt)
 from nematicflow.errors import NumericalOverflowError
 from nematicflow.scenarios import random_smooth, taylor_green, winding_director
-from nematicflow.spectral import (Field, Grid, dealias, divergence, gradient,
-                                  laplacian, leray_project, project_spec)
+from nematicflow.spectral import (Field, Grid, _fftn, _ifftn, dealias,
+                                  divergence, gradient, laplacian,
+                                  leray_project, project_spec)
 from nematicflow.state import FluidState, PhysicsParams, normalize_director
 
 
@@ -226,12 +227,10 @@ def test_stage_does_not_depend_on_the_chunk_height(monkeypatch, dim, res,
     # grid: the step, the pass's maxima and the pressure are bit-identical,
     # as every 1-D line and every grid point sees the same data
     grid, params = Grid(dim, res), PhysicsParams(nu=0.7)
-    row = (4 * dim + 3) * 8 * res ** (dim - 1)
     results = []
     for rows in (1, 3, res):
         with monkeypatch.context() as patch:
-            patch.setattr(dynamics, "_CHUNK_BYTES", rows * row)
-            assert dynamics._chunk_rows(grid) == rows
+            _rows_per_chunk(patch, grid, rows)
             s = random_smooth(grid, seed=3)
             memo = dynamics._pass(s)
             maxima = (memo.grad_sq, memo.u_max, memo.grad_d_max)
@@ -241,6 +240,107 @@ def test_stage_does_not_depend_on_the_chunk_height(monkeypatch, dim, res,
     for result in results[1:]:
         for got, expected in zip(result, results[0]):
             assert np.array_equal(got, expected)
+
+
+def _rows_per_chunk(monkeypatch, grid, rows):
+    """Sets `_CHUNK_BYTES` to the grid fields of `rows` x0 rows."""
+    row = (4 * grid.dim + 3) * 8 * grid.res ** (grid.dim - 1)
+    monkeypatch.setattr(dynamics, "_CHUNK_BYTES", rows * row)
+    assert dynamics._chunk_rows(grid) == rows
+
+
+def _chunk_fields(grid, u_spec, d_spec):
+    """The grid values (u, d, grad d) that `_chunks` yields, grad d[i, m] =
+    d d_m / d x_i, each joined along x0 into a fresh array."""
+    work = dynamics._workspace(grid)
+    chunks = [[f.copy() for f in fields] for _, *fields, _ in
+              dynamics._chunks(grid, work, u_spec, d_spec, work[0][:0])]
+    u, d, grad_d = (np.concatenate(f, axis=-grid.dim) for f in zip(*chunks))
+    return np.concatenate([u, d, grad_d.reshape((-1,) + grid.shape)])
+
+
+def _allocating_shared_ifftn(grid, fields):
+    """[u, d, grad d] on the grid from `fields` = [u, d] in one allocating
+    inverse: d's gradient block j formed just before the pass along axis
+    j, each pass on the whole batch, then one `irfft` into a fresh array."""
+    dim = grid.dim
+    spec = np.concatenate([fields, np.empty((3 * dim,) + grid.spec_shape,
+                                            complex)])
+    for axis in range(dim):
+        stop = dim + 3 * (axis + 2)
+        spec[stop - 3:stop] = grid.ik_deriv[axis] * spec[dim:dim + 3]
+        if axis < dim - 1:
+            for line in spectral._lines(grid, axis, grid.res // 2):
+                view = spec[:stop][line]
+                view[...] = np.fft.ifft(view, axis=axis - dim, norm="forward")
+    return np.fft.irfft(spec, n=grid.res, axis=-1, norm="forward")
+
+
+def _separate_ifftn(grid, fields):
+    """[u, d, grad d] on the grid from `fields` = [u, d], with every
+    gradient block formed before any pass."""
+    dim = grid.dim
+    return _ifftn(grid, np.concatenate(
+        [fields] + [ik * fields[dim:] for ik in grid.ik_deriv]))
+
+
+@pytest.mark.parametrize("dim, res", [(2, 16), (2, 64), (3, 8), (3, 32)])
+def test_chunks_share_the_gradient(monkeypatch, dim, res):
+    # chunks of 3 x0 rows, the last one short: bit-identical to one
+    # allocating inverse that forms grad d the same way, and agreeing to
+    # roundoff with the batch whose gradient is formed before any pass
+    grid = Grid(dim, res)
+    _rows_per_chunk(monkeypatch, grid, 3)
+    rng = np.random.Generator(np.random.PCG64(3))
+    fields = _fftn(grid, rng.standard_normal((dim + 3,) + grid.shape))
+    shared = _chunk_fields(grid, fields[:dim], fields[dim:])
+    assert np.array_equal(shared, _allocating_shared_ifftn(grid, fields))
+    separate = _separate_ifftn(grid, fields)
+    assert np.max(np.abs(shared - separate)) <= \
+        1e-12 * np.max(np.abs(separate))
+    # u and d themselves take the same passes as in the separate batch
+    assert np.array_equal(shared[:dim + 3], separate[:dim + 3])
+
+
+@pytest.mark.parametrize("dim, res", [(2, 16), (3, 8)])
+def test_chunks_share_the_gradient_exactly_on_winding_director(monkeypatch,
+                                                               dim, res):
+    grid = Grid(dim, res)
+    _rows_per_chunk(monkeypatch, grid, 3)
+    s = winding_director(grid, k=2)
+    fields = np.concatenate([s.u.spec, s.d.spec])
+    assert np.array_equal(_chunk_fields(grid, s.u.spec, s.d.spec),
+                          _separate_ifftn(grid, fields))
+
+
+@pytest.mark.parametrize("dim, res", [(2, 64), (3, 16)])
+def test_chunks_allocate_nothing_beyond_the_workspace(monkeypatch, dim, res):
+    # at one x0 row per chunk the workspace's chunk buffers are one row
+    # high; the transforms run in them and in the batch and allocate only
+    # numpy's ufunc buffer for the broadcast ik_j multiplies (bounded, not
+    # per component) and a few small Python objects
+    grid = Grid(dim, res)
+    _rows_per_chunk(monkeypatch, grid, 1)
+    s = random_smooth(grid, seed=3)
+    work = dynamics._workspace(grid)
+    assert [buffer.shape[1] for buffer in work[1:]] == [1, 1, 1]
+    target = work[0][:len(dynamics._PAIRS[dim]) + 3]
+
+    def run():
+        for _, u, d, grad_d, out in dynamics._chunks(grid, work, s.u.spec,
+                                                     s.d.spec, target):
+            out[...] = 0.0
+            assert all(np.shares_memory(f, work[2]) for f in (u, d, grad_d))
+            assert np.shares_memory(out, work[3])
+
+    run()  # fills the grid's tables and d's spectrum
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= np.getbufsize() * 16 + 16 * 1024
 
 
 @pytest.mark.parametrize("dim, res", [(2, 32), (3, 16)])
@@ -503,6 +603,22 @@ def _memo_uses(source):
         and node.value in _MEMO_NAMES])
 
 
+def _layout_knobs(source):
+    """Line numbers of the functions in `source` that are generators or
+    take a `grad` or `work` parameter: the forms of a transform that runs
+    a caller's chunk loop or knows its buffers."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        if {arg.arg for arg in args} & {"grad", "work"} or any(
+                isinstance(inner, (ast.Yield, ast.YieldFrom))
+                for inner in ast.walk(node)):
+            lines.append(node.lineno)
+    return lines
+
+
 def _package_imports(source):
     """The modules of the package that `source`, one of its modules,
     imports: relatively or as `nematicflow.<module>`."""
@@ -531,6 +647,12 @@ def test_stage_guards_detect_each_form():
     assert _stage_uses("from . import dynamics\ndynamics._chunks(g)\n") \
         == [2]
     assert _stage_uses("batch = make(grid)\nstep(s, '_batch')\n") == []
+    assert _layout_knobs("def f(grid, spec):\n    yield spec\n") == [1]
+    assert _layout_knobs("def f(spec):\n    yield from spec\n") == [1]
+    assert _layout_knobs("x = 1\ndef f(spec, grad=0):\n    pass\n") == [2]
+    assert _layout_knobs("def f(spec, *, work=None):\n    pass\n") == [1]
+    assert _layout_knobs("def f(spec, rows):\n    return (r for r in rows)\n"
+                         "g = f(work, grad)\n") == []
     assert _memo_uses("class _Memo:\n    pass\n") == [1]
     assert _memo_uses("s._memo.clear()\n") == [1]
     assert _memo_uses("x = 1\ns._memo = {}\n") == [2]
@@ -552,8 +674,9 @@ def test_stage_guards_detect_each_form():
 
 def test_only_dynamics_knows_the_stage_layout():
     # one owner for the stage: every other module goes through `_pass`,
-    # `_nonlinear`, `step` and `recover_pressure`, and the state module
-    # holds the state alone
+    # `_nonlinear`, `step` and `recover_pressure`, the state module holds
+    # the state alone, and spectral's transforms and passes are layout-free:
+    # none runs a chunk loop or takes the stage's gradient or buffers
     package = Path(nematicflow.__file__).parent
     found = {path.name: _stage_uses(path.read_text("utf-8"))
              for path in sorted(package.glob("*.py"))}
@@ -561,6 +684,7 @@ def test_only_dynamics_knows_the_stage_layout():
     assert {name: lines for name, lines in found.items() if lines} == {}
     state_source = (package / "state.py").read_text("utf-8")
     assert _package_imports(state_source) == {"errors", "spectral"}
+    assert _layout_knobs((package / "spectral.py").read_text("utf-8")) == []
 
 
 def test_only_dynamics_keeps_the_state_record():

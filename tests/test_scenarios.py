@@ -33,6 +33,16 @@ class TestTaylorGreen:
         s = taylor_green(Grid(3, 16))
         assert np.max(np.abs(divergence(s.u).phys)) < 1e-12
 
+    @pytest.mark.parametrize("length", [10.0, 100.0])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_periodic_on_any_torus(self, dim, length):
+        # one period across the torus: the modes with max|k_int| = 1 hold
+        # the whole spectrum
+        grid = Grid(dim, 16, length)
+        k_max = np.max(np.abs(np.broadcast_arrays(*grid.k_int)), axis=0)
+        spec = taylor_green(grid).u.spec
+        assert np.max(np.abs(spec[:, k_max != 1])) <= 1e-12
+
     def test_amplitude_scaling(self, grid):
         s = taylor_green(grid, amplitude=2.5)
         assert abs(np.max(np.abs(s.u.phys)) - 2.5) < 1e-13
@@ -47,6 +57,17 @@ class TestWindingDirector:
         assert np.max(np.abs(s.d.phys[0] - np.cos(2 * x0))) < 1e-14
         assert np.max(np.abs(s.d.phys[1] - np.sin(2 * x0))) < 1e-14
         assert np.max(np.abs(s.u.phys)) == 0.0
+
+    @pytest.mark.parametrize("length", [10.0, 100.0])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_periodic_on_any_torus(self, dim, length):
+        # k = 2 windings across the torus: the modes (+-2, 0, ...) hold the
+        # whole spectrum
+        grid = Grid(dim, 16, length)
+        k = np.broadcast_arrays(*grid.k_int)
+        own = (np.abs(k[0]) == 2) & (np.max(np.abs(k[1:]), axis=0) == 0)
+        spec = winding_director(grid, k=2).d.spec
+        assert np.max(np.abs(spec[:, ~own])) <= 1e-12
 
     def test_unit_length(self, grid):
         rec = measure(winding_director(grid, k=3), 0.0, 0.0)

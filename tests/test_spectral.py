@@ -10,12 +10,10 @@ import pytest
 import nematicflow
 from nematicflow.errors import ParameterRangeError
 from nematicflow.spectral import (Field, Grid, _fftn, _fftn_rows,
-                                  _forward_pass, _ifftn, _ifftn_chunks,
-                                  _lines, curl, dealias, divergence, gradient,
+                                  _forward_pass, _ifftn, _lines, curl, dealias, divergence, gradient,
                                   l2_norm, laplacian, leray_project,
                                   linf_norm, oversampled_phys, project_spec,
                                   second_derivative)
-from nematicflow.scenarios import winding_director
 
 
 @pytest.fixture
@@ -36,29 +34,17 @@ def _band_mask(grid, cutoff):
     return keep
 
 
-def _allocating_ifftn(grid, spec, cutoff=None, grad=0):
+def _allocating_ifftn(grid, spec, cutoff=None):
     """The inverse as it was before it wrote into its argument: the same
     leading passes in place, then one `irfft` of the whole batch into a
     fresh array."""
     dim = grid.dim
     cutoff = grid.res // 2 if cutoff is None else cutoff
-    stop = spec.shape[0] - dim * grad
-    source = spec[stop - grad:stop]
-    for axis in range(dim):
-        if grad:
-            spec[stop:stop + grad] = grid.ik_deriv[axis] * source
-            stop += grad
-        if axis < dim - 1:
-            for line in _lines(grid, axis, cutoff):
-                view = spec[:stop][line]
-                view[...] = np.fft.ifft(view, axis=axis - dim, norm="forward")
+    for axis in range(dim - 1):
+        for line in _lines(grid, axis, cutoff):
+            view = spec[line]
+            view[...] = np.fft.ifft(view, axis=axis - dim, norm="forward")
     return np.fft.irfft(spec, n=grid.res, axis=-1, norm="forward")
-
-
-def _chunked_ifftn(grid, spec, grad, rows=3):
-    """The chunked inverse's grid values, its chunks joined along x0."""
-    return np.concatenate([phys.copy() for _, phys in
-                           _ifftn_chunks(grid, spec, rows, grad)], axis=1)
 
 
 def random_field(grid, ncomp=1, seed=0):
@@ -207,46 +193,29 @@ class TestTransforms:
         assert phys.shape == (ncomp,) + grid.shape
         assert np.array_equal(phys, oracle)
 
-    @pytest.mark.parametrize("grad", [0, 3])
     @pytest.mark.parametrize("dim, res", [(2, 64), (3, 16)])
-    def test_inverse_writes_over_its_argument(self, dim, res, grad):
-        # the leading passes run inside the spectrum.  `_ifftn` (grad 0)
-        # writes the grid values over it too and allocates one complex
-        # component of scratch beyond it; the chunked inverse with 3
-        # gradient blocks allocates its buffers of one chunk (here one x0
-        # row) and, for the broadcast ik_j multiply of the blocks, numpy's
-        # ufunc buffer (bounded, not per component); both a few small
-        # Python objects
+    def test_inverse_writes_over_its_argument(self, dim, res):
+        # the leading passes run inside the spectrum and the grid values
+        # are written over it, with one complex component of scratch
+        # beyond it and a few small Python objects
         grid = Grid(dim, res)
-        rng = np.random.Generator(np.random.PCG64(grad))
-        ncomp = 5 + grad
-        spec = _fftn(grid, rng.standard_normal((ncomp,) + grid.shape))
+        rng = np.random.Generator(np.random.PCG64(0))
+        spec = _fftn(grid, rng.standard_normal((5,) + grid.shape))
         kept = spec.copy()
-        _chunked_ifftn(grid, spec.copy(), grad)  # fills the grid's tables
         tracemalloc.start()
         try:
-            if grad:
-                for _, phys in _ifftn_chunks(grid, spec, 1, grad):
-                    pass
-            else:
-                phys = _ifftn(grid, spec)
+            phys = _ifftn(grid, spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert not np.array_equal(spec, kept)
-        if grad:
-            chunk = (ncomp + (dim - 1) * grad) * res ** (dim - 1) * 8 \
-                + (dim - 1) * grad * spec[0, 0].nbytes
-            assert phys.shape == (ncomp + (dim - 1) * grad, 1) + grid.shape[1:]
-            assert peak <= chunk + np.getbufsize() * spec.itemsize + 16 * 1024
-        else:
-            assert phys.shape == (ncomp,) + grid.shape
-            assert np.shares_memory(phys, spec)
-            assert peak <= spec[0].nbytes + 16 * 1024
+        assert phys.shape == (5,) + grid.shape
+        assert np.shares_memory(phys, spec)
+        assert peak <= spec[0].nbytes + 16 * 1024
 
     @pytest.mark.parametrize("dim, res", [(2, 16), (2, 64), (3, 8), (3, 32)])
     def test_inverse_values_are_unchanged(self, dim, res):
-        # band-limited and gradient batches against the allocating inverse
+        # band-limited batches against the allocating inverse
         grid = Grid(dim, res)
         rng = np.random.Generator(np.random.PCG64(res))
         white = _fftn(grid, rng.standard_normal((15,) + grid.shape))
@@ -255,10 +224,6 @@ class TestTransforms:
                 white * _band_mask(grid, cutoff)
             assert np.array_equal(_ifftn(grid, spec.copy(), cutoff),
                                   _allocating_ifftn(grid, spec.copy(), cutoff))
-        spec = np.zeros((4 * dim + 3,) + grid.spec_shape, complex)
-        spec[:dim + 3] = white[:dim + 3]
-        assert np.array_equal(_chunked_ifftn(grid, spec[:dim + 6].copy(), 3),
-                              _allocating_ifftn(grid, spec, grad=3))
 
     @pytest.mark.parametrize("layout", ["C", "F", "reversed"])
     @pytest.mark.parametrize("ncomp", [1, 3, 9])
@@ -290,41 +255,6 @@ class TestTransforms:
             spec = white * _band_mask(grid, cutoff)
             expected = _ifftn(grid, spec.copy())
             assert np.array_equal(_ifftn(grid, spec, cutoff), expected)
-
-    @pytest.mark.parametrize("layout", ["C", "F"])
-    @pytest.mark.parametrize("ngrad", [1, 3])
-    @pytest.mark.parametrize("dim, res", [(2, 16), (2, 64), (3, 8), (3, 32)])
-    def test_gradient_sharing_matches_separate_batch(self, dim, res, ngrad,
-                                                     layout):
-        # [f, grad of its last ngrad components] against the batch whose
-        # gradient blocks are formed before any pass
-        grid = Grid(dim, res)
-        rng = np.random.Generator(np.random.PCG64(ngrad))
-        ncomp = ngrad + 2
-        fields = _fftn(grid, rng.standard_normal((ncomp,) + grid.shape))
-        separate = np.concatenate(
-            [fields] + [ik * fields[-ngrad:] for ik in grid.ik_deriv])
-        expected = _ifftn(grid, separate)
-        spec = np.empty((ncomp + ngrad,) + grid.spec_shape, complex,
-                        order="F" if layout == "F" else "C")
-        spec[:ncomp] = fields
-        shared = _chunked_ifftn(grid, spec, ngrad)
-        assert np.max(np.abs(shared - expected)) <= \
-            1e-12 * np.max(np.abs(expected))
-        # the fields themselves take the same passes as before
-        assert np.array_equal(shared[:ncomp], expected[:ncomp])
-
-    @pytest.mark.parametrize("dim, res", [(2, 16), (3, 8)])
-    def test_gradient_sharing_is_exact_on_winding_director(self, dim, res):
-        grid = Grid(dim, res)
-        s = winding_director(grid, k=2)
-        spec = np.empty((dim + 6,) + grid.spec_shape, complex)
-        spec[:dim], spec[dim:dim + 3] = s.u.spec, s.d.spec
-        separate = np.concatenate(
-            [s.u.spec, s.d.spec]
-            + [ik * s.d.spec for ik in grid.ik_deriv])
-        expected = _ifftn(grid, separate)
-        assert np.array_equal(_chunked_ifftn(grid, spec, 3), expected)
 
     @pytest.mark.parametrize("dim, res", [(2, 32), (3, 16)])
     def test_phys_keeps_its_spectrum(self, dim, res):

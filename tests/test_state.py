@@ -11,8 +11,7 @@ from nematicflow.dynamics import recover_pressure
 from nematicflow.errors import DegenerateDirectorError
 from nematicflow.scenarios import (random_smooth, taylor_green,
                                    winding_director)
-from nematicflow.spectral import (Field, Grid, _ifftn_chunks, dealias,
-                                  gradient, leray_project)
+from nematicflow.spectral import Field, Grid, dealias, gradient, leray_project
 from nematicflow.state import FluidState, PhysicsParams, normalize_director
 
 
@@ -93,18 +92,14 @@ class TestNormalize:
             normalize_director(s)
 
 
-def _grid_fields(grid, u, d, rows=3):
-    """(u, d, grad d) on the grid, grad d[i, m] = d d_m / d x_i, from the
-    stage's chunked inverse, as views of one fresh array; `rows` rows per
-    chunk."""
-    dim = grid.dim
-    batch = dynamics._batch(grid)
-    batch[:dim], batch[dim:dim + 3] = u.spec, d.spec
-    fields = np.empty((4 * dim + 3,) + grid.shape)
-    for chunk, phys in _ifftn_chunks(grid, batch, rows, grad=3):
-        fields[:, chunk] = phys
-    return (fields[:dim], fields[dim:dim + 3],
-            fields[dim + 3:].reshape((dim, 3) + grid.shape))
+def _grid_fields(grid, u, d):
+    """(u, d, grad d) on the grid, grad d[i, m] = d d_m / d x_i, as the
+    stage's chunks yield them (`dynamics._chunks`), each joined along x0
+    into a fresh array."""
+    work = dynamics._workspace(grid)
+    chunks = [[f.copy() for f in fields] for _, *fields, _ in
+              dynamics._chunks(grid, work, u.spec, d.spec, work[0][:0])]
+    return tuple(np.concatenate(f, axis=-grid.dim) for f in zip(*chunks))
 
 
 def _grid_products(grid, u, d):
