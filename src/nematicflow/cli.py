@@ -42,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     try:
-        text = args.config.read_text(encoding="utf-8")
+        text = args.config.read_text(encoding="utf-8-sig")
     except OSError as exc:
         print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
         return 2

@@ -23,8 +23,10 @@ and N_u = P[-i k . sigma_hat], since the projection removes the gradient.
 A stage transforms [u, d, grad d] to the grid, forms sigma (dim(dim+1)/2
 components, `_PAIRS`) and N_d pointwise and transforms them back
 dealiased by the 2/3 rule: 17 arrays in 2-D, 24 in 3-D; linear terms are
-never dealiased.  The pressure takes |grad d|^2 / 2 off the diagonal of
-sigma before its double divergence.
+never dealiased.  The pressure is fixed by the same stress: with the force
+F = -div sigma, -(u.grad)u - lap d . grad d = F + grad(|grad d|^2 / 2), so
+p_hat = -i k . F_hat / |k|^2 + (|grad d|^2)_hat / 2 wherever the |k|^2 of
+the derivative tables is nonzero, and 0 elsewhere.
 
 A stage runs chunk by chunk of x0 rows (`_chunks`).  Its spectral batch
 holds [u, d, d d / d x_0] (dim + 6 components, `_batch`); the inverse's
@@ -38,26 +40,27 @@ the values do not depend on it; once a grid's fields outgrow it, no
 full-grid [u, d, grad d] or products array is built at all.  The batch and
 the chunk's buffers are a stage's `_workspace`.  After the last chunk the
 forward's pass along axis 0, the force -div sigma and its projection run
-inside the batch, which then holds [N_u, N_d, three spare components]:
-sigma's pairs (0, b) land in the spare slots, where the force is formed
-over them one component at a time, the other pairs in u's, N_d in d's
-(`_SLOTS`).
+inside the batch, which then holds [N_u, N_d, F]: sigma's pairs (0, b)
+land in the spare slots, where the force F is formed over them one
+component at a time, the other pairs in u's, N_d in d's (`_SLOTS`), and
+the projection writes N_u into u's slots from F, which it leaves as it is.
 
 Each state runs stage 1 once (`_pass`), for the next step's first stage,
-the CFL step, the monitor and the record: it keeps the tendency in its
-batch and folds |grad d|^2, max|u| and max|grad d| chunk by chunk.  The
-pass is memoized in a `_Memo`, the state's one record of what its
-consumers computed from it: the pass's workspace and maxima and the curl
-and oversampled maxima that `diagnostics` fills.  The record is kept in
-the state's instance dict, as `functools.cached_property` keeps a value,
-and this module alone creates, stores and empties it (`_memo_of`), so
-`state` holds the state alone and `dataclasses.replace` starts every new
-state without one.  A step empties the record and takes the workspace
-over, so a run holds one at a time, and a later consumer of the stepped
-state runs its pass again.  Every later stage is written into the batch's u and
-d slots, where the last tendency lies, and runs in the same workspace.
-The sum terms, E y0 and the unprojected u of y1 are formed in the spare
-slots, and u's y1 is projected from there into the running sum.
+the CFL step, the monitor, the record, the tendencies (`rhs`) and the
+pressure: it keeps [N_u, N_d, F] in its batch and folds |grad d|^2, max|u|
+and max|grad d| chunk by chunk.  The pass is memoized in a `_Memo`, the
+state's one record of what its consumers computed from it: the pass's
+workspace and maxima and the curl and oversampled maxima that
+`diagnostics` fills.  The record is kept in the state's instance dict, as
+`functools.cached_property` keeps a value, and this module alone creates,
+stores and empties it (`_memo_of`), so `state` holds the state alone and
+`dataclasses.replace` starts every new state without one.  A step empties
+the record and takes the workspace over, so a run holds one at a time,
+and a later consumer of the stepped state runs its pass again.  Every
+later stage is written into the batch's u and d slots, where the last
+tendency lies, and runs in the same workspace.  The sum terms, E y0 and
+the unprojected u of y1 are formed in the spare slots, over F, and u's y1
+is projected from there into the running sum.
 
 The director is renormalized to unit length once per full step, not per
 substage, so the formal RK order is preserved; the radial drift removed by
@@ -74,8 +77,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalOverflowError, check_range
-from .spectral import (Field, Grid, _fftn_rows, _forward_pass, _ifftn,
-                       _inverse_pass, _irfft, project_spec)
+from .spectral import (Field, Grid, _fftn, _fftn_rows, _forward_pass,
+                       _ifftn, _inverse_pass, _irfft, project_spec)
 from .state import FluidState, PhysicsParams, normalize_director
 
 __all__ = ["StepPolicy", "rhs", "step", "suggest_dt", "recover_pressure"]
@@ -171,15 +174,14 @@ def _workspace(grid: Grid) -> tuple:
             np.empty((len(_PAIRS[dim]) + 3, rows) + grid.shape[1:]))
 
 
-def _chunks(grid: Grid, work: tuple, u_spec: np.ndarray, d_spec: np.ndarray,
-            target: np.ndarray):
+def _chunks(grid: Grid, work: tuple, u_spec: np.ndarray, d_spec: np.ndarray):
     """The stage's transforms, chunk by chunk of x0 rows, in `work`, a
     `_workspace`: yields (rows, u, d, grad d, out) per chunk, grad d[i, m]
     = d d_m / d x_i, the grid values of the chunk's rows.  The caller fills
-    `out`, the chunk's products, as many grid components as `target`,
-    components of the batch; before the next chunk they are
-    forward-transformed, dealiased, into the chunk's rows of `target`, and
-    after the last one `target` gets the pass along axis 0.
+    `out`, the chunk's products, dim(dim+1)/2 + 3 grid components; before
+    the next chunk they are forward-transformed, dealiased, into the
+    chunk's rows of the batch's product slots (`_SLOTS`), and after the
+    last one those slots get the pass along axis 0.
 
     (u_spec, d_spec) are copied into the batch's u and d slots (no copy at
     all when they are those slots) and consumed there: the inverse's pass
@@ -197,6 +199,7 @@ def _chunks(grid: Grid, work: tuple, u_spec: np.ndarray, d_spec: np.ndarray,
     batch, blocks, fields, products = work
     dim, res, full, ik = grid.dim, grid.res, grid.res // 2, grid.ik_deriv
     cutoff, d = grid.dealias_cutoff, slice(dim, dim + 3)
+    target = batch[_SLOTS[dim][0]:2 * dim + 3]
     batch[:dim] = u_spec
     batch[d] = d_spec
     np.multiply(ik[0], batch[d], out=batch[dim + 3:])
@@ -213,7 +216,7 @@ def _chunks(grid: Grid, work: tuple, u_spec: np.ndarray, d_spec: np.ndarray,
         phys = fields[:, :n]
         _irfft(grid, part, phys[:dim + 6])
         _irfft(grid, blocks[:, :n], phys[dim + 6:])
-        out = products[:len(target), :n]
+        out = products[:, :n]
         yield (rows, phys[:dim], phys[d],
                phys[dim + 3:].reshape((dim, 3) + phys.shape[1:]), out)
         _fftn_rows(grid, out, cutoff, target[:, rows])
@@ -221,21 +224,20 @@ def _chunks(grid: Grid, work: tuple, u_spec: np.ndarray, d_spec: np.ndarray,
 
 
 def _products(grid: Grid, u: np.ndarray, d: np.ndarray, grad_d: np.ndarray,
-              sigma, n_d: np.ndarray | None = None) -> None:
+              sigma, n_d: np.ndarray) -> None:
     """sigma on the grid into `sigma`, one array per pair of `_PAIRS`, and
-    |grad d|^2 d - (u.grad)d into `n_d` if it is given.
+    |grad d|^2 d - (u.grad)d into `n_d`.
 
     The advection term (u.grad)d is written into `d`, which is spent once
-    |grad d|^2 d is formed, so with `n_d` `d` holds garbage afterwards."""
+    |grad d|^2 d is formed, so `d` holds garbage afterwards."""
     pairs = _PAIRS[grid.dim]
     for out, (a, b) in zip(sigma, pairs):
         np.einsum("m...,m...->...", grad_d[a], grad_d[b], out=out)
-    if n_d is not None:
-        # |grad d|^2 is the trace of sigma so far
-        np.multiply(sum(out for out, (a, b) in zip(sigma, pairs) if a == b),
-                    d, out=n_d)
-        np.subtract(n_d, np.einsum("j...,jm...->m...", u, grad_d, out=d),
-                    out=n_d)
+    # |grad d|^2 is the trace of sigma so far
+    np.multiply(sum(out for out, (a, b) in zip(sigma, pairs) if a == b), d,
+                out=n_d)
+    np.subtract(n_d, np.einsum("j...,jm...->m...", u, grad_d, out=d),
+                out=n_d)
     for out, (a, b) in zip(sigma, pairs):
         out += u[a] * u[b]
 
@@ -244,12 +246,12 @@ def _products(grid: Grid, u: np.ndarray, d: np.ndarray, grad_d: np.ndarray,
 class _Memo:
     """The record of what a state's consumers computed from it, each field
     None until then: the state's pass (`_pass`), its first stage, which
-    keeps the tendency in the batch of `work`, a `_workspace`, with
-    |grad d|^2 on the grid (`grad_sq`), max|u| and max|grad d| (`_stage`);
-    and max|omega| on the grid and on the 2x finer one and the finer
-    max|grad d|, which `diagnostics` fills.  Every field's default is a
-    class attribute, so clearing an instance's dict empties the record
-    (`_stages`)."""
+    keeps [N_u, N_d, F] in the batch of `work`, a `_workspace`, until a
+    step takes it over, with |grad d|^2 on the grid (`grad_sq`), max|u|
+    and max|grad d| (`_stage`); and max|omega| on the grid and on the 2x
+    finer one and the finer max|grad d|, which `diagnostics` fills.  Every
+    field's default is a class attribute, so clearing an instance's dict
+    empties the record (`_stages`)."""
 
     work: tuple | None = None
     grad_sq: np.ndarray | None = None
@@ -264,7 +266,9 @@ def _stage(grid: Grid, u_spec: np.ndarray, d_spec: np.ndarray,
            work: tuple, memo: _Memo | None = None) -> None:
     """The stage's tendency (N_u, N_d), dealiased, into the first dim + 3
     components of the batch of `work` (a `_workspace`), from (u_spec,
-    d_spec) (`_chunks`).
+    d_spec) (`_chunks`), and the unprojected force F = -i k . sigma_hat
+    into the spare slots after them, which the projection leaves as they
+    are.
 
     With `memo`, also |grad d|^2 on the grid into its `grad_sq`, and its
     max|u| and max|grad d|, folded chunk by chunk."""
@@ -273,8 +277,7 @@ def _stage(grid: Grid, u_spec: np.ndarray, d_spec: np.ndarray,
     batch = work[0]
     products = batch[first:2 * dim + 3]
     u_sq = []
-    for rows, u, d, grad_d, out in _chunks(grid, work, u_spec, d_spec,
-                                           products):
+    for rows, u, d, grad_d, out in _chunks(grid, work, u_spec, d_spec):
         if memo is not None:
             u_sq.append(np.max(np.einsum("i...,i...->...", u, u)))
             np.einsum("im...,im...->...", grad_d, grad_d,
@@ -338,11 +341,13 @@ def _decay(grid: Grid, coeff: float) -> np.ndarray:
 
 def rhs(s: FluidState, params: PhysicsParams) -> tuple:
     """Full tendencies (u_t, d_t): P[-(u.grad)u - lap d . grad d] + nu lap u
-    and lap d + |grad d|^2 d - (u.grad)d, from one stage."""
-    grid = s.grid
-    n_u, n_d = _nonlinear(grid, s.u.spec, s.d.spec)
-    return (Field.from_spec(grid, n_u - params.nu * grid.k2 * s.u.spec),
-            Field.from_spec(grid, n_d - grid.k2 * s.d.spec))
+    and lap d + |grad d|^2 d - (u.grad)d, the nonlinear parts read from
+    the state's pass (`_pass`)."""
+    grid, batch = s.grid, _pass(s).work[0]
+    return (Field.from_spec(grid, batch[:grid.dim]
+                            - params.nu * grid.k2 * s.u.spec),
+            Field.from_spec(grid, batch[grid.dim:grid.dim + 3]
+                            - grid.k2 * s.d.spec))
 
 
 def step(s: FluidState, params: PhysicsParams, dt: float,
@@ -448,21 +453,15 @@ def recover_pressure(s: FluidState) -> Field:
     """Solve the spectral pressure Poisson equation
     lap p = -div(u . grad u + lap d . grad d); zero-mean output.
 
-    p_hat = -k_a k_b sigma'_ab_hat / |k|^2, the double divergence of the
-    stress sigma' = sigma - |grad d|^2 I / 2, formed chunk by chunk as in a
-    stage (`_chunks`) without N_d.  Diagnostic only: time stepping
-    eliminates the pressure by projection."""
-    grid = s.grid
-    pairs, k = _PAIRS[grid.dim], grid.k_deriv
-    diagonal = [p for p, (a, b) in enumerate(pairs) if a == b]
-    work = _workspace(grid)
-    spec = work[0][:len(pairs)]
-    for _, u, d, grad_d, sigma in _chunks(grid, work, s.u.spec, s.d.spec,
-                                          spec):
-        _products(grid, u, d, grad_d, sigma)
-        # |grad d|^2 summed as the pass sums it
-        sigma[diagonal] -= 0.5 * np.einsum("im...,im...->...", grad_d, grad_d)
-    # each off-diagonal pair stands for itself and its transpose
-    div2 = sum((1.0 if a == b else 2.0) * k[a] * k[b] * spec[p]
-               for p, (a, b) in enumerate(pairs))
-    return Field.from_spec(grid, (-div2 * grid.inv_k2)[np.newaxis])
+    p_hat = (-i k . F_hat + |k|^2 g_hat / 2) / |k|^2 from the state's pass
+    (`_pass`): its force F = -div sigma, whose divergence is the double
+    divergence of the stress sigma, and g = |grad d|^2, which the pass
+    keeps on the grid and which is forward-transformed here, dealiased as
+    F is.  Diagnostic only: time stepping eliminates the pressure by
+    projection."""
+    grid, memo = s.grid, _pass(s)
+    force = memo.work[0][grid.dim + 3:2 * grid.dim + 3]
+    grad_sq = _fftn(grid, memo.grad_sq[np.newaxis], grid.dealias_cutoff)
+    div = sum(k * f for k, f in zip(grid.k_deriv, force))
+    return Field.from_spec(
+        grid, grid.inv_k2 * (0.5 * grid.k2_deriv * grad_sq - 1j * div))

@@ -100,9 +100,11 @@ class Grid:
     length: float = 2.0 * np.pi
 
     def __post_init__(self):
-        check_range("dim", self.dim, self.dim in (2, 3), "2 or 3")
-        check_range("res", self.res,
-                    self.res >= 8 and (self.res & (self.res - 1)) == 0,
+        # an int, numpy's too: a float or a str would raise TypeError below
+        check_range("dim", self.dim, self.dim in (2, 3)
+                    and isinstance(self.dim, (int, np.integer)), "2 or 3")
+        check_range("res", self.res, isinstance(self.res, (int, np.integer))
+                    and self.res >= 8 and (self.res & (self.res - 1)) == 0,
                     "a power of two >= 8")
         check_range("length", self.length,
                     0 < self.length < math.inf, "positive and finite")

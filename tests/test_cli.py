@@ -31,6 +31,15 @@ def test_run_with_overrides(config_file, capsys):
     assert "final_time = 0.1" in capsys.readouterr().out
 
 
+def test_config_with_a_byte_order_mark(config_file, capsys):
+    # as some editors save UTF-8: the mark is not part of the first key
+    assert main(["run", "--config", str(config_file)]) == 0
+    plain = capsys.readouterr().out
+    config_file.write_bytes(b"\xef\xbb\xbf" + config_file.read_bytes())
+    assert main(["run", "--config", str(config_file)]) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == 2
     assert "cannot read config" in capsys.readouterr().err

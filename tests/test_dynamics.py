@@ -131,6 +131,17 @@ class TestRhs:
         u_t, _ = rhs(random_smooth(grid, seed=3), params)
         assert np.max(np.abs(divergence(u_t).phys)) < 1e-11
 
+    @pytest.mark.parametrize("dim, res", [(2, 32), (3, 16)])
+    def test_rhs_is_a_fresh_stage_less_the_linear_terms(self, dim, res):
+        # rhs reads the state's pass, which runs the same stage as
+        # `_nonlinear` on a fresh workspace
+        grid, params = Grid(dim, res), PhysicsParams(nu=0.7)
+        s = random_smooth(grid, seed=3)
+        n_u, n_d = _nonlinear(grid, s.u.spec, s.d.spec)
+        u_t, d_t = rhs(s, params)
+        assert np.array_equal(u_t.spec, n_u - params.nu * grid.k2 * s.u.spec)
+        assert np.array_equal(d_t.spec, n_d - grid.k2 * s.d.spec)
+
 
 def _out_of_place_step(s, params, dt, integrator):
     """The Lawson tableau step written as whole-array expressions, one
@@ -251,10 +262,13 @@ def _rows_per_chunk(monkeypatch, grid, rows):
 
 def _chunk_fields(grid, u_spec, d_spec):
     """The grid values (u, d, grad d) that `_chunks` yields, grad d[i, m] =
-    d d_m / d x_i, each joined along x0 into a fresh array."""
+    d d_m / d x_i, each joined along x0 into a fresh array.  The products
+    are zeroed, as an empty buffer's garbage would reach the transform."""
     work = dynamics._workspace(grid)
-    chunks = [[f.copy() for f in fields] for _, *fields, _ in
-              dynamics._chunks(grid, work, u_spec, d_spec, work[0][:0])]
+    chunks = []
+    for _, *fields, out in dynamics._chunks(grid, work, u_spec, d_spec):
+        out[...] = 0.0
+        chunks.append([f.copy() for f in fields])
     u, d, grad_d = (np.concatenate(f, axis=-grid.dim) for f in zip(*chunks))
     return np.concatenate([u, d, grad_d.reshape((-1,) + grid.shape)])
 
@@ -324,11 +338,10 @@ def test_chunks_allocate_nothing_beyond_the_workspace(monkeypatch, dim, res):
     s = random_smooth(grid, seed=3)
     work = dynamics._workspace(grid)
     assert [buffer.shape[1] for buffer in work[1:]] == [1, 1, 1]
-    target = work[0][:len(dynamics._PAIRS[dim]) + 3]
 
     def run():
         for _, u, d, grad_d, out in dynamics._chunks(grid, work, s.u.spec,
-                                                     s.d.spec, target):
+                                                     s.d.spec):
             out[...] = 0.0
             assert all(np.shares_memory(f, work[2]) for f in (u, d, grad_d))
             assert np.shares_memory(out, work[3])

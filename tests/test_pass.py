@@ -14,7 +14,7 @@ from nematicflow import diagnostics, dynamics, runner
 from nematicflow.config import load_config
 from nematicflow.diagnostics import blowup_integrand, measure
 from nematicflow.dynamics import (StepPolicy, _memo_of, _nonlinear, _pass,
-                                  recover_pressure, step, suggest_dt)
+                                  recover_pressure, rhs, step, suggest_dt)
 from nematicflow.scenarios import random_smooth
 from nematicflow.spectral import (Field, Grid, curl, dealias, gradient,
                                   l2_norm, laplacian, linf_norm)
@@ -179,11 +179,50 @@ def test_pressure_reads_a_memoized_pass(transforms, dim):
     blowup_integrand(s)  # memoizes the pass
     transforms.clear()
     recover_pressure(s)
-    # the pass keeps the tendency, not sigma, so the pressure runs a stage
-    # of its own without N_d: inverse [u, d, grad d], forward the
-    # dim(dim+1)/2 stress components
-    assert [(kind, n) for _, kind, n, _ in transforms] == \
-        [("inverse", 4 * dim + 3), ("forward", dim * (dim + 1) // 2)]
+    # the pass keeps the force -div sigma and |grad d|^2 on the grid, so
+    # the pressure runs no stage: it forward-transforms |grad d|^2 alone
+    assert [(kind, n) for _, kind, n, _ in transforms] == [("forward", 1)]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_rhs_and_suggest_dt_read_the_pass(transforms, dim):
+    # rhs transforms the state once, in its pass, and an adaptive CFL step
+    # read after it makes no transform of its own
+    s = random_smooth(GRIDS[dim], seed=4)
+    transforms.clear()
+    rhs(s, PhysicsParams())
+    # d's forward transform, then the first stage, as in `_pass`
+    assert [(kind, n) for _, kind, n, _ in transforms] == [
+        ("forward", 3), ("inverse", 4 * dim + 3),
+        ("forward", dim * (dim + 1) // 2 + 3)]
+    transforms.clear()
+    rhs(s, PhysicsParams())
+    suggest_dt(s, StepPolicy(t_max=1.0))
+    assert transforms == []
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pressure_of_a_memoized_state_is_a_fresh_states(dim):
+    s = random_smooth(GRIDS[dim], seed=4)
+    blowup_integrand(s)  # memoizes the pass
+    assert np.array_equal(recover_pressure(s).spec,
+                          recover_pressure(replace(s)).spec)
+
+
+@pytest.mark.parametrize("integrator", ["IF-RK2", "IF-RK4"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pressure_and_rhs_after_a_step_are_a_fresh_states(dim, integrator):
+    # the step takes the pass's workspace, so the pressure and the
+    # tendencies of the stepped-from state run its pass again
+    s, params = random_smooth(GRIDS[dim], seed=4), PhysicsParams(nu=0.7)
+    rhs(s, params)
+    step(s, params, 0.01, integrator=integrator)
+    assert _memo_of(s).work is None
+    fresh = replace(s)
+    assert np.array_equal(recover_pressure(s).spec,
+                          recover_pressure(fresh).spec)
+    for got, expected in zip(rhs(s, params), rhs(fresh, params)):
+        assert np.array_equal(got.spec, expected.spec)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

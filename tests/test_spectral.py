@@ -69,6 +69,16 @@ class TestGrid:
             with pytest.raises(ParameterRangeError, match="^length"):
                 Grid(dim, 16, length)
 
+    @pytest.mark.parametrize("dim, res, name", [(2, 8.0, "res"),
+                                                (2.0, 8, "dim"),
+                                                (2, "8", "res")])
+    def test_non_integer_dim_or_res_is_a_range_error(self, dim, res, name):
+        with pytest.raises(ParameterRangeError, match=f"^{name} "):
+            Grid(dim, res)
+
+    def test_numpy_integer_res_builds(self):
+        assert Grid(2, np.int64(16)).shape == (16, 16)
+
     @pytest.mark.parametrize("dim, length", [(2, 1e150), (3, 1e100),
                                              (2, 1e-150), (3, 1e-100)])
     def test_length_near_the_float_range(self, dim, length):

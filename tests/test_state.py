@@ -95,10 +95,13 @@ class TestNormalize:
 def _grid_fields(grid, u, d):
     """(u, d, grad d) on the grid, grad d[i, m] = d d_m / d x_i, as the
     stage's chunks yield them (`dynamics._chunks`), each joined along x0
-    into a fresh array."""
+    into a fresh array.  The products are zeroed, as an empty buffer's
+    garbage would reach the transform."""
     work = dynamics._workspace(grid)
-    chunks = [[f.copy() for f in fields] for _, *fields, _ in
-              dynamics._chunks(grid, work, u.spec, d.spec, work[0][:0])]
+    chunks = []
+    for _, *fields, out in dynamics._chunks(grid, work, u.spec, d.spec):
+        out[...] = 0.0
+        chunks.append([f.copy() for f in fields])
     return tuple(np.concatenate(f, axis=-grid.dim) for f in zip(*chunks))
 
 
@@ -144,21 +147,19 @@ def _products(grid, u, d):
 def test_products_into_out_match_fresh_arrays(dim, res):
     # sigma and N_d written into one buffer as a stage lays them out
     # (`dynamics._SLOTS`) match fresh arrays; u and grad d are left as they
-    # were, d is spent only when N_d is formed
+    # were, d is spent
     grid = Grid(dim, res)
     s = random_smooth(grid, seed=6)
     u, d, grad_d = _grid_fields(grid, s.u, s.d)
     kept = u.copy(), d.copy(), grad_d.copy()
-    sigma = np.empty((dim * (dim + 1) // 2,) + grid.shape)
-    dynamics._products(grid, u, d, grad_d, sigma)
-    assert np.array_equal(d, kept[1])
     first, index = dynamics._SLOTS[dim]
-    out = np.empty((len(sigma) + 3,) + grid.shape)
+    out = np.empty((len(index) + 3,) + grid.shape)
     dynamics._products(grid, u, d, grad_d, [out[p] for p in index],
                        out[dim - first:dim + 3 - first])
     assert np.array_equal(u, kept[0]) and np.array_equal(grad_d, kept[2])
+    sigma = np.empty((len(index),) + grid.shape)
     n_d = np.empty((3,) + grid.shape)
-    dynamics._products(grid, u, kept[1].copy(), grad_d, sigma.copy(), n_d)
+    dynamics._products(grid, u, kept[1].copy(), grad_d, sigma, n_d)
     assert np.array_equal(out[list(index)], sigma)
     assert np.array_equal(out[dim - first:dim + 3 - first], n_d)
 
