@@ -342,7 +342,11 @@ def _decay(grid: Grid, coeff: float) -> np.ndarray:
 def rhs(s: FluidState, params: PhysicsParams) -> tuple:
     """Full tendencies (u_t, d_t): P[-(u.grad)u - lap d . grad d] + nu lap u
     and lap d + |grad d|^2 d - (u.grad)d, the nonlinear parts read from
-    the state's pass (`_pass`)."""
+    the state's pass (`_pass`).
+
+    The pass's workspace and |grad d|^2 stay on the state until a step
+    from it takes them over, and the pass does not warn on overflow: on
+    overflowing input the tendencies hold inf or nan."""
     grid, batch = s.grid, _pass(s).work[0]
     return (Field.from_spec(grid, batch[:grid.dim]
                             - params.nu * grid.k2 * s.u.spec),
@@ -457,7 +461,10 @@ def recover_pressure(s: FluidState) -> Field:
     (`_pass`): its force F = -div sigma, whose divergence is the double
     divergence of the stress sigma, and g = |grad d|^2, which the pass
     keeps on the grid and which is forward-transformed here, dealiased as
-    F is.  Diagnostic only: time stepping eliminates the pressure by
+    F is.  On a state whose pass has run that one forward transform is
+    all; on a fresh state it first runs the pass, whose workspace then
+    stays on the state until a step from it, and which does not warn on
+    overflow.  Diagnostic only: time stepping eliminates the pressure by
     projection."""
     grid, memo = s.grid, _pass(s)
     force = memo.work[0][grid.dim + 3:2 * grid.dim + 3]

@@ -15,9 +15,9 @@ def _parity():
     return module
 
 
-def test_checkout_against_itself_is_identical(tmp_path):
+def test_checkout_against_itself_is_identical():
     parity = _parity()
-    results = parity.compare(ROOT, ROOT, ["winding_2d_32"], tmp_path)
+    results = parity.compare(ROOT, ROOT, ["winding_2d_32"])
     assert results == {"winding_2d_32": {
         "identical": True, "differ": [], "csv": {}, "files": 1,
         "status": [0, 0]}}
@@ -30,6 +30,11 @@ def test_csv_changes_per_column():
     assert parity.csv_changes(a, b) == {"t": 0.0, "energy": 0.2,
                                         "note": None}
     assert parity.csv_changes(a, a + b"1,3.0,x\n") == {"<shape>": None}
+    # equal numbers written differently, and a field that is not finite
+    zeros = (b"t,p\n0,0.0\n0.5,1.0\n", b"t,p\n0.0,-0.0\n0.5,inf\n")
+    assert parity.csv_changes(*zeros) == {"t": 0.0, "p": None}
+    assert parity.csv_changes(zeros[0], b"t,p\n0,-0.0\n0.5,1.0\n") == {
+        "t": 0.0, "p": 0.0}
 
 
 def test_code_lines_skip_comments_docstrings_and_blanks():

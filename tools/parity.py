@@ -1,6 +1,6 @@
 """Compare two checkouts of the package: same outputs, and code lines.
 
-    python tools/parity.py PARENT CHANGE [--config NAME]...
+    python tools/parity.py PARENT CHANGE
 
 PARENT and CHANGE are the roots of two checkouts, for instance the working
 tree and a copy of its parent commit (`git worktree add ../parent HEAD~1`
@@ -28,6 +28,7 @@ import csv
 import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -98,15 +99,19 @@ def run_config(checkout, name, output_dir) -> dict:
 
 
 def _relative(a: str, b: str):
-    """|b - a| / max(|a|, |b|) of two CSV fields, 0 for equal text and None
-    for unequal text that is not two numbers."""
+    """|b - a| / max(|a|, |b|) of two CSV fields: 0 for equal text or equal
+    numbers ("0" and "-0.0"), None for fields that are not two finite
+    numbers."""
     if a == b:
         return 0.0
     try:
         x, y = float(a), float(b)
     except ValueError:
         return None
-    return abs(y - x) / max(abs(x), abs(y)) if x == x and y == y else None
+    if x == y:
+        return 0.0
+    return abs(y - x) / max(abs(x), abs(y)) if math.isfinite(x) and \
+        math.isfinite(y) else None
 
 
 def csv_changes(a: bytes, b: bytes) -> dict:
@@ -142,11 +147,11 @@ def compare_outputs(parent: dict, change: dict) -> dict:
             "files": len(names)}
 
 
-def compare(parent, change, names=None, workdir=None) -> dict:
+def compare(parent, change, names=None) -> dict:
     """Runs each config of `names` (all of `CONFIGS` by default) with both
     checkouts and compares them (`compare_outputs`), by name."""
     names = list(CONFIGS) if names is None else names
-    with tempfile.TemporaryDirectory(dir=workdir) as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         results = {}
         for name in names:
             runs = [run_config(root, name, Path(tmp) / side / name)
@@ -208,11 +213,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--config", dest="configs", action="append",
-                        choices=sorted(CONFIGS),
-                        help="run only this config (repeatable)")
     args = parser.parse_args(argv)
-    results = compare(args.parent, args.change, args.configs)
+    results = compare(args.parent, args.change)
     lines = (package_lines(args.parent), package_lines(args.change))
     print(_table(results, lines))
     identical = all(result["identical"] for result in results.values())
