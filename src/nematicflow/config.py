@@ -18,6 +18,8 @@ import re
 from dataclasses import MISSING, dataclass, fields
 from typing import get_type_hints
 
+import numpy as np
+
 from .dynamics import StepPolicy
 from .errors import (ConfigParseError, ConfigRangeError, ParameterRangeError,
                      check_range)
@@ -64,10 +66,12 @@ class SimulationConfig:
                                       exc.value) from exc
         check_range("monitor_max", self.monitor_max, self.monitor_max > 0,
                     "positive")
-        check_range("record_every", self.record_every, self.record_every >= 1,
-                    ">= 1")
-        check_range("snapshot_every", self.snapshot_every,
-                    self.snapshot_every >= 0, ">= 0")
+        for name, low in (("record_every", 1), ("snapshot_every", 0)):
+            value = getattr(self, name)
+            check_range(name, value, isinstance(value, (int, np.integer))
+                        and value >= low, f"an integer >= {low}")
+        check_range("oversample_linf", self.oversample_linf,
+                    isinstance(self.oversample_linf, bool), "a bool")
 
     def grid(self) -> Grid:
         return Grid(self.dim, self.res, self.length)

@@ -226,18 +226,14 @@ def _chunks(grid: Grid, work: tuple, u_spec: np.ndarray, d_spec: np.ndarray):
 def _products(grid: Grid, u: np.ndarray, d: np.ndarray, grad_d: np.ndarray,
               sigma, n_d: np.ndarray) -> None:
     """sigma on the grid into `sigma`, one array per pair of `_PAIRS`, and
-    |grad d|^2 d - (u.grad)d into `n_d`.
-
-    The advection term (u.grad)d is written into `d`, which is spent once
-    |grad d|^2 d is formed, so `d` holds garbage afterwards."""
+    |grad d|^2 d - (u.grad)d into `n_d`."""
     pairs = _PAIRS[grid.dim]
     for out, (a, b) in zip(sigma, pairs):
         np.einsum("m...,m...->...", grad_d[a], grad_d[b], out=out)
     # |grad d|^2 is the trace of sigma so far
     np.multiply(sum(out for out, (a, b) in zip(sigma, pairs) if a == b), d,
                 out=n_d)
-    np.subtract(n_d, np.einsum("j...,jm...->m...", u, grad_d, out=d),
-                out=n_d)
+    np.subtract(n_d, np.einsum("j...,jm...->m...", u, grad_d), out=n_d)
     for out, (a, b) in zip(sigma, pairs):
         out += u[a] * u[b]
 
@@ -319,11 +315,9 @@ def _pass(s: FluidState) -> _Memo:
 
 
 def _nonlinear(grid: Grid, u_spec: np.ndarray, d_spec: np.ndarray,
-               work: tuple | None = None) -> tuple:
+               work: tuple) -> tuple:
     """Explicitly-treated tendencies (N_u_hat, N_d_hat), dealiased, as
-    views of the batch of `work` (`_stage`), a fresh `_workspace` by
-    default."""
-    work = _workspace(grid) if work is None else work
+    views of the batch of `work`, a `_workspace` (`_stage`)."""
     _stage(grid, u_spec, d_spec, work)
     return work[0][:grid.dim], work[0][grid.dim:grid.dim + 3]
 

@@ -79,6 +79,11 @@ def run(config: SimulationConfig) -> RunReport:
     if not np.isfinite(memo.u_max + memo.grad_d_max):
         raise _bad_scenario(config.scenario, f"max|u| = {memo.u_max:.3g}, "
                             f"max|grad d| = {memo.grad_d_max:.3g}")
+    if policy.t_max + dt == policy.t_max:  # t would never reach t_max
+        raise ConfigRangeError("dt", f"a step of {dt:.3g} does not advance "
+                               f"t_max = {policy.t_max:.6g} (max|u| = "
+                               f"{memo.u_max:.3g}, max|grad d| = "
+                               f"{memo.grad_d_max:.3g})")
     # created only once the start is known to be usable
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -108,8 +113,7 @@ def run(config: SimulationConfig) -> RunReport:
         accum = diagnostics.accumulate_monitor(accum, prev_integrand,
                                                integrand, taken)
 
-        record_now = (step_index % config.record_every == 0)
-        if record_now or accum > config.monitor_max:
+        if step_index % config.record_every == 0:
             history.append(diagnostics.measure(state, integrand, accum,
                                                oversample=oversample))
         if config.snapshot_every and step_index % config.snapshot_every == 0:

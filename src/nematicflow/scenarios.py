@@ -138,11 +138,8 @@ def _half_band_unit(grid: Grid, d_spec: np.ndarray) -> np.ndarray:
     representable on the grid, so the discrete sphere identity holds to near
     roundoff instead of being polluted by aliasing of near-cutoff modes."""
     cutoff = (grid.res // 2 - 1) // 2
-    keep = np.ones(grid.spec_shape, dtype=bool)
-    for k in grid.k_int:
-        keep &= np.abs(k) <= cutoff
     for i in range(3):
-        spec = _fftn(grid, d, cutoff) if i else d_spec * keep
+        spec = _fftn(grid, d, cutoff) if i else d_spec * grid.band_mask(cutoff)
         d = _ifftn(grid, spec, cutoff)
         d = d / _magnitude(d)
     return d

@@ -209,12 +209,11 @@ class Grid:
         """The 2/3 rule's band: modes with |k_j| <= res/3 are kept."""
         return self.res // 3
 
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """Boolean mask keeping modes with |k_j| <= res/3 on every axis."""
+    def band_mask(self, cutoff: int) -> np.ndarray:
+        """Boolean mask keeping modes with |k_j| <= cutoff on every axis."""
         keep = np.ones(self.spec_shape, dtype=bool)
         for k in self.k_int:
-            keep &= np.abs(k) <= self.dealias_cutoff
+            keep &= np.abs(k) <= cutoff
         return keep
 
     def coords(self) -> tuple:
@@ -491,7 +490,8 @@ def leray_project(v: Field) -> Field:
 
 def dealias(f: Field) -> Field:
     """Zero all modes with |k_j| > res/3 on any axis (2/3 rule)."""
-    return Field.from_spec(f.grid, f.spec * f.grid.dealias_mask)
+    grid = f.grid
+    return Field.from_spec(grid, f.spec * grid.band_mask(grid.dealias_cutoff))
 
 
 def l2_norm(f: Field) -> float:

@@ -10,7 +10,6 @@ asserts them.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import tempfile
 
@@ -24,7 +23,9 @@ from .spectral import Field, Grid
 
 __all__ = ["SUITES"]
 
-RANDOM_SEED = 7  # fixed seed for every random_smooth verification run
+# the random_smooth spec of every verification run
+RANDOM_SMOOTH = ScenarioSpec("random_smooth",
+                             {"seed": 7, "slope": 4.0, "amplitude": 0.5})
 
 
 def _check(name: str, err: float, tol: float):
@@ -35,9 +36,13 @@ def _bounds_check(name: str, value: float, lo: float, hi: float):
     return (name, lo <= value <= hi, f"value {value:.4f} (allowed [{lo}, {hi}])")
 
 
-def _run_to_dir(config: SimulationConfig) -> runner.RunReport:
+def _run(scenario: ScenarioSpec, t_max: float, res: int = 32,
+         dt: float | None = None) -> runner.RunReport:
+    """A 2-D run that records every step, in a temporary directory."""
     with tempfile.TemporaryDirectory() as tmp:
-        return runner.run(dataclasses.replace(config, output_dir=tmp))
+        return runner.run(SimulationConfig(
+            dim=2, res=res, scenario=scenario, t_max=t_max, dt=dt,
+            record_every=1, output_dir=tmp))
 
 
 # ----------------------------------------------------------------- spectral
@@ -169,23 +174,14 @@ def check_temporal_convergence():
 
 # ------------------------------------------------------------------- energy
 
-def _energy_config(scenario: ScenarioSpec, res: int, dt: float):
-    return SimulationConfig(
-        dim=2, res=res, scenario=scenario, t_max=1.0, dt=dt,
-        record_every=1, monitor_max=1e18,
-    )
-
-
 def check_energy_identity():
     results = []
-    tg = ScenarioSpec("taylor_green")
-    rs = ScenarioSpec("random_smooth",
-                      {"seed": RANDOM_SEED, "slope": 4.0, "amplitude": 0.5})
     reports = {}
-    for label, scenario in (("taylor_green", tg), ("random_smooth", rs)):
-        base = _run_to_dir(_energy_config(scenario, 64, 1e-3))
-        fine_dt = _run_to_dir(_energy_config(scenario, 64, 5e-4))
-        fine_res = _run_to_dir(_energy_config(scenario, 128, 1e-3))
+    for label, scenario in (("taylor_green", ScenarioSpec("taylor_green")),
+                            ("random_smooth", RANDOM_SMOOTH)):
+        base = _run(scenario, 1.0, 64, 1e-3)
+        fine_dt = _run(scenario, 1.0, 64, 5e-4)
+        fine_res = _run(scenario, 1.0, 128, 1e-3)
         reports[label] = base
         results.append(_check(f"energy residual on {label}",
                               base.energy_residual, 1e-3))
@@ -223,20 +219,13 @@ def check_energy_suite():
 
 # ------------------------------------------------------------------ monitor
 
-def _monitor_config(scenario, t_max, res=32):
-    return SimulationConfig(dim=2, res=res, scenario=scenario, t_max=t_max,
-                            record_every=1)
-
-
 def check_monitor():
     results = []
-    rep1 = _run_to_dir(_monitor_config(ScenarioSpec("winding_director",
-                                                    {"k": 1}), 2.0))
+    rep1 = _run(ScenarioSpec("winding_director", {"k": 1}), 2.0)
     err = abs(rep1.final_record.monitor_accum - 2.0)
     results.append(_check("accumulated monitor, winding k=1", err, 1e-8))
 
-    rep2 = _run_to_dir(_monitor_config(ScenarioSpec("winding_director",
-                                                    {"k": 2}), 2.0))
+    rep2 = _run(ScenarioSpec("winding_director", {"k": 2}), 2.0)
     err = abs(rep2.final_record.monitor_accum - 8.0)
     results.append(_check("accumulated monitor, winding k=2", err, 1e-7))
 
@@ -271,7 +260,7 @@ def check_envelope(winding_report):
     results.append(_check("envelope constant on stationary run",
                           abs(winding_report.gronwall_c), 1e-9))
 
-    tg_report = _run_to_dir(_monitor_config(ScenarioSpec("taylor_green"), 1.0))
+    tg_report = _run(ScenarioSpec("taylor_green"), 1.0)
     results.append(_check("envelope constant on decaying run",
                           abs(tg_report.gronwall_c), 1e-9))
 
@@ -290,10 +279,7 @@ def check_envelope(winding_report):
     results.append(_check("envelope fit on synthetic exponential history",
                           abs(c - 2.0), 1e-9))
 
-    rs = ScenarioSpec("random_smooth",
-                      {"seed": RANDOM_SEED, "slope": 4.0, "amplitude": 0.5})
-    rs_report = _run_to_dir(SimulationConfig(
-        dim=2, res=32, scenario=rs, t_max=0.5, record_every=1))
+    rs_report = _run(RANDOM_SMOOTH, 0.5)
     finite = (rs_report.halt_reason == runner.HALT_TMAX
               and rs_report.gronwall_c is not None
               and math.isfinite(rs_report.gronwall_c))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from nematicflow import runner
+from nematicflow import diagnostics, errors, runner
 from nematicflow.cli import main
 
 
@@ -142,6 +142,50 @@ def test_scenario_values_without_a_finite_start_are_config_error(
     assert "scenario" in err
     assert "Traceback" not in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("scenario, override", [
+    ("taylor_green", "dt=1e-300"),
+    # the CFL step of a huge velocity, about 4e-151
+    ("random_smooth", "scenario.amplitude=1e150")])
+def test_step_that_cannot_advance_t_is_config_error(tmp_path, capsys,
+                                                    monkeypatch, scenario,
+                                                    override):
+    # such a run would never end; it exits 2 at once, before the output
+    # directory is created
+    monkeypatch.delenv("SIM_OUTPUT_DIR", raising=False)
+    out_dir = tmp_path / "new"
+    path = tmp_path / "tiny.cfg"
+    path.write_text(f"dim = 2\nres = 8\nscenario = {scenario}\n"
+                    f"t_max = 0.01\noutput_dir = {out_dir}\n")
+    assert main(["run", "--config", str(path), "--set", override]) == 2
+    assert "config error: dt: " in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("exc, reason", [
+    ("NumericalOverflowError", runner.HALT_OVERFLOW),
+    ("DegenerateDirectorError", runner.HALT_DEGENERATE)])
+def test_solver_failure_exits_1(config_file, capsys, monkeypatch, exc,
+                                reason):
+    def failing_step(*args, **kwargs):
+        raise getattr(errors, exc)("injected failure")
+
+    monkeypatch.delenv("SIM_OUTPUT_DIR", raising=False)
+    monkeypatch.setattr(runner, "step", failing_step)
+    assert main(["run", "--config", str(config_file)]) == 1
+    assert f"halt_reason = {reason}\n" in capsys.readouterr().out
+
+
+def test_undefined_envelope_is_printed_and_exits_0(config_file, capsys,
+                                                   monkeypatch):
+    def undefined(history):
+        raise errors.EnvelopeUndefinedError("injected")
+
+    monkeypatch.delenv("SIM_OUTPUT_DIR", raising=False)
+    monkeypatch.setattr(diagnostics, "gronwall_envelope", undefined)
+    assert main(["run", "--config", str(config_file)]) == 0
+    assert "gronwall_c = undefined\n" in capsys.readouterr().out
 
 
 def test_empty_output_dir_variable_is_config_error(tmp_path, capsys,

@@ -5,13 +5,15 @@ import math
 from dataclasses import fields
 from typing import get_type_hints
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nematicflow.config import (_REQUIRED, SimulationConfig, load_config,
                                 parse_pairs)
 from nematicflow.scenarios import _BUILDERS, ScenarioSpec
-from nematicflow.errors import ConfigError, ConfigParseError, ConfigRangeError
+from nematicflow.errors import (ConfigError, ConfigParseError,
+                                ConfigRangeError, ParameterRangeError)
 
 MINIMAL = """
 dim = 2
@@ -180,6 +182,25 @@ class TestBuilders:
         with pytest.raises(AttributeError):
             config.res = 128
         assert isinstance(config, SimulationConfig)
+
+
+class TestLibraryTypes:
+    # the config parser hands SimulationConfig ints and bools; a library
+    # caller may not, and a float count or a truthy string is refused
+    @pytest.mark.parametrize("key, value", [
+        ("record_every", 1.5), ("snapshot_every", 0.5),
+        ("oversample_linf", "no")])
+    def test_wrong_type_names_the_field(self, key, value):
+        with pytest.raises(ParameterRangeError) as err:
+            SimulationConfig(dim=2, res=16, scenario=ScenarioSpec(
+                "taylor_green"), t_max=1.0, **{key: value})
+        assert err.value.name == key
+
+    def test_numpy_integers_build(self):
+        config = SimulationConfig(
+            dim=2, res=16, scenario=ScenarioSpec("taylor_green"), t_max=1.0,
+            record_every=np.int64(3), snapshot_every=np.int32(2))
+        assert (config.record_every, config.snapshot_every) == (3, 2)
 
 
 class TestTablesInStep:

@@ -31,6 +31,12 @@ def params():
     return PhysicsParams(nu=1.0)
 
 
+def _fresh_nonlinear(grid, u_spec, d_spec):
+    """`_nonlinear` on a fresh workspace, whose batch its tendencies are
+    views of."""
+    return _nonlinear(grid, u_spec, d_spec, dynamics._workspace(grid))
+
+
 def _band_limited(grid, rng, ncomp):
     """A random real field with modes |k_j| < res/4 on every axis only: a
     quadratic product of such fields has no mode the grid aliases."""
@@ -65,7 +71,7 @@ def test_stress_form_matches_convective_form_without_aliasing(dim, res):
     rng = np.random.Generator(np.random.PCG64(11))
     u = leray_project(_band_limited(grid, rng, dim))
     d = _band_limited(grid, rng, 3)
-    ku, kd = _nonlinear(grid, u.spec, d.spec)
+    ku, kd = _fresh_nonlinear(grid, u.spec, d.spec)
     eu, ed = _convective_form(grid, u, d)
     assert np.max(np.abs(ku - eu)) < 1e-13 * np.max(np.abs(eu))
     assert np.max(np.abs(kd - ed)) < 1e-13 * np.max(np.abs(ed))
@@ -137,7 +143,7 @@ class TestRhs:
         # `_nonlinear` on a fresh workspace
         grid, params = Grid(dim, res), PhysicsParams(nu=0.7)
         s = random_smooth(grid, seed=3)
-        n_u, n_d = _nonlinear(grid, s.u.spec, s.d.spec)
+        n_u, n_d = _fresh_nonlinear(grid, s.u.spec, s.d.spec)
         u_t, d_t = rhs(s, params)
         assert np.array_equal(u_t.spec, n_u - params.nu * grid.k2 * s.u.spec)
         assert np.array_equal(d_t.spec, n_d - grid.k2 * s.d.spec)
@@ -155,10 +161,10 @@ def _out_of_place_step(s, params, dt, integrator):
 
     rates = (params.nu * dt, dt)
     y0 = (s.u.spec, s.d.spec)
-    k = _nonlinear(grid, *y0)
+    k = _fresh_nonlinear(grid, *y0)
     for i in range(len(b)):
         if i:
-            k = _nonlinear(grid, *stage)
+            k = _fresh_nonlinear(grid, *stage)
         if i + 1 < len(b):
             stage = [times_e(r, c[i + 1] - c[i], dt * a[i] * kf)
                      + _decay(grid, r * c[i + 1]) * yf
@@ -177,11 +183,12 @@ def _textbook_step(s, params, dt, integrator):
     each written out in full: the same schemes associated differently."""
     grid = s.grid
     u0, d0 = s.u.spec, s.d.spec
-    ku1, kd1 = _nonlinear(grid, u0, d0)
+    ku1, kd1 = _fresh_nonlinear(grid, u0, d0)
     if integrator == "IF-RK2":
         eu = _decay(grid, params.nu * dt)
         ed = _decay(grid, dt)
-        ku2, kd2 = _nonlinear(grid, eu * (u0 + dt * ku1), ed * (d0 + dt * kd1))
+        ku2, kd2 = _fresh_nonlinear(grid, eu * (u0 + dt * ku1),
+                                    ed * (d0 + dt * kd1))
         u1 = eu * u0 + 0.5 * dt * (eu * ku1 + ku2)
         d1 = ed * d0 + 0.5 * dt * (ed * kd1 + kd2)
     else:
@@ -189,12 +196,12 @@ def _textbook_step(s, params, dt, integrator):
         edh = _decay(grid, dt / 2)
         euf = euh * euh
         edf = edh * edh
-        ku2, kd2 = _nonlinear(grid, euh * (u0 + 0.5 * dt * ku1),
-                              edh * (d0 + 0.5 * dt * kd1))
-        ku3, kd3 = _nonlinear(grid, euh * u0 + 0.5 * dt * ku2,
-                              edh * d0 + 0.5 * dt * kd2)
-        ku4, kd4 = _nonlinear(grid, euf * u0 + dt * euh * ku3,
-                              edf * d0 + dt * edh * kd3)
+        ku2, kd2 = _fresh_nonlinear(grid, euh * (u0 + 0.5 * dt * ku1),
+                                    edh * (d0 + 0.5 * dt * kd1))
+        ku3, kd3 = _fresh_nonlinear(grid, euh * u0 + 0.5 * dt * ku2,
+                                    edh * d0 + 0.5 * dt * kd2)
+        ku4, kd4 = _fresh_nonlinear(grid, euf * u0 + dt * euh * ku3,
+                                    edf * d0 + dt * edh * kd3)
         u1 = euf * u0 + dt / 6.0 * (euf * ku1 + 2.0 * euh * (ku2 + ku3) + ku4)
         d1 = edf * d0 + dt / 6.0 * (edf * kd1 + 2.0 * edh * (kd2 + kd3) + kd4)
     out = FluidState(grid, Field.from_spec(grid, project_spec(grid, u1)),
@@ -365,7 +372,7 @@ def test_nonlinear_on_step_buffers_matches_fresh_arrays(dim, res):
     batch = work[0]
     batch[:dim], batch[dim:dim + 3] = s.u.spec, s.d.spec
     k = _nonlinear(grid, batch[:dim], batch[dim:dim + 3], work)
-    fresh = _nonlinear(grid, s.u.spec, s.d.spec)
+    fresh = _fresh_nonlinear(grid, s.u.spec, s.d.spec)
     for view, expected in zip(k, fresh):
         assert np.shares_memory(view, batch)
         assert np.array_equal(view, expected)

@@ -44,3 +44,12 @@ def test_code_lines_skip_comments_docstrings_and_blanks():
               '            1)\n\nS = """not a\ndocstring"""\n')
     # def, return and its continuation, the string assignment's two lines
     assert parity.code_lines(source) == 5
+
+
+def test_peaks_of_the_run_and_each_phase():
+    parity = _parity()
+    found = parity.peaks(ROOT, "winding_2d_32")
+    assert set(found) == {"run", *parity.PHASES}
+    assert all(value >= 0 for value in found.values())
+    # the run holds every phase's arrays at some point
+    assert found["run"] >= max(found.values())

@@ -163,7 +163,7 @@ def test_nonlinear_stage_transforms_its_budget(transforms, dim, arrays):
     s = random_smooth(GRIDS[dim], seed=4)
     u_spec, d_spec = s.u.spec, s.d.spec
     transforms.clear()
-    _nonlinear(s.grid, u_spec, d_spec)
+    _nonlinear(s.grid, u_spec, d_spec, dynamics._workspace(s.grid))
     # inverse [u, d, grad d]; forward the dim(dim+1)/2 stress components
     # and the 3 director products as one batch; each summed over the
     # stage's chunks of x0 rows

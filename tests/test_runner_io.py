@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nematicflow.config import SimulationConfig, load_config
-from nematicflow.errors import ConfigRangeError, SnapshotFormatError
+from nematicflow.errors import (ConfigRangeError, EnvelopeUndefinedError,
+                               SnapshotFormatError)
 from nematicflow.runner import (CSV_HEADER, HALT_DEGENERATE, HALT_MONITOR,
                                 HALT_OVERFLOW, HALT_TMAX, SNAPSHOT_MAGIC,
                                 read_snapshot, read_timeseries, run,
@@ -105,6 +106,22 @@ class TestRun:
         assert a.history == b.history
         assert ((tmp_path / "a" / "timeseries.csv").read_text()
                 == (tmp_path / "b" / "timeseries.csv").read_text())
+
+    @pytest.mark.parametrize("scenario, overrides", [
+        ("taylor_green", {"dt": 1e-300}),
+        # the CFL step of a huge velocity, about 4e-151
+        ("random_smooth", {"scenario.amplitude": 1e150})])
+    def test_step_that_cannot_advance_t_is_refused(self, tmp_path, scenario,
+                                                   overrides):
+        # a step below half an ulp of t_max leaves t where it is: the run
+        # would never end, so it is refused before output_dir is created
+        out_dir = tmp_path / "new"
+        with pytest.raises(ConfigRangeError) as err:
+            run(config_for(out_dir, scenario, t_max=0.01, res=8,
+                           **overrides))
+        assert err.value.key == "dt"
+        assert "max|u|" in str(err.value)
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("exc,reason", [
         ("NumericalOverflowError", HALT_OVERFLOW),
@@ -324,12 +341,20 @@ def test_corrupted_snapshot_fails_cleanly_or_reads_valid(valid_snapshot, kind,
 
 
 class TestReportFields:
-    def test_envelope_none_is_possible_contractually(self, tmp_path):
-        # normal runs produce a defined envelope; the field contract is that
-        # it is either None or a float, never an exception from run()
+    def test_envelope_none_is_possible_contractually(self, tmp_path,
+                                                     monkeypatch):
+        # normal runs produce a defined envelope; an undefined one is None
+        # in the report, never an exception from run()
+        import nematicflow.diagnostics as diagnostics
+
+        def undefined(history):
+            raise EnvelopeUndefinedError("injected")
+
+        monkeypatch.setattr(diagnostics, "gronwall_envelope", undefined)
         config = config_for(tmp_path, "taylor_green", t_max=0.02, dt=0.01)
         report = run(config)
-        assert report.gronwall_c is None or isinstance(report.gronwall_c, float)
+        assert report.gronwall_c is None
+        assert report.halt_reason == HALT_TMAX
 
     def test_config_round_trip_through_builders(self, tmp_path):
         config = config_for(tmp_path, "winding_director", t_max=1.0,

@@ -88,7 +88,7 @@ def _grid_built_random_smooth(grid, seed, slope=4.0, amplitude=0.5):
     field round-trips through the grid and u is projected as a Field."""
     rng = np.random.Generator(np.random.PCG64(seed))
     k_int = np.sqrt(sum(k * k for k in grid.k_int))
-    taper = (1.0 + k_int) ** (-slope) * grid.dealias_mask
+    taper = (1.0 + k_int) ** (-slope) * grid.band_mask(grid.dealias_cutoff)
 
     def noise(ncomp):
         white = rng.standard_normal((ncomp,) + grid.shape)

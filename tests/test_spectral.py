@@ -445,11 +445,23 @@ class TestDealias:
 
     def test_survivors_at_res_16(self):
         grid = Grid(2, 16)
-        kept = grid.dealias_mask
+        kept = grid.band_mask(grid.dealias_cutoff)
         kabs = np.abs(np.fft.fftfreq(16) * 16)
         kabs_last = np.fft.rfftfreq(16) * 16
         expected = (kabs[:, None] <= 5) & (kabs_last[None, :] <= 5)
         assert np.array_equal(kept, expected)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g: Field(g), "physical or spectral"),
+    (lambda g: second_derivative(Field.zeros(g), 0, 2), "axis 2 out of range"),
+    (lambda g: curl(Field.zeros(g, 3)), "curl needs 2 components, got 3"),
+    (lambda g: leray_project(Field.zeros(g)),
+     "leray_project needs 2 components, got 1"),
+], ids=["field", "second_derivative", "curl", "leray_project"])
+def test_bad_arguments_raise_value_error(grid2, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(grid2)
 
 
 class TestNorms:

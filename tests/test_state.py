@@ -146,8 +146,8 @@ def _products(grid, u, d):
 @pytest.mark.parametrize("dim, res", [(2, 32), (3, 16)])
 def test_products_into_out_match_fresh_arrays(dim, res):
     # sigma and N_d written into one buffer as a stage lays them out
-    # (`dynamics._SLOTS`) match fresh arrays; u and grad d are left as they
-    # were, d is spent
+    # (`dynamics._SLOTS`) match fresh arrays; u, d and grad d are left as
+    # they were
     grid = Grid(dim, res)
     s = random_smooth(grid, seed=6)
     u, d, grad_d = _grid_fields(grid, s.u, s.d)
@@ -156,10 +156,11 @@ def test_products_into_out_match_fresh_arrays(dim, res):
     out = np.empty((len(index) + 3,) + grid.shape)
     dynamics._products(grid, u, d, grad_d, [out[p] for p in index],
                        out[dim - first:dim + 3 - first])
-    assert np.array_equal(u, kept[0]) and np.array_equal(grad_d, kept[2])
+    for field, before in zip((u, d, grad_d), kept):
+        assert np.array_equal(field, before)
     sigma = np.empty((len(index),) + grid.shape)
     n_d = np.empty((3,) + grid.shape)
-    dynamics._products(grid, u, kept[1].copy(), grad_d, sigma, n_d)
+    dynamics._products(grid, u, d, grad_d, sigma, n_d)
     assert np.array_equal(out[list(index)], sigma)
     assert np.array_equal(out[dim - first:dim + 3 - first], n_d)
 

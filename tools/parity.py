@@ -16,6 +16,18 @@ It also counts the code lines of each checkout's `src/nematicflow`: the
 non-blank lines that are neither comments nor docstrings (a module's,
 class's or function's leading string).
 
+And it measures tracemalloc peaks on the three bench workloads (`PEAKED`),
+each in a fresh interpreter per checkout, after the imports and the config
+are loaded (`peaks`):
+- the whole run's peak is the peak during `runner.run(config)` above the
+  memory traced just before the call;
+- a phase's peak is the largest, over the phase's calls, of the peak during
+  the call above the memory traced at its start.  The phases (`PHASES`) are
+  wrapped where the runner looks them up, as perfbench wraps them.  Each
+  call resets the peak, so the phases run in a second interpreter of their
+  own and the whole run's peak is not lost.
+The peaks are information only: they do not change the exit status.
+
 It prints a short table and then, as its last line, one JSON object.  The
 exit status is 0 when every config is identical and 1 otherwise.
 """
@@ -25,6 +37,7 @@ from __future__ import annotations
 import argparse
 import ast
 import csv
+import importlib
 import importlib.util
 import io
 import json
@@ -34,12 +47,18 @@ import subprocess
 import sys
 import tempfile
 import tokenize
+import tracemalloc
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parents[1]
 
 # a power-of-two step reaches t_max exactly after a whole number of steps
 _DT = 2.0 ** -10
+
+# the phases whose tracemalloc peaks are measured, by the module whose
+# global the runner looks them up in
+PHASES = {"step": "runner", "suggest_dt": "runner",
+          "blowup_integrand": "diagnostics", "measure": "diagnostics"}
 
 
 def _workloads():
@@ -79,6 +98,10 @@ CONFIGS = {
         t_max=repr(4 * _DT), integrator="IF-RK2", record_every=1,
         snapshot_every=1),
 }
+
+
+# the configs whose tracemalloc peaks are measured: the bench workloads
+PEAKED = ("rk4_2d_256", "rk2_3d_64", "monitor_2d_64")
 
 
 def run_config(checkout, name, output_dir) -> dict:
@@ -162,6 +185,70 @@ def compare(parent, change, names=None) -> dict:
     return results
 
 
+def traced_peaks(name, phases: bool) -> dict:
+    """The tracemalloc peaks, in bytes, of a run of config `name` in this
+    interpreter with the package it imports: {"run": peak} or, with
+    `phases`, the peak of each phase of `PHASES` (0 for a phase that
+    allocates nothing)."""
+    # numpy loads these on first use; imported here, their modules stay out
+    # of the run's peak
+    import numpy.fft
+    import numpy.random
+
+    from nematicflow import runner
+    from nematicflow.config import load_config
+
+    found = dict.fromkeys(PHASES, 0)
+
+    def traced(phase, fn):
+        def wrapper(*args, **kwargs):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                found[phase] = max(found[phase],
+                                   tracemalloc.get_traced_memory()[1] - start)
+        return wrapper
+
+    if phases:
+        for phase, module in PHASES.items():
+            module = importlib.import_module(f"nematicflow.{module}")
+            setattr(module, phase, traced(phase, getattr(module, phase)))
+    with tempfile.TemporaryDirectory() as tmp:
+        config = load_config(CONFIGS[name](tmp))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            runner.run(config)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    return found if phases else {"run": peak}
+
+
+# runs `traced_peaks` of this file in a fresh interpreter: argv is the
+# file, the config name and "phases" or "run"
+_PEAKS_MAIN = ("import json, runpy, sys; "
+               "peaks = runpy.run_path(sys.argv[1])['traced_peaks']; "
+               "name, mode = sys.argv[2:]; "
+               "print(json.dumps(peaks(name, mode == 'phases')))")
+
+
+def peaks(checkout, name) -> dict:
+    """The tracemalloc peaks of config `name` with the package of
+    `checkout`, in MB to 2 decimals: the whole run's ("run") and each
+    phase's, from two fresh interpreters (`traced_peaks`)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(checkout).resolve() / "src"))
+    found = {}
+    for mode in ("run", "phases"):
+        done = subprocess.run(
+            [sys.executable, "-c", _PEAKS_MAIN, __file__, name, mode],
+            env=env, capture_output=True, check=True, text=True)
+        found.update(json.loads(done.stdout.splitlines()[-1]))
+    return {key: round(value / 1e6, 2) for key, value in found.items()}
+
+
 _SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -192,7 +279,7 @@ def package_lines(checkout) -> int:
                for path in sorted(package.glob("*.py")))
 
 
-def _table(results: dict, lines: tuple) -> str:
+def _table(results: dict, lines: tuple, peak: dict) -> str:
     out = [f"{'config':<22} {'result':<10} {'exit':<6} differs"]
     for name, result in results.items():
         verdict = "identical" if result["identical"] else "DIFFERENT"
@@ -206,6 +293,13 @@ def _table(results: dict, lines: tuple) -> str:
                         f"{change:.3g}"
                     out.append(f"    {csv_name} {column}: {value}")
     out.append(f"code lines: {lines[0]} -> {lines[1]}")
+    out.append(f"{'tracemalloc peak, MB':<22} "
+               + " ".join(f"{name:<16}" for name in PEAKED).rstrip())
+    for key in ("run", *PHASES):
+        cells = (f"{peak['parent'][name][key]:.2f} -> "
+                 f"{peak['change'][name][key]:.2f}" for name in PEAKED)
+        out.append(f"{key:<22} " + " ".join(f"{c:<16}" for c in cells)
+                   .rstrip())
     return "\n".join(out)
 
 
@@ -216,11 +310,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     results = compare(args.parent, args.change)
     lines = (package_lines(args.parent), package_lines(args.change))
-    print(_table(results, lines))
+    peak = {side: {name: peaks(root, name) for name in PEAKED}
+            for side, root in (("parent", args.parent),
+                               ("change", args.change))}
+    print(_table(results, lines, peak))
     identical = all(result["identical"] for result in results.values())
     print(json.dumps({"identical": identical, "configs": results,
                       "code_lines": {"parent": lines[0],
-                                     "change": lines[1]}}))
+                                     "change": lines[1]},
+                      "peaks_mb": peak}))
     return 0 if identical else 1
 
 
