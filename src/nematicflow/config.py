@@ -13,16 +13,13 @@ SIM_OUTPUT_DIR overrides output_dir at run time.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import MISSING, dataclass, fields
 from typing import get_type_hints
 
-import numpy as np
-
 from .dynamics import StepPolicy
 from .errors import (ConfigParseError, ConfigRangeError, ParameterRangeError,
-                     check_range)
+                     check_range, is_integer)
 from .scenarios import _PARAMETERS, ScenarioSpec, check_scenario
 from .spectral import Grid
 from .state import PhysicsParams
@@ -41,11 +38,12 @@ class SimulationConfig:
     res: int
     scenario: ScenarioSpec
     t_max: float
-    length: float = 2.0 * math.pi
-    nu: float = 1.0
-    dt: float | None = None
-    cfl_factor: float = 0.5
-    integrator: str = "IF-RK4"
+    # each default is read from the type that owns the value
+    length: float = Grid.length
+    nu: float = PhysicsParams.nu
+    dt: float | None = StepPolicy.dt
+    cfl_factor: float = StepPolicy.cfl_factor
+    integrator: str = StepPolicy.integrator
     monitor_max: float = 1e18
     record_every: int = 10
     snapshot_every: int = 0
@@ -68,8 +66,8 @@ class SimulationConfig:
                     "positive")
         for name, low in (("record_every", 1), ("snapshot_every", 0)):
             value = getattr(self, name)
-            check_range(name, value, isinstance(value, (int, np.integer))
-                        and value >= low, f"an integer >= {low}")
+            check_range(name, value, is_integer(value) and value >= low,
+                        f"an integer >= {low}")
         check_range("oversample_linf", self.oversample_linf,
                     isinstance(self.oversample_linf, bool), "a bool")
 
@@ -115,6 +113,18 @@ def _parse_value(key: str, raw: str, lineno=None):
         raise ConfigParseError(f"bad value for {key}: {exc}", lineno) from exc
 
 
+def _parse_pair(line: str, lineno=None) -> tuple:
+    """One `key = value` string, of a file line or a `--set` override, as
+    (key, parsed value); rejects a missing `=` and an unknown key."""
+    if "=" not in line:
+        raise ConfigParseError(f"expected `key = value`, got {line!r}", lineno)
+    key, _, raw = line.partition("=")
+    key = key.strip()
+    if key not in _KEY_TYPES:
+        raise ConfigParseError(f"unknown key {key!r}", lineno)
+    return key, _parse_value(key, raw, lineno)
+
+
 def parse_pairs(text: str) -> dict:
     """Parse config text into a raw key -> value dict; rejects malformed
     lines, unknown keys and duplicates with the offending line number."""
@@ -123,15 +133,10 @@ def parse_pairs(text: str) -> dict:
         line = _COMMENT.sub("", raw_line).strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigParseError(f"expected `key = value`, got {line!r}", lineno)
-        key, _, raw = line.partition("=")
-        key = key.strip()
-        if key not in _KEY_TYPES:
-            raise ConfigParseError(f"unknown key {key!r}", lineno)
+        key, value = _parse_pair(line, lineno)
         if key in values:
             raise ConfigParseError(f"duplicate key {key!r}", lineno)
-        values[key] = _parse_value(key, raw, lineno)
+        values[key] = value
     return values
 
 
@@ -158,12 +163,5 @@ def from_values(values: dict) -> SimulationConfig:
 def load_config(text: str, overrides=()) -> SimulationConfig:
     """Parse config text, apply `key=value` override strings, validate."""
     values = parse_pairs(text)
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigParseError(f"override must be key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        key = key.strip()
-        if key not in _KEY_TYPES:
-            raise ConfigParseError(f"unknown key {key!r} in override")
-        values[key] = _parse_value(key, raw)
+    values.update(_parse_pair(item) for item in overrides)
     return from_values(values)

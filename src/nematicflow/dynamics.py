@@ -349,7 +349,7 @@ def rhs(s: FluidState, params: PhysicsParams) -> tuple:
 
 
 def step(s: FluidState, params: PhysicsParams, dt: float,
-         integrator: str = "IF-RK4") -> FluidState:
+         integrator: str = StepPolicy.integrator) -> FluidState:
     """Advance the coupled state by one time step of size dt.
 
     One loop runs each row (c, a, b) of `_TABLEAUS` in Lawson's form, with

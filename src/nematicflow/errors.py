@@ -1,4 +1,7 @@
-"""Exception types shared across the solver."""
+"""Exception types shared across the solver, and the range and integer
+rules that raise them."""
+
+import numpy as np
 
 
 class NematicFlowError(Exception):
@@ -29,6 +32,12 @@ def check_range(name, value, ok, expected) -> None:
     """Raise ParameterRangeError for `name` unless `ok`."""
     if not ok:
         raise ParameterRangeError(name, expected, value)
+
+
+def is_integer(value) -> bool:
+    """Whether `value` is an int or a numpy integer, and not a bool (bool
+    subclasses int, so True would pass as 1)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class UnderResolvedError(ParameterRangeError):

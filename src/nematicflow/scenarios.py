@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigRangeError, UnderResolvedError, check_range
+from .errors import (ConfigRangeError, UnderResolvedError, check_range,
+                     is_integer)
 from .spectral import Field, Grid, _fftn, _ifftn, project_spec
 from .state import FluidState, _magnitude, normalize_director
 
@@ -56,12 +57,10 @@ def taylor_green(grid: Grid, amplitude: float = 1.0) -> FluidState:
     x = _angles(grid)
     shape = grid.shape
     u = np.zeros((grid.dim,) + shape)
-    if grid.dim == 2:
-        u[0] = amplitude * np.sin(x[0]) * np.cos(x[1])
-        u[1] = -amplitude * np.cos(x[0]) * np.sin(x[1])
-    else:
-        u[0] = amplitude * np.sin(x[0]) * np.cos(x[1]) * np.cos(x[2])
-        u[1] = -amplitude * np.cos(x[0]) * np.sin(x[1]) * np.cos(x[2])
+    # cos x_2 in 3-D; times 1.0, which is exact, in 2-D
+    z = np.cos(x[2]) if grid.dim == 3 else 1.0
+    u[0] = amplitude * np.sin(x[0]) * np.cos(x[1]) * z
+    u[1] = -amplitude * np.cos(x[0]) * np.sin(x[1]) * z
     d = np.zeros((3,) + shape)
     d[2] = 1.0
     return FluidState(grid, Field.from_phys(grid, u), Field.from_phys(grid, d))
@@ -161,10 +160,10 @@ def _check_amplitude(grid: Grid, amplitude) -> None:
 
 
 def _integral(value) -> bool:
-    """Whether `value` is an integer: an int, or a float with an integer
-    value such as 2.0 (not 1.5, inf or nan, which int() would truncate or
-    refuse)."""
-    return (isinstance(value, (int, np.integer))
+    """Whether `value` is an integer: an int that is not a bool
+    (`is_integer`), or a float with an integer value such as 2.0 (not 1.5,
+    inf or nan, which int() would truncate or refuse)."""
+    return (is_integer(value)
             or isinstance(value, float) and value.is_integer())
 
 

@@ -59,7 +59,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import check_range
+from .errors import check_range, is_integer
 
 __all__ = [
     "Grid",
@@ -100,10 +100,10 @@ class Grid:
     length: float = 2.0 * np.pi
 
     def __post_init__(self):
-        # an int, numpy's too: a float or a str would raise TypeError below
-        check_range("dim", self.dim, self.dim in (2, 3)
-                    and isinstance(self.dim, (int, np.integer)), "2 or 3")
-        check_range("res", self.res, isinstance(self.res, (int, np.integer))
+        # an integer: a float or a str would raise TypeError below
+        check_range("dim", self.dim, is_integer(self.dim)
+                    and self.dim in (2, 3), "2 or 3")
+        check_range("res", self.res, is_integer(self.res)
                     and self.res >= 8 and (self.res & (self.res - 1)) == 0,
                     "a power of two >= 8")
         check_range("length", self.length,
@@ -424,33 +424,31 @@ def second_derivative(f: Field, axis_a: int, axis_b: int) -> Field:
     return Field.from_spec(grid, -k[axis_a] * k[axis_b] * f.spec)
 
 
+def _check_vector(name: str, v: Field) -> None:
+    """ValueError unless `v` has one component per axis of its grid."""
+    if v.ncomp != v.grid.dim:
+        raise ValueError(f"{name} needs {v.grid.dim} components, got {v.ncomp}")
+
+
 def divergence(v: Field) -> Field:
     """Divergence of a dim-component vector field."""
+    _check_vector("divergence", v)
     grid = v.grid
-    if v.ncomp != grid.dim:
-        raise ValueError(f"divergence needs {grid.dim} components, got {v.ncomp}")
     spec = sum(grid.ik_deriv[j] * v.spec[j] for j in range(grid.dim))
     return Field.from_spec(grid, spec[np.newaxis])
 
 
+# the (j, k) axis pairs of the curl's components d_j v_k - d_k v_j
+_CURL_PAIRS = {2: ((0, 1),), 3: ((1, 2), (2, 0), (0, 1))}
+
+
 def curl(v: Field) -> Field:
     """Vorticity: 3-component curl for dim=3, scalar d1 v2 - d2 v1 for dim=2."""
+    _check_vector("curl", v)
     grid = v.grid
-    if v.ncomp != grid.dim:
-        raise ValueError(f"curl needs {grid.dim} components, got {v.ncomp}")
-    ik = grid.ik_deriv
-    s = v.spec
-    if grid.dim == 2:
-        out = (ik[0] * s[1] - ik[1] * s[0])[np.newaxis]
-    else:
-        out = np.stack(
-            [
-                ik[1] * s[2] - ik[2] * s[1],
-                ik[2] * s[0] - ik[0] * s[2],
-                ik[0] * s[1] - ik[1] * s[0],
-            ]
-        )
-    return Field.from_spec(grid, out)
+    ik, s = grid.ik_deriv, v.spec
+    return Field.from_spec(grid, np.stack(
+        [ik[j] * s[k] - ik[k] * s[j] for j, k in _CURL_PAIRS[grid.dim]]))
 
 
 def project_spec(grid: Grid, v_spec: np.ndarray,
@@ -482,10 +480,8 @@ def project_spec(grid: Grid, v_spec: np.ndarray,
 
 def leray_project(v: Field) -> Field:
     """Project a vector field onto its divergence-free part."""
-    grid = v.grid
-    if v.ncomp != grid.dim:
-        raise ValueError(f"leray_project needs {grid.dim} components, got {v.ncomp}")
-    return Field.from_spec(grid, project_spec(grid, v.spec))
+    _check_vector("leray_project", v)
+    return Field.from_spec(v.grid, project_spec(v.grid, v.spec))
 
 
 def dealias(f: Field) -> Field:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from nematicflow import diagnostics, errors, runner
+from nematicflow import diagnostics, errors, runner, verify
 from nematicflow.cli import main
 
 
@@ -271,6 +271,42 @@ def test_verify_spectral_suite(capsys):
     assert "[PASS]" in out
     assert "[FAIL]" not in out
     assert "checks passed" in out
+
+
+def test_verify_suites_join_their_checks(monkeypatch, capsys):
+    # canned component checks: each suite's order and hand-offs, and the
+    # CLI's count and exit status, without running a simulation
+    handed = {}
+    reports, winding = {"taylor_green": object()}, object()
+
+    for name, result in (
+            ("check_navier_stokes_reduction", [("ns", True, "canned")]),
+            ("check_harmonic_map_reduction", [("hm", True, "canned")]),
+            ("check_temporal_convergence", [("tc", False, "canned")]),
+            ("check_energy_identity", ([("ei", True, "canned")], reports)),
+            ("check_monitor", ([("mo", True, "canned")], winding)),
+            ("check_lemma_norms", [("ln", True, "canned")])):
+        monkeypatch.setattr(verify, name, lambda result=result: result)
+    for name, label in (("check_constraint", "cc"),
+                        ("check_envelope", "en")):
+        def check(got, name=name, label=label):
+            handed[name] = got
+            return [(label, True, "canned")]
+        monkeypatch.setattr(verify, name, check)
+
+    names = {suite: [name for name, _, _ in verify.SUITES[suite]()]
+             for suite in ("dynamics", "energy", "monitor")}
+    assert names == {"dynamics": ["ns", "hm", "tc"], "energy": ["ei", "cc"],
+                     "monitor": ["mo", "ln", "en"]}
+    assert handed == {"check_constraint": reports, "check_envelope": winding}
+
+    capsys.readouterr()
+    assert main(["verify", "--suite", "dynamics"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] tc: canned" in out
+    assert out.endswith("2/3 checks passed\n")
+    assert main(["verify", "--suite", "monitor"]) == 0
+    assert capsys.readouterr().out.endswith("3/3 checks passed\n")
 
 
 def test_verify_rejects_unknown_suite():

@@ -47,6 +47,15 @@ class TestParsePairs:
         with pytest.raises(ConfigParseError):
             load_config(MINIMAL, ["output_dir="])
 
+    def test_override_is_parsed_as_a_line_without_comments(self):
+        # an override is one `key=value` string: a ` #` in it is kept
+        config = load_config(MINIMAL, ["output_dir=runs/ #3"])
+        assert config.output_dir == "runs/ #3"
+        with pytest.raises(ConfigParseError) as err:
+            load_config(MINIMAL, ["dim 3"])
+        assert err.value.lineno is None
+        assert "line" not in str(err.value)
+
     def test_typed_values(self):
         values = parse_pairs(
             "dt = 1e-3\nintegrator = IF-RK2\noversample_linf = true\n"
@@ -186,10 +195,12 @@ class TestBuilders:
 
 class TestLibraryTypes:
     # the config parser hands SimulationConfig ints and bools; a library
-    # caller may not, and a float count or a truthy string is refused
+    # caller may not, and a float count, a bool count (bool subclasses int,
+    # so True would count as 1) or a truthy string is refused
     @pytest.mark.parametrize("key, value", [
         ("record_every", 1.5), ("snapshot_every", 0.5),
-        ("oversample_linf", "no")])
+        ("oversample_linf", "no"), ("record_every", True),
+        ("snapshot_every", True), ("snapshot_every", False)])
     def test_wrong_type_names_the_field(self, key, value):
         with pytest.raises(ParameterRangeError) as err:
             SimulationConfig(dim=2, res=16, scenario=ScenarioSpec(
@@ -201,6 +212,12 @@ class TestLibraryTypes:
             dim=2, res=16, scenario=ScenarioSpec("taylor_green"), t_max=1.0,
             record_every=np.int64(3), snapshot_every=np.int32(2))
         assert (config.record_every, config.snapshot_every) == (3, 2)
+
+    def test_bool_scenario_parameter_names_its_key(self):
+        with pytest.raises(ParameterRangeError) as err:
+            SimulationConfig(dim=2, res=16, scenario=ScenarioSpec(
+                "winding_director", {"k": True}), t_max=1.0)
+        assert err.value.name == "scenario.k"
 
 
 class TestTablesInStep:

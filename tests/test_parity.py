@@ -53,3 +53,13 @@ def test_peaks_of_the_run_and_each_phase():
     assert all(value >= 0 for value in found.values())
     # the run holds every phase's arrays at some point
     assert found["run"] >= max(found.values())
+
+
+def test_peaks_of_a_checkout_that_fails_to_import_are_null(tmp_path):
+    parity = _parity()
+    package = tmp_path / "src" / "nematicflow"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text('raise ImportError("broken")\n')
+    found = parity.peaks(tmp_path, "winding_2d_32")
+    assert found == dict.fromkeys(("run", *parity.PHASES))
+    assert parity._mb(None) == "n/a"

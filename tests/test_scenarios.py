@@ -175,9 +175,12 @@ class TestRandomSmooth:
     (winding_director, "k", 1.5), (winding_director, "k", -2.5),
     (winding_director, "k", math.inf), (winding_director, "k", math.nan),
     (random_smooth, "seed", -0.5), (random_smooth, "seed", 2.5),
-    (random_smooth, "seed", math.inf), (random_smooth, "seed", math.nan)])
+    (random_smooth, "seed", math.inf), (random_smooth, "seed", math.nan),
+    (winding_director, "k", True), (winding_director, "k", False),
+    (random_smooth, "seed", True), (random_smooth, "seed", False)])
 def test_non_integral_parameter_is_range_error(grid, builder, key, value):
-    # int() would truncate the value or raise an error of its own
+    # int() would truncate the value or raise an error of its own; a bool
+    # is an int subclass, which would pass as 1 or 0
     with pytest.raises(ParameterRangeError) as info:
         builder(grid, **{key: value})
     assert info.value.name == key

@@ -382,6 +382,15 @@ class TestVectorOps:
         assert np.max(np.abs(omega[0])) < 1e-13
         assert np.max(np.abs(omega[2])) < 1e-13
 
+    def test_curl_3d_abc_flow_is_itself(self, grid3):
+        # u = (sin x2 + cos x1, sin x0 + cos x2, sin x1 + cos x0): every
+        # component of the curl reads two components of u
+        x = np.broadcast_arrays(*grid3.coords())
+        u = np.stack([np.sin(x[2]) + np.cos(x[1]), np.sin(x[0]) + np.cos(x[2]),
+                      np.sin(x[1]) + np.cos(x[0])])
+        omega = curl(Field.from_phys(grid3, u)).phys
+        assert np.max(np.abs(omega - u)) < 1e-12
+
     def test_divergence_of_curl_vanishes(self, grid3):
         v = random_field(grid3, ncomp=3, seed=8)
         assert np.max(np.abs(divergence(curl(v)).phys)) < 1e-11
@@ -455,10 +464,12 @@ class TestDealias:
 @pytest.mark.parametrize("call, message", [
     (lambda g: Field(g), "physical or spectral"),
     (lambda g: second_derivative(Field.zeros(g), 0, 2), "axis 2 out of range"),
+    (lambda g: divergence(Field.zeros(g, 3)),
+     "divergence needs 2 components, got 3"),
     (lambda g: curl(Field.zeros(g, 3)), "curl needs 2 components, got 3"),
     (lambda g: leray_project(Field.zeros(g)),
      "leray_project needs 2 components, got 1"),
-], ids=["field", "second_derivative", "curl", "leray_project"])
+], ids=["field", "second_derivative", "divergence", "curl", "leray_project"])
 def test_bad_arguments_raise_value_error(grid2, call, message):
     with pytest.raises(ValueError, match=message):
         call(grid2)

@@ -26,7 +26,9 @@ are loaded (`peaks`):
   wrapped where the runner looks them up, as perfbench wraps them.  Each
   call resets the peak, so the phases run in a second interpreter of their
   own and the whole run's peak is not lost.
-The peaks are information only: they do not change the exit status.
+The peaks are information only: they do not change the exit status.  A
+run that fails (a checkout whose package does not import) gives null
+peaks, printed as "n/a", and the report is still printed.
 
 It prints a short table and then, as its last line, one JSON object.  The
 exit status is 0 when every config is identical and 1 otherwise.
@@ -238,15 +240,22 @@ _PEAKS_MAIN = ("import json, runpy, sys; "
 def peaks(checkout, name) -> dict:
     """The tracemalloc peaks of config `name` with the package of
     `checkout`, in MB to 2 decimals: the whole run's ("run") and each
-    phase's, from two fresh interpreters (`traced_peaks`)."""
+    phase's, from two fresh interpreters (`traced_peaks`); None for each
+    peak of an interpreter that fails."""
     env = dict(os.environ, PYTHONPATH=str(Path(checkout).resolve() / "src"))
     found = {}
-    for mode in ("run", "phases"):
+    for mode, keys in (("run", ("run",)), ("phases", PHASES)):
         done = subprocess.run(
             [sys.executable, "-c", _PEAKS_MAIN, __file__, name, mode],
-            env=env, capture_output=True, check=True, text=True)
-        found.update(json.loads(done.stdout.splitlines()[-1]))
-    return {key: round(value / 1e6, 2) for key, value in found.items()}
+            env=env, capture_output=True, check=False, text=True)
+        found.update(json.loads(done.stdout.splitlines()[-1])
+                     if done.returncode == 0 else dict.fromkeys(keys))
+    return {key: None if value is None else round(value / 1e6, 2)
+            for key, value in found.items()}
+
+
+def _mb(value) -> str:
+    return "n/a" if value is None else f"{value:.2f}"
 
 
 _SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -296,8 +305,8 @@ def _table(results: dict, lines: tuple, peak: dict) -> str:
     out.append(f"{'tracemalloc peak, MB':<22} "
                + " ".join(f"{name:<16}" for name in PEAKED).rstrip())
     for key in ("run", *PHASES):
-        cells = (f"{peak['parent'][name][key]:.2f} -> "
-                 f"{peak['change'][name][key]:.2f}" for name in PEAKED)
+        cells = (f"{_mb(peak['parent'][name][key])} -> "
+                 f"{_mb(peak['change'][name][key])}" for name in PEAKED)
         out.append(f"{key:<22} " + " ".join(f"{c:<16}" for c in cells)
                    .rstrip())
     return "\n".join(out)
