@@ -13,13 +13,14 @@ SIM_OUTPUT_DIR overrides output_dir at run time.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import MISSING, dataclass, fields
 from typing import get_type_hints
 
 from .dynamics import StepPolicy
 from .errors import (ConfigParseError, ConfigRangeError, ParameterRangeError,
-                     check_range, is_integer)
+                     check_range, is_integer, is_real)
 from .scenarios import _PARAMETERS, ScenarioSpec, check_scenario
 from .spectral import Grid
 from .state import PhysicsParams
@@ -62,7 +63,8 @@ class SimulationConfig:
         except ParameterRangeError as exc:
             raise ParameterRangeError(f"scenario.{exc.name}", exc.expected,
                                       exc.value) from exc
-        check_range("monitor_max", self.monitor_max, self.monitor_max > 0,
+        check_range("monitor_max", self.monitor_max,
+                    is_real(self.monitor_max) and self.monitor_max > 0,
                     "positive")
         for name, low in (("record_every", 1), ("snapshot_every", 0)):
             value = getattr(self, name)
@@ -70,6 +72,11 @@ class SimulationConfig:
                         f"an integer >= {low}")
         check_range("oversample_linf", self.oversample_linf,
                     isinstance(self.oversample_linf, bool), "a bool")
+        # else run() reads "" as an empty SIM_OUTPUT_DIR, and 3 fails in Path
+        check_range("output_dir", self.output_dir,
+                    isinstance(self.output_dir, os.PathLike)
+                    or isinstance(self.output_dir, str) and self.output_dir,
+                    "a non-empty str or os.PathLike")
 
     def grid(self) -> Grid:
         return Grid(self.dim, self.res, self.length)

@@ -21,7 +21,10 @@ are kept in the named fields of the same per-state record
 `measure` is the one place a record is formed: the monitor maxima, the
 controlled norms ||omega||_2 and ||lap d||_2, the energy law (E, D) and
 the sphere errors.  It sums squares in spectral space (Parseval), the
-tension's too, and transforms only lap d back to the grid.
+tension's too, and transforms only lap d back to the grid.  Every state's
+u is divergence free, so ||omega||_2 = ||grad u||_2 is read from the sum
+the dissipation forms, and a state's vorticity is formed at most once, for
+max|omega|.
 """
 
 from __future__ import annotations
@@ -182,7 +185,12 @@ def measure(s: FluidState, monitor_integrand: float,
     grid sums: ||lap d||_2, which equals the L^2 norm of the full Hessian
     of d for periodic fields, and the sphere errors max | |d| - 1 | and
     max | |grad d|^2 + d . lap d |, the residual of an identity that holds
-    exactly for smooth unit-length directors."""
+    exactly for smooth unit-length directors.
+
+    ||omega||_2 is read from the ||grad u||_2 sum of the dissipation.
+    That relies on every state's u being divergence free, k . u_hat = 0
+    for the derivative wavenumbers, as `project_spec` leaves it: per mode
+    |k x u_hat|^2 = |k|^2 |u_hat|^2 - |k . u_hat|^2 (Lagrange's identity)."""
     omega_linf = _omega_linf(s, oversample)
     grad_d_linf = _grad_d_linf(s, oversample)
     grid, u_spec, d_spec, d = s.grid, s.u.spec, s.d.spec, s.d.phys
@@ -192,18 +200,19 @@ def measure(s: FluidState, monitor_integrand: float,
     tension += lap_d_spec
     lap_d = _ifftn(grid, lap_d_spec)
     u_sq, grad_d_sq = _l2_sq(grid, u_spec), _l2_sq(grid, d_spec, k2)
+    grad_u_sq = _l2_sq(grid, u_spec, k2)
     # reduced to floats here, so no grid array of theirs outlives them
     norm_err = float(np.max(np.abs(np.sqrt(np.sum(d * d, axis=0)) - 1.0)))
     identity_err = float(np.max(np.abs(
         _pass(s).grad_sq + np.sum(d * lap_d, axis=0))))
     return DiagnosticsRecord(
         t=s.t, u_l2=math.sqrt(u_sq), grad_d_l2=math.sqrt(grad_d_sq),
-        omega_l2=math.sqrt(_l2_sq(grid, curl(s.u).spec)),
+        omega_l2=math.sqrt(grad_u_sq),
         omega_linf=omega_linf, grad_d_linf=grad_d_linf,
         # summed as the record always has: the stationary winding
         # director's envelope fit is exactly 0 only at this roundoff
         hess_d_l2=math.sqrt(grid.cell_volume * float(np.sum(lap_d**2))),
         energy=u_sq + grad_d_sq,
-        dissipation=2.0 * (_l2_sq(grid, u_spec, k2) + _l2_sq(grid, tension)),
+        dissipation=2.0 * (grad_u_sq + _l2_sq(grid, tension)),
         monitor_integrand=monitor_integrand, monitor_accum=monitor_accum,
         sphere_norm_err=norm_err, sphere_identity_err=identity_err)

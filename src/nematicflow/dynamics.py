@@ -76,7 +76,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericalOverflowError, check_range
+from .errors import NumericalOverflowError, check_range, is_real
 from .spectral import (Field, Grid, _fftn, _fftn_rows, _forward_pass,
                        _ifftn, _inverse_pass, _irfft, project_spec)
 from .state import FluidState, PhysicsParams, normalize_director
@@ -118,7 +118,8 @@ INTEGRATORS = tuple(_TABLEAUS)
 
 
 def _check_dt(dt) -> None:
-    check_range("dt", dt, 0 < dt < math.inf, "positive and finite")
+    check_range("dt", dt, is_real(dt) and 0 < dt < math.inf,
+                "positive and finite")
 
 
 def _check_integrator(integrator) -> None:
@@ -139,10 +140,10 @@ class StepPolicy:
     def __post_init__(self):
         if self.dt is not None:
             _check_dt(self.dt)
-        check_range("cfl_factor", self.cfl_factor, 0 < self.cfl_factor <= 1,
-                    "in (0, 1]")
-        check_range("t_max", self.t_max, 0 < self.t_max < math.inf,
-                    "positive and finite")
+        check_range("cfl_factor", self.cfl_factor, is_real(self.cfl_factor)
+                    and 0 < self.cfl_factor <= 1, "in (0, 1]")
+        check_range("t_max", self.t_max, is_real(self.t_max)
+                    and 0 < self.t_max < math.inf, "positive and finite")
         _check_integrator(self.integrator)
 
 

@@ -1,5 +1,5 @@
-"""Exception types shared across the solver, and the range and integer
-rules that raise them."""
+"""Exception types shared across the solver, and the range, integer and
+real-number rules that raise them."""
 
 import numpy as np
 
@@ -38,6 +38,13 @@ def is_integer(value) -> bool:
     """Whether `value` is an int or a numpy integer, and not a bool (bool
     subclasses int, so True would pass as 1)."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """Whether `value` is an int, a float or a numpy real, and not a bool
+    (so True does not pass as 1.0 and a str fails before any comparison)."""
+    return isinstance(value, (int, float, np.integer, np.floating)) \
+        and not isinstance(value, bool)
 
 
 class UnderResolvedError(ParameterRangeError):

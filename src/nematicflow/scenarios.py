@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConfigRangeError, UnderResolvedError, check_range,
-                     is_integer)
+                     is_integer, is_real)
 from .spectral import Field, Grid, _fftn, _ifftn, project_spec
 from .state import FluidState, _magnitude, normalize_director
 
@@ -155,7 +155,8 @@ def _peak(noise: np.ndarray, slope: float) -> float:
 
 
 def _check_amplitude(grid: Grid, amplitude) -> None:
-    check_range("amplitude", amplitude, 0 < amplitude < math.inf,
+    check_range("amplitude", amplitude,
+                is_real(amplitude) and 0 < amplitude < math.inf,
                 "positive and finite")
 
 
@@ -182,7 +183,7 @@ def _check_seed(grid: Grid, seed) -> None:
 
 def _check_slope(grid: Grid, slope) -> None:
     bound = grid.dim / 2 + 1
-    check_range("slope", slope, bound < slope < math.inf,
+    check_range("slope", slope, is_real(slope) and bound < slope < math.inf,
                 f"finite and above dim/2 + 1 = {bound} for smooth data")
 
 

@@ -59,7 +59,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import check_range, is_integer
+from .errors import check_range, is_integer, is_real
 
 __all__ = [
     "Grid",
@@ -100,14 +100,14 @@ class Grid:
     length: float = 2.0 * np.pi
 
     def __post_init__(self):
-        # an integer: a float or a str would raise TypeError below
+        # an integer or a real: a str would raise TypeError below
         check_range("dim", self.dim, is_integer(self.dim)
                     and self.dim in (2, 3), "2 or 3")
         check_range("res", self.res, is_integer(self.res)
                     and self.res >= 8 and (self.res & (self.res - 1)) == 0,
                     "a power of two >= 8")
-        check_range("length", self.length,
-                    0 < self.length < math.inf, "positive and finite")
+        check_range("length", self.length, is_real(self.length)
+                    and 0 < self.length < math.inf, "positive and finite")
         # else `length**dim` raises OverflowError, or |k|^2 overflows or a
         # volume underflows and a run turns to nan; the products below
         # overflow to inf instead of raising

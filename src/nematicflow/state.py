@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateDirectorError, check_range
+from .errors import DegenerateDirectorError, check_range, is_real
 from .spectral import Field, Grid
 
 __all__ = ["PhysicsParams", "FluidState", "normalize_director"]
@@ -30,7 +30,8 @@ class PhysicsParams:
     nu: float = 1.0
 
     def __post_init__(self):
-        check_range("nu", self.nu, 0 < self.nu < math.inf, "positive and finite")
+        check_range("nu", self.nu, is_real(self.nu)
+                    and 0 < self.nu < math.inf, "positive and finite")
 
 
 @dataclass(frozen=True)

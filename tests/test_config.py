@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from nematicflow.config import (_REQUIRED, SimulationConfig, load_config,
                                 parse_pairs)
+from nematicflow.runner import run
 from nematicflow.scenarios import _BUILDERS, ScenarioSpec
 from nematicflow.errors import (ConfigError, ConfigParseError,
                                 ConfigRangeError, ParameterRangeError)
@@ -194,17 +195,25 @@ class TestBuilders:
 
 
 class TestLibraryTypes:
-    # the config parser hands SimulationConfig ints and bools; a library
-    # caller may not, and a float count, a bool count (bool subclasses int,
-    # so True would count as 1) or a truthy string is refused
+    # the config parser hands SimulationConfig ints, floats, bools and
+    # non-empty strings; a library caller may not, and a float count, a
+    # bool count (bool subclasses int, so True would count as 1), a truthy
+    # string, a bool or str real (True would pass as 1.0, and `<` refuses a
+    # str with a bare TypeError) or an empty or non-path output_dir is
+    # refused
     @pytest.mark.parametrize("key, value", [
         ("record_every", 1.5), ("snapshot_every", 0.5),
         ("oversample_linf", "no"), ("record_every", True),
-        ("snapshot_every", True), ("snapshot_every", False)])
+        ("snapshot_every", True), ("snapshot_every", False),
+        ("length", True), ("length", "2"), ("nu", True), ("nu", "1"),
+        ("t_max", True), ("dt", True), ("dt", "0.1"), ("cfl_factor", True),
+        ("monitor_max", True), ("monitor_max", "1e3"),
+        ("output_dir", ""), ("output_dir", 3), ("output_dir", None)])
     def test_wrong_type_names_the_field(self, key, value):
+        values = {"dim": 2, "res": 16, "scenario": ScenarioSpec(
+            "taylor_green"), "t_max": 1.0}
         with pytest.raises(ParameterRangeError) as err:
-            SimulationConfig(dim=2, res=16, scenario=ScenarioSpec(
-                "taylor_green"), t_max=1.0, **{key: value})
+            SimulationConfig(**{**values, key: value})
         assert err.value.name == key
 
     def test_numpy_integers_build(self):
@@ -218,6 +227,27 @@ class TestLibraryTypes:
             SimulationConfig(dim=2, res=16, scenario=ScenarioSpec(
                 "winding_director", {"k": True}), t_max=1.0)
         assert err.value.name == "scenario.k"
+
+    def test_numpy_reals_build(self):
+        config = SimulationConfig(
+            dim=2, res=16, scenario=ScenarioSpec("taylor_green"),
+            t_max=np.float32(1.0), length=np.int64(3), nu=np.float64(0.5),
+            monitor_max=np.int32(10))
+        assert (config.t_max, config.length, config.nu) == (1.0, 3, 0.5)
+
+    def test_path_output_dir_runs_and_an_empty_variable_is_refused(
+            self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SIM_OUTPUT_DIR", raising=False)
+        config = SimulationConfig(
+            dim=2, res=8, scenario=ScenarioSpec("taylor_green"),
+            t_max=0.01, dt=0.005, output_dir=tmp_path / "out")
+        run(config)
+        assert (tmp_path / "out" / "timeseries.csv").is_file()
+        # the run's own empty check sees only the environment variable
+        monkeypatch.setenv("SIM_OUTPUT_DIR", "")
+        with pytest.raises(ConfigRangeError, match="SIM_OUTPUT_DIR") as err:
+            run(config)
+        assert err.value.key == "output_dir"
 
 
 class TestTablesInStep:

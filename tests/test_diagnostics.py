@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nematicflow import spectral
+from nematicflow import diagnostics, spectral
 from nematicflow.diagnostics import (DiagnosticsRecord, accumulate_monitor,
                                      blowup_integrand, energy_residual,
                                      gronwall_envelope, measure)
@@ -242,6 +242,31 @@ class TestRecordOracle:
                 (s.t, 0.25, 0.5)
             assert abs(rec.sphere_norm_err - norm_err) < 1e-12
             assert abs(rec.sphere_identity_err - identity_err) < 1e-12
+
+    @pytest.mark.parametrize("oversample", [False, True])
+    @pytest.mark.parametrize("dim,res", [(2, 32), (3, 16)])
+    def test_vorticity_formed_once_per_state(self, dim, res, oversample,
+                                             monkeypatch):
+        calls = []
+        form = diagnostics.curl
+
+        def counting(v):
+            calls.append(v)
+            return form(v)
+
+        monkeypatch.setattr(diagnostics, "curl", counting)
+        s = random_smooth(Grid(dim, res), seed=5)
+        measure(s, blowup_integrand(s, oversample), 0.0, oversample=oversample)
+        # max|omega| forms it; ||omega||_2 reads the ||grad u||_2 sum
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("dim,res", [(2, 32), (3, 16)])
+    def test_omega_l2_is_the_grad_u_sum(self, dim, res):
+        grid = Grid(dim, res)
+        for s in (random_smooth(grid, seed=5), taylor_green(grid)):
+            rec = measure(s, 0.0, 0.0)
+            assert rec.omega_l2 == math.sqrt(
+                diagnostics._l2_sq(grid, s.u.spec, grid.k2_deriv))
 
     @pytest.mark.parametrize("dim,res", [(2, 32), (3, 16)])
     def test_oversampled_grad_d_transformed_once(self, dim, res, monkeypatch):

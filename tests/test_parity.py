@@ -63,3 +63,25 @@ def test_peaks_of_a_checkout_that_fails_to_import_are_null(tmp_path):
     found = parity.peaks(tmp_path, "winding_2d_32")
     assert found == dict.fromkeys(("run", *parity.PHASES))
     assert parity._mb(None) == "n/a"
+
+
+def test_differing_columns_report_the_absolute_change_too():
+    parity = _parity()
+    a = b"t,omega_l2,energy\n0,0.0,1.0\n0.5,0.0,2.0\n"
+    b = b"t,omega_l2,energy\n0,1.2e-47,1.0\n0.5,0.0,2.5\n"
+    assert parity.csv_changes(a, b, parity._absolute) == {
+        "t": 0.0, "omega_l2": 1.2e-47, "energy": 0.5}
+    run = {"status": 0, "stdout": b""}
+    result = parity.compare_outputs({**run, "files": {"ts.csv": a}},
+                                    {**run, "files": {"ts.csv": b}})
+    assert result["csv"] == {"ts.csv": {
+        "t": {"relative": 0.0, "absolute": 0.0},
+        # from exact 0 to roundoff: relative 1, absolute tiny
+        "omega_l2": {"relative": 1.0, "absolute": 1.2e-47},
+        "energy": {"relative": 0.2, "absolute": 0.5}}}
+    peak = dict.fromkeys(parity.PEAKED, dict.fromkeys(("run", *parity.PHASES)))
+    table = parity._table({"cfg": {**result, "status": [0, 0]}}, (1, 1),
+                          {"parent": peak, "change": peak})
+    assert "    ts.csv omega_l2: 1 (abs 1.2e-47)" in table.splitlines()
+    assert "    ts.csv energy: 0.2 (abs 0.5)" in table.splitlines()
+    assert "ts.csv t:" not in table

@@ -187,6 +187,16 @@ def test_non_integral_parameter_is_range_error(grid, builder, key, value):
 
 
 @pytest.mark.parametrize("builder, key, value", [
+    (taylor_green, "amplitude", True), (taylor_green, "amplitude", "1"),
+    (random_smooth, "amplitude", True), (random_smooth, "slope", "3")])
+def test_non_real_parameter_is_range_error(grid, builder, key, value):
+    # a bool would pass as 1.0, and a str fails `<` with a bare TypeError
+    with pytest.raises(ParameterRangeError) as info:
+        builder(grid, **{key: value})
+    assert info.value.name == key
+
+
+@pytest.mark.parametrize("builder, key, value", [
     (winding_director, "k", 2.0), (winding_director, "k", -1.0),
     (random_smooth, "seed", 3.0)])
 def test_integral_float_parameter_builds_as_its_int(grid, builder, key,

@@ -9,8 +9,10 @@ runs as `python -m nematicflow.cli run` in a fresh interpreter per
 checkout, importing from that checkout's `src/`, and the tool compares
 `timeseries.csv`, every snapshot, stdout and the exit status byte for
 byte.  Where a CSV differs it prints the largest relative change of each
-column, |b - a| / max(|a|, |b|) over the rows.  The bench workloads' config
-text comes from `perfbench/workloads.py` next to this tool.
+column, |b - a| / max(|a|, |b|) over the rows, and its largest absolute
+change |b - a|, since a column that moves from exact 0 to roundoff reads
+as a relative change of 1.  The bench workloads' config text comes from
+`perfbench/workloads.py` next to this tool.
 
 It also counts the code lines of each checkout's `src/nematicflow`: the
 non-blank lines that are neither comments nor docstrings (a module's,
@@ -123,10 +125,9 @@ def run_config(checkout, name, output_dir) -> dict:
             "files": files}
 
 
-def _relative(a: str, b: str):
-    """|b - a| / max(|a|, |b|) of two CSV fields: 0 for equal text or equal
-    numbers ("0" and "-0.0"), None for fields that are not two finite
-    numbers."""
+def _absolute(a: str, b: str):
+    """|b - a| of two CSV fields: 0 for equal text or equal numbers ("0"
+    and "-0.0"), None for fields that are not two finite numbers."""
     if a == b:
         return 0.0
     try:
@@ -135,14 +136,23 @@ def _relative(a: str, b: str):
         return None
     if x == y:
         return 0.0
-    return abs(y - x) / max(abs(x), abs(y)) if math.isfinite(x) and \
-        math.isfinite(y) else None
+    return abs(y - x) if math.isfinite(x) and math.isfinite(y) else None
 
 
-def csv_changes(a: bytes, b: bytes) -> dict:
-    """The largest relative change of each column of two CSVs with one
-    header row (`_relative`, None where a field is not comparable), or
-    {"<shape>": None} when their headers or row counts differ."""
+def _relative(a: str, b: str):
+    """|b - a| / max(|a|, |b|) of two CSV fields, 0 and None as in
+    `_absolute`."""
+    change = _absolute(a, b)
+    if not change:
+        return change
+    return change / max(abs(float(a)), abs(float(b)))
+
+
+def csv_changes(a: bytes, b: bytes, change=_relative) -> dict:
+    """The largest change of each column of two CSVs with one header row,
+    relative by default or by the field rule `change` (None where a field
+    is not comparable), or {"<shape>": None} when their headers or row
+    counts differ."""
     rows_a, rows_b = (list(csv.reader(io.StringIO(text.decode("utf-8"))))
                       for text in (a, b))
     if not rows_a or rows_a[:1] != rows_b[:1] or len(rows_a) != len(rows_b):
@@ -150,24 +160,30 @@ def csv_changes(a: bytes, b: bytes) -> dict:
     changes = dict.fromkeys(rows_a[0], 0.0)
     for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
         for column, x, y in zip(rows_a[0], row_a, row_b):
-            change, old = _relative(x, y), changes[column]
-            changes[column] = None if None in (change, old) else \
-                max(change, old)
+            new, old = change(x, y), changes[column]
+            changes[column] = None if None in (new, old) else max(new, old)
     return changes
 
 
 def compare_outputs(parent: dict, change: dict) -> dict:
     """What differs between two `run_config` results: a list of the parts
     that differ ("status", "stdout", file names), and per differing CSV
-    the largest relative change of each column."""
+    the largest relative and absolute change of each column."""
     differ = [part for part in ("status", "stdout")
               if parent[part] != change[part]]
     names = sorted(set(parent["files"]) | set(change["files"]))
     differ += [name for name in names
                if parent["files"].get(name) != change["files"].get(name)]
-    csv_diffs = {name: csv_changes(parent["files"].get(name, b""),
-                                   change["files"].get(name, b""))
-                 for name in differ if name.endswith(".csv")}
+    csv_diffs = {}
+    for name in differ:
+        if name.endswith(".csv"):
+            texts = (parent["files"].get(name, b""),
+                     change["files"].get(name, b""))
+            relative, absolute = (csv_changes(*texts, rule)
+                                  for rule in (_relative, _absolute))
+            csv_diffs[name] = {column: {"relative": relative[column],
+                                        "absolute": absolute[column]}
+                               for column in relative}
     return {"identical": not differ, "differ": differ, "csv": csv_diffs,
             "files": len(names)}
 
@@ -297,9 +313,10 @@ def _table(results: dict, lines: tuple, peak: dict) -> str:
                    f"{', '.join(result['differ']) or '-'}")
         for csv_name, changes in result["csv"].items():
             for column, change in changes.items():
-                if change != 0.0:
-                    value = "not comparable" if change is None else \
-                        f"{change:.3g}"
+                if change["absolute"] != 0.0:
+                    value = "not comparable" if change["absolute"] is None \
+                        else (f"{change['relative']:.3g} "
+                              f"(abs {change['absolute']:.3g})")
                     out.append(f"    {csv_name} {column}: {value}")
     out.append(f"code lines: {lines[0]} -> {lines[1]}")
     out.append(f"{'tracemalloc peak, MB':<22} "
