@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .config import load_config
 from .errors import ConfigError
-from .runner import HALT_DEGENERATE, HALT_OVERFLOW, run
+from .runner import FAILURE_HALTS, run
 from .verify import SUITES
 
 
@@ -62,7 +62,7 @@ def _cmd_run(args) -> int:
         print("gronwall_c = undefined")
     else:
         print(f"gronwall_c = {report.gronwall_c:.9g}")
-    if report.halt_reason in (HALT_OVERFLOW, HALT_DEGENERATE):
+    if report.halt_reason in FAILURE_HALTS.values():
         return 1
     return 0
 

@@ -18,13 +18,14 @@ every step in 3-D, only for a record in 2-D) and the oversampled maxima
 are kept in the named fields of the same per-state record
 (`dynamics._memo_of`).
 
-`measure` is the one place a record is formed: the monitor maxima, the
-controlled norms ||omega||_2 and ||lap d||_2, the energy law (E, D) and
-the sphere errors.  It sums squares in spectral space (Parseval), the
-tension's too, and transforms only lap d back to the grid.  Every state's
-u is divergence free, so ||omega||_2 = ||grad u||_2 is read from the sum
-the dissipation forms, and a state's vorticity is formed at most once, for
-max|omega|.
+`measure` is the one place a record is formed: the monitor maxima and
+the integrand formed from them (`_integrand`, as `blowup_integrand` forms
+it), the controlled norms ||omega||_2 and ||lap d||_2, the energy law
+(E, D) and the sphere errors.  It sums squares in spectral space
+(Parseval), the tension's too, and transforms only lap d back to the grid.
+Every state's u is divergence free, so ||omega||_2 = ||grad u||_2 is read
+from the sum the dissipation forms, and a state's vorticity is formed at
+most once, for max|omega|.
 """
 
 from __future__ import annotations
@@ -103,12 +104,18 @@ def _grad_d_linf(s: FluidState, oversample: bool) -> float:
     return memo.grad_d_fine
 
 
+def _integrand(dim: int, g: float, omega) -> float:
+    """The monitor integrand from max|grad d| = g and max|omega| = omega,
+    which 2-D does not read."""
+    return g * g if dim == 2 else omega + g * g
+
+
 def blowup_integrand(s: FluidState, oversample: bool = False) -> float:
     """Pointwise-supremum integrand of the blow-up monitor."""
     g = _grad_d_linf(s, oversample)
-    if s.grid.dim == 2:
-        return g * g
-    return _omega_linf(s, oversample) + g * g
+    # no curl is formed for a 2-D integrand
+    omega = _omega_linf(s, oversample) if s.grid.dim == 3 else None
+    return _integrand(s.grid.dim, g, omega)
 
 
 def accumulate_monitor(accum: float, prev_integrand: float,
@@ -175,10 +182,12 @@ def gronwall_envelope(history) -> float:
     return c
 
 
-def measure(s: FluidState, monitor_integrand: float,
-            monitor_accum: float, oversample: bool = False) -> DiagnosticsRecord:
+def measure(s: FluidState, monitor_accum: float, *,
+            oversample: bool = False) -> DiagnosticsRecord:
     """Evaluate every recorded norm of the current state.  The monitor
-    values are accumulated by the caller (they need the step history).
+    integrand is formed from the record's own maxima; its running integral
+    `monitor_accum` is accumulated by the caller (it needs the step
+    history).
 
     The dissipation sums the tension spectrum -|k|^2 d_hat + dealiased
     |grad d|^2 d by Parseval; only lap d goes back to the grid, for the
@@ -202,9 +211,10 @@ def measure(s: FluidState, monitor_integrand: float,
     u_sq, grad_d_sq = _l2_sq(grid, u_spec), _l2_sq(grid, d_spec, k2)
     grad_u_sq = _l2_sq(grid, u_spec, k2)
     # reduced to floats here, so no grid array of theirs outlives them
-    norm_err = float(np.max(np.abs(np.sqrt(np.sum(d * d, axis=0)) - 1.0)))
+    norm_err = float(np.max(np.abs(
+        np.sqrt(np.einsum("i...,i...->...", d, d)) - 1.0)))
     identity_err = float(np.max(np.abs(
-        _pass(s).grad_sq + np.sum(d * lap_d, axis=0))))
+        _pass(s).grad_sq + np.einsum("i...,i...->...", d, lap_d))))
     return DiagnosticsRecord(
         t=s.t, u_l2=math.sqrt(u_sq), grad_d_l2=math.sqrt(grad_d_sq),
         omega_l2=math.sqrt(grad_u_sq),
@@ -212,7 +222,7 @@ def measure(s: FluidState, monitor_integrand: float,
         # summed as the record always has: the stationary winding
         # director's envelope fit is exactly 0 only at this roundoff
         hess_d_l2=math.sqrt(grid.cell_volume * float(np.sum(lap_d**2))),
-        energy=u_sq + grad_d_sq,
+        energy=u_sq + grad_d_sq, monitor_accum=monitor_accum,
         dissipation=2.0 * (grad_u_sq + _l2_sq(grid, tension)),
-        monitor_integrand=monitor_integrand, monitor_accum=monitor_accum,
+        monitor_integrand=_integrand(grid.dim, grad_d_linf, omega_linf),
         sphere_norm_err=norm_err, sphere_identity_err=identity_err)

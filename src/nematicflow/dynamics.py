@@ -443,9 +443,14 @@ def suggest_dt(s: FluidState, policy: StepPolicy) -> float:
     remaining = policy.t_max - s.t
     if policy.dt is not None:
         return min(policy.dt, remaining)
+    return min(policy.cfl_factor * s.grid.dx / _speed(s), remaining)
+
+
+def _speed(s: FluidState) -> float:
+    """The transport speed of the CFL rule, from the state's pass: max|u|
+    or max|grad d|, floored at 1."""
     memo = _pass(s)
-    speed = max(memo.u_max, memo.grad_d_max, 1.0)
-    return min(policy.cfl_factor * s.grid.dx / speed, remaining)
+    return max(memo.u_max, memo.grad_d_max, 1.0)
 
 
 def recover_pressure(s: FluidState) -> Field:

@@ -18,7 +18,7 @@ import numpy as np
 from . import diagnostics
 from .config import SimulationConfig
 from .diagnostics import DiagnosticsRecord
-from .dynamics import _pass, step, suggest_dt
+from .dynamics import _pass, _speed, step, suggest_dt
 from .errors import (ConfigRangeError, DegenerateDirectorError,
                      EnvelopeUndefinedError, NumericalOverflowError,
                      ParameterRangeError, SnapshotFormatError)
@@ -27,7 +27,7 @@ from .spectral import Field, Grid
 from .state import FluidState
 
 __all__ = ["RunReport", "run", "write_timeseries", "read_timeseries",
-           "write_snapshot", "read_snapshot",
+           "write_snapshot", "read_snapshot", "FAILURE_HALTS",
            "HALT_TMAX", "HALT_MONITOR", "HALT_OVERFLOW", "HALT_DEGENERATE"]
 
 HALT_TMAX = "t_max_reached"
@@ -35,10 +35,19 @@ HALT_MONITOR = "monitor_exceeded"
 HALT_OVERFLOW = "overflow"
 HALT_DEGENERATE = "degenerate_director"
 
+# a step's failure -> the halt it ends the run with (exit 1 at the CLI)
+FAILURE_HALTS = {NumericalOverflowError: HALT_OVERFLOW,
+                 DegenerateDirectorError: HALT_DEGENERATE}
+
 CSV_HEADER = ",".join(DiagnosticsRecord.field_names())
+
+# a fixed dt whose first step moves more cells than this is refused
+_MAX_FIRST_STEP_CELLS = 1000
 
 SNAPSHOT_MAGIC = b"ELCF"
 SNAPSHOT_VERSION = 1
+# magic, version, dim, res, length, t
+SNAPSHOT_HEADER = struct.Struct("<4sBBIdd")
 
 
 @dataclass(frozen=True)
@@ -76,14 +85,18 @@ def run(config: SimulationConfig) -> RunReport:
     dt = suggest_dt(state, policy)
     integrand = diagnostics.blowup_integrand(state, oversample=oversample)
     memo = _pass(state)  # of the calls above; non-finite where u or d is
+    speeds = f"max|u| = {memo.u_max:.3g}, max|grad d| = {memo.grad_d_max:.3g}"
     if not np.isfinite(memo.u_max + memo.grad_d_max):
-        raise _bad_scenario(config.scenario, f"max|u| = {memo.u_max:.3g}, "
-                            f"max|grad d| = {memo.grad_d_max:.3g}")
+        raise _bad_scenario(config.scenario, speeds)
     if policy.t_max + dt == policy.t_max:  # t would never reach t_max
         raise ConfigRangeError("dt", f"a step of {dt:.3g} does not advance "
-                               f"t_max = {policy.t_max:.6g} (max|u| = "
-                               f"{memo.u_max:.3g}, max|grad d| = "
-                               f"{memo.grad_d_max:.3g})")
+                               f"t_max = {policy.t_max:.6g} ({speeds})")
+    # an adaptive step moves at most cfl_factor cells
+    cells = dt * _speed(state) / grid.dx
+    if cells > _MAX_FIRST_STEP_CELLS:
+        raise ConfigRangeError("dt", f"a first step of {dt:.3g} moves "
+                               f"{cells:.3g} cells, more than "
+                               f"{_MAX_FIRST_STEP_CELLS} ({speeds})")
     # created only once the start is known to be usable
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -92,19 +105,15 @@ def run(config: SimulationConfig) -> RunReport:
             "output_dir", f"cannot create directory {out_dir}: {exc}") from exc
 
     accum = 0.0
-    history = [diagnostics.measure(state, integrand, accum,
-                                   oversample=oversample)]
+    history = [diagnostics.measure(state, accum, oversample=oversample)]
     halt = HALT_TMAX
     step_index = 0
 
     while state.t < policy.t_max - 1e-14 * policy.t_max:
         try:
             state = step(state, params, dt, integrator=policy.integrator)
-        except NumericalOverflowError:
-            halt = HALT_OVERFLOW
-            break
-        except DegenerateDirectorError:
-            halt = HALT_DEGENERATE
+        except tuple(FAILURE_HALTS) as exc:
+            halt = FAILURE_HALTS[type(exc)]
             break
         step_index += 1
         taken, dt = dt, suggest_dt(state, policy)
@@ -114,7 +123,7 @@ def run(config: SimulationConfig) -> RunReport:
                                                integrand, taken)
 
         if step_index % config.record_every == 0:
-            history.append(diagnostics.measure(state, integrand, accum,
+            history.append(diagnostics.measure(state, accum,
                                                oversample=oversample))
         if config.snapshot_every and step_index % config.snapshot_every == 0:
             _write_output(write_snapshot, state,
@@ -125,7 +134,7 @@ def run(config: SimulationConfig) -> RunReport:
 
     if history[-1].t < state.t:
         # the final state is always recorded, whatever the halt reason
-        history.append(diagnostics.measure(state, integrand, accum,
+        history.append(diagnostics.measure(state, accum,
                                            oversample=oversample))
 
     _write_output(write_timeseries, history, out_dir / "timeseries.csv")
@@ -199,9 +208,8 @@ def write_snapshot(s: FluidState, path) -> None:
     3 d components as res^dim f64 values each, row-major.
     """
     grid = s.grid
-    header = SNAPSHOT_MAGIC + struct.pack(
-        "<BBIdd", SNAPSHOT_VERSION, grid.dim, grid.res, grid.length, s.t
-    )
+    header = SNAPSHOT_HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, grid.dim,
+                                  grid.res, grid.length, s.t)
     payload = np.ascontiguousarray(s.u.phys, dtype="<f8").tobytes() + \
         np.ascontiguousarray(s.d.phys, dtype="<f8").tobytes()
     Path(path).write_bytes(header + payload)
@@ -210,9 +218,9 @@ def write_snapshot(s: FluidState, path) -> None:
 def read_snapshot(path) -> FluidState:
     """Read a snapshot written by write_snapshot; exact inverse."""
     blob = Path(path).read_bytes()
-    if len(blob) < 26 or blob[:4] != SNAPSHOT_MAGIC:
+    if len(blob) < SNAPSHOT_HEADER.size or blob[:4] != SNAPSHOT_MAGIC:
         raise SnapshotFormatError(f"{path}: not a field snapshot")
-    version, dim, res, length, t = struct.unpack("<BBIdd", blob[4:26])
+    _, version, dim, res, length, t = SNAPSHOT_HEADER.unpack_from(blob)
     if version != SNAPSHOT_VERSION:
         raise SnapshotFormatError(f"{path}: unsupported version {version}")
     try:
@@ -220,12 +228,12 @@ def read_snapshot(path) -> FluidState:
     except ValueError as exc:
         raise SnapshotFormatError(f"{path}: {exc}") from exc
     npoints = res**dim
-    expected = 26 + (dim + 3) * npoints * 8
+    expected = SNAPSHOT_HEADER.size + (dim + 3) * npoints * 8
     if len(blob) != expected:
         raise SnapshotFormatError(
             f"{path}: expected {expected} bytes, got {len(blob)}"
         )
-    data = np.frombuffer(blob, dtype="<f8", offset=26)
+    data = np.frombuffer(blob, dtype="<f8", offset=SNAPSHOT_HEADER.size)
     if not (np.isfinite(t) and np.isfinite(data).all()):
         raise SnapshotFormatError(f"{path}: non-finite time or field values")
     u = data[: dim * npoints].reshape((dim,) + grid.shape).astype(np.float64)

@@ -148,7 +148,7 @@ def _peak(noise: np.ndarray, slope: float) -> float:
     """max |noise| over the grid, which a scale divides by; refused when it
     is not finite and positive (a steep slope makes |noise|^2 underflow to
     0 on a coarse grid)."""
-    peak = np.sqrt(np.max(np.sum(noise**2, axis=0)))
+    peak = np.sqrt(np.max(np.einsum("i...,i...->...", noise, noise)))
     check_range("slope", slope, 0 < peak < math.inf,
                 f"shallow enough to leave noise on {noise.shape[1:]} points")
     return float(peak)

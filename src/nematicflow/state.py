@@ -74,7 +74,7 @@ def _magnitude(d: np.ndarray) -> np.ndarray:
     (dividing by an infinite |d| would silently give 0), in place of the
     RuntimeWarnings of that arithmetic."""
     with np.errstate(over="ignore"):
-        mag = np.sqrt(np.sum(d * d, axis=0))
+        mag = np.sqrt(np.einsum("i...,i...->...", d, d))
     low, high = float(np.min(mag)), float(np.max(mag))
     if not (low >= DEGENERATE_DIRECTOR_THRESHOLD and high < math.inf):
         raise DegenerateDirectorError(

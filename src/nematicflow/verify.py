@@ -244,12 +244,12 @@ def check_lemma_norms():
     results = []
     grid = Grid(2, 32)
     wd = scenarios.winding_director(grid, k=1)
-    rec = diagnostics.measure(wd, 0.0, 0.0)
+    rec = diagnostics.measure(wd, 0.0)
     err = abs(rec.omega_l2 - 0.0) + abs(rec.hess_d_l2 - 2.0 * math.pi)
     results.append(_check("controlled norms, winding director", err, 1e-10))
 
     tg = scenarios.taylor_green(grid)
-    rec = diagnostics.measure(tg, 0.0, 0.0)
+    rec = diagnostics.measure(tg, 0.0)
     err = abs(rec.omega_l2 - 2.0 * math.pi) + abs(rec.hess_d_l2 - 0.0)
     results.append(_check("controlled norms, Taylor-Green", err, 1e-10))
     return results

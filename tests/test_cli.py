@@ -163,6 +163,25 @@ def test_step_that_cannot_advance_t_is_config_error(tmp_path, capsys,
     assert not out_dir.exists()
 
 
+def test_fixed_step_that_moves_too_far_is_config_error(tmp_path, capsys,
+                                                        monkeypatch):
+    # a first step of about 2.5e137 cells would overflow at once; it exits
+    # 2, without a RuntimeWarning and before the output directory is
+    # created, never 1 as a suspected blow-up
+    monkeypatch.delenv("SIM_OUTPUT_DIR", raising=False)
+    out_dir = tmp_path / "new"
+    path = tmp_path / "far.cfg"
+    path.write_text("dim = 2\nres = 16\nscenario = random_smooth\n"
+                    "scenario.amplitude = 1e140\ndt = 1e-3\nt_max = 0.01\n"
+                    f"output_dir = {out_dir}\n")
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: dt: a first step of 0.001 moves 2.55e+137 cells" \
+        in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("exc, reason", [
     ("NumericalOverflowError", runner.HALT_OVERFLOW),
     ("DegenerateDirectorError", runner.HALT_DEGENERATE)])

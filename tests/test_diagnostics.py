@@ -78,14 +78,14 @@ class TestAccumulate:
 class TestEnergy:
     def test_taylor_green_energy(self, grid):
         # integral of |u|^2 over the cell is (2 pi)^2 / 2; grad d = 0
-        rec = measure(taylor_green(grid), 0.0, 0.0)
+        rec = measure(taylor_green(grid), 0.0)
         assert abs(rec.energy - 2 * math.pi**2) < 1e-10
         # D = 2 * integral |grad u|^2 = 2 * (2 pi)^2
         assert abs(rec.dissipation - 8 * math.pi**2) < 1e-9
 
     def test_winding_director_energy(self, grid):
         # |grad d|^2 = 1 everywhere and the heat-flow tendency vanishes
-        rec = measure(winding_director(grid, k=1), 0.0, 0.0)
+        rec = measure(winding_director(grid, k=1), 0.0)
         assert abs(rec.energy - 4 * math.pi**2) < 1e-10
         assert abs(rec.dissipation) < 1e-10
 
@@ -110,12 +110,12 @@ class TestEnergy:
 
 class TestLemmaNorms:
     def test_winding_director(self, grid):
-        rec = measure(winding_director(grid, k=1), 0.0, 0.0)
+        rec = measure(winding_director(grid, k=1), 0.0)
         assert abs(rec.omega_l2) < 1e-12
         assert abs(rec.hess_d_l2 - 2 * math.pi) < 1e-11
 
     def test_taylor_green(self, grid):
-        rec = measure(taylor_green(grid), 0.0, 0.0)
+        rec = measure(taylor_green(grid), 0.0)
         assert abs(rec.omega_l2 - 2 * math.pi) < 1e-11
         assert abs(rec.hess_d_l2) < 1e-12
 
@@ -160,9 +160,16 @@ class TestEnvelope:
 
 
 class TestMeasure:
+    def test_integrand_is_not_a_parameter(self, grid):
+        # an old call that passed the integrand first fails, rather than
+        # passing it as the accumulated monitor
+        with pytest.raises(TypeError):
+            measure(taylor_green(grid), 0.25, 0.5)
+
     def test_record_is_consistent(self, grid):
         s = winding_director(grid, k=1)
-        rec = measure(s, blowup_integrand(s), 0.0)
+        blowup_integrand(s)
+        rec = measure(s, 0.0)
         assert rec.t == 0.0
         assert abs(rec.u_l2) < 1e-13
         assert abs(rec.grad_d_l2 - 2 * math.pi) < 1e-11
@@ -221,7 +228,7 @@ class TestRecordOracle:
         unit = random_smooth(Grid(dim, res), seed=5)
         for s in (unit, replace(unit, d=Field.from_phys(unit.grid,
                                                         1.1 * unit.d.phys))):
-            rec = measure(s, 0.25, 0.5, oversample=oversample)
+            rec = measure(s, 0.5, oversample=oversample)
             omega, grad_d = curl(s.u), _grad_d_oracle(s)
             energy, dissipation = _energy_oracle(s)
             norm_err, identity_err = _sphere_oracle(s)
@@ -238,8 +245,9 @@ class TestRecordOracle:
             for name, value in expected.items():
                 assert getattr(rec, name) == pytest.approx(value, rel=1e-12), \
                     name
+            # the integrand formed from the record's own maxima
             assert (rec.t, rec.monitor_integrand, rec.monitor_accum) == \
-                (s.t, 0.25, 0.5)
+                (s.t, blowup_integrand(s, oversample), 0.5)
             assert abs(rec.sphere_norm_err - norm_err) < 1e-12
             assert abs(rec.sphere_identity_err - identity_err) < 1e-12
 
@@ -256,7 +264,8 @@ class TestRecordOracle:
 
         monkeypatch.setattr(diagnostics, "curl", counting)
         s = random_smooth(Grid(dim, res), seed=5)
-        measure(s, blowup_integrand(s, oversample), 0.0, oversample=oversample)
+        blowup_integrand(s, oversample)
+        measure(s, 0.0, oversample=oversample)
         # max|omega| forms it; ||omega||_2 reads the ||grad u||_2 sum
         assert len(calls) == 1
 
@@ -264,7 +273,7 @@ class TestRecordOracle:
     def test_omega_l2_is_the_grad_u_sum(self, dim, res):
         grid = Grid(dim, res)
         for s in (random_smooth(grid, seed=5), taylor_green(grid)):
-            rec = measure(s, 0.0, 0.0)
+            rec = measure(s, 0.0)
             assert rec.omega_l2 == math.sqrt(
                 diagnostics._l2_sq(grid, s.u.spec, grid.k2_deriv))
 
@@ -282,7 +291,7 @@ class TestRecordOracle:
         monkeypatch.setattr(spectral, "_ifftn", counting)
         s = random_smooth(Grid(dim, res), seed=5)
         integrand = blowup_integrand(s, oversample=True)
-        rec = measure(s, integrand, 0.0, oversample=True)
+        rec = measure(s, 0.0, oversample=True)
         # grad d (3 dim components) once; omega once, with its components
         assert sorted(fine_batches) == sorted([3 * dim, 1 if dim == 2 else 3])
         if dim == 2:

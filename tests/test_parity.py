@@ -4,6 +4,8 @@ comparison and code-line count."""
 import importlib.util
 from pathlib import Path
 
+from nematicflow.verify import SUITES
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -20,6 +22,15 @@ def test_checkout_against_itself_is_identical():
     results = parity.compare(ROOT, ROOT, ["winding_2d_32"])
     assert results == {"winding_2d_32": {
         "identical": True, "differ": [], "csv": {}, "files": 1,
+        "status": [0, 0]}}
+
+
+def test_verify_suite_against_itself_is_identical():
+    parity = _parity()
+    assert set(parity.SUITES) == set(SUITES)
+    results = parity.compare_suites(ROOT, ROOT, ["spectral"])
+    assert results == {"verify spectral": {
+        "identical": True, "differ": [], "csv": {}, "files": 0,
         "status": [0, 0]}}
 
 

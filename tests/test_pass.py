@@ -110,7 +110,8 @@ def transforms(monkeypatch):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_step_on_memoized_state_is_bit_identical(dim, integrator):
     s = random_smooth(GRIDS[dim], seed=4)
-    measure(s, blowup_integrand(s), 0.0)
+    blowup_integrand(s)
+    measure(s, 0.0)
     out = step(s, PhysicsParams(), 0.01, integrator=integrator)
     assert _memo_of(s).work is None  # the step took the pass's workspace
     fresh = step(replace(s), PhysicsParams(), 0.01, integrator=integrator)
@@ -128,7 +129,7 @@ def test_stepping_a_memoized_state_twice_gives_one_result(dim, res,
     # record of it reads as before
     s = random_smooth(Grid(dim, res), seed=6)
     integrand = blowup_integrand(s)  # memoizes the pass
-    before = measure(s, integrand, 0.0)
+    before = measure(s, 0.0)
     twin = copy.copy(s)
     first = step(s, PhysicsParams(), 0.01, integrator=integrator)
     for again in (step(s, PhysicsParams(), 0.01, integrator=integrator),
@@ -137,7 +138,7 @@ def test_stepping_a_memoized_state_twice_gives_one_result(dim, res,
         assert np.array_equal(first.u.phys, again.u.phys)
         assert np.array_equal(first.d.phys, again.d.phys)
     assert blowup_integrand(s) == integrand
-    assert measure(s, integrand, 0.0) == before
+    assert measure(s, 0.0) == before
 
 
 def _interrupt(*args, **kwargs):
@@ -332,7 +333,7 @@ def test_pass_scalars_match_their_operators(dim, seed, amplitude):
     s = random_smooth(GRIDS[dim], seed=seed, amplitude=amplitude)
     # the maxima of the pass and of the curl batch, and the record's
     # spectral sums (Parseval) against grid sums of the operators
-    memo, rec = _pass(s), measure(s, 0.0, 0.0)
+    memo, rec = _pass(s), measure(s, 0.0)
     grid = s.grid
     omega, grad_u, grad_d = curl(s.u), _stacked_gradient(s.u), \
         _stacked_gradient(s.d)
@@ -367,14 +368,14 @@ def test_record_does_not_depend_on_first_consumer(dim, seed, amplitude,
     def build():
         return random_smooth(GRIDS[dim], seed=seed, amplitude=amplitude)
 
-    reference = measure(build(), 0.25, 0.5, oversample=oversample)
+    reference = measure(build(), 0.5, oversample=oversample)
     s = build()
     consumers = {
-        "measure": lambda: measure(s, 0.25, 0.5, oversample=oversample),
+        "measure": lambda: measure(s, 0.5, oversample=oversample),
         "blowup_integrand": lambda: blowup_integrand(s, oversample=oversample),
         "suggest_dt": lambda: suggest_dt(s, StepPolicy(t_max=1.0)),
         "step": lambda: step(s, PhysicsParams(), 1e-3),
     }
     for name in order:
         consumers[name]()
-    assert measure(s, 0.25, 0.5, oversample=oversample) == reference
+    assert measure(s, 0.5, oversample=oversample) == reference

@@ -123,6 +123,33 @@ class TestRun:
         assert "max|u|" in str(err.value)
         assert not out_dir.exists()
 
+    def test_fixed_step_that_moves_too_far_is_refused(self, tmp_path):
+        # dt max(max|u|, max|grad d|, 1) / dx above 1000 cells: refused
+        # before output_dir is created, naming the number of cells
+        out_dir = tmp_path / "new"
+        with pytest.raises(ConfigRangeError) as err:
+            run(config_for(out_dir, "random_smooth", t_max=0.01, res=16,
+                           dt=1e-3, **{"scenario.amplitude": 1e140}))
+        assert err.value.key == "dt"
+        assert "moves 2.55e+137 cells" in str(err.value)
+        assert "max|u| = 1e+140" in str(err.value)
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("amplitude, refused", [(390, False),
+                                                    (400, True)])
+    def test_first_step_cell_bound(self, tmp_path, amplitude, refused):
+        # taylor_green's max|u| is its amplitude, so a step of 0.5 at 32^2
+        # moves 2.55 amplitude cells: 993 starts the run (which may then
+        # halt), 1019 is refused
+        config = config_for(tmp_path, "taylor_green", t_max=0.5, dt=0.5,
+                            **{"scenario.amplitude": amplitude})
+        if refused:
+            with pytest.raises(ConfigRangeError, match="moves 1.02e[+]03"):
+                run(config)
+        else:
+            assert run(config).halt_reason in (HALT_TMAX, HALT_OVERFLOW,
+                                               HALT_DEGENERATE)
+
     @pytest.mark.parametrize("exc,reason", [
         ("NumericalOverflowError", HALT_OVERFLOW),
         ("DegenerateDirectorError", HALT_DEGENERATE),

@@ -70,7 +70,7 @@ class TestWindingDirector:
         assert np.max(np.abs(spec[:, ~own])) <= 1e-12
 
     def test_unit_length(self, grid):
-        rec = measure(winding_director(grid, k=3), 0.0, 0.0)
+        rec = measure(winding_director(grid, k=3), 0.0)
         assert rec.sphere_norm_err < 1e-14
         assert rec.sphere_identity_err < 1e-11
 
@@ -141,7 +141,7 @@ class TestRandomSmooth:
     def test_satisfies_state_invariants(self, grid):
         s = random_smooth(grid, seed=1)
         assert np.max(np.abs(divergence(s.u).phys)) < 1e-12
-        rec = measure(s, 0.0, 0.0)
+        rec = measure(s, 0.0)
         assert rec.sphere_norm_err < 1e-8
         assert rec.sphere_identity_err < 1e-6
 
@@ -168,7 +168,7 @@ class TestRandomSmooth:
     def test_3d(self):
         s = random_smooth(Grid(3, 16), seed=2)
         assert np.max(np.abs(divergence(s.u).phys)) < 1e-12
-        assert measure(s, 0.0, 0.0).sphere_norm_err < 1e-8
+        assert measure(s, 0.0).sphere_norm_err < 1e-8
 
 
 @pytest.mark.parametrize("builder, key, value", [

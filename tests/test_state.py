@@ -250,12 +250,12 @@ class TestPressure:
 
 class TestConstraintResidual:
     def test_exact_for_winding_director(self, grid):
-        rec = measure(winding_director(grid, k=1), 0.0, 0.0)
+        rec = measure(winding_director(grid, k=1), 0.0)
         assert rec.sphere_norm_err < 1e-14
         assert rec.sphere_identity_err < 1e-12
 
     def test_exact_for_constant_director(self, grid):
-        rec = measure(taylor_green(grid), 0.0, 0.0)
+        rec = measure(taylor_green(grid), 0.0)
         assert rec.sphere_norm_err < 1e-14
         assert rec.sphere_identity_err < 1e-14
 
@@ -263,4 +263,4 @@ class TestConstraintResidual:
         d = np.zeros((3,) + grid.shape)
         d[2] = 1.1
         s = FluidState(grid, Field.zeros(grid, 2), Field.from_phys(grid, d))
-        assert abs(measure(s, 0.0, 0.0).sphere_norm_err - 0.1) < 1e-12
+        assert abs(measure(s, 0.0).sphere_norm_err - 0.1) < 1e-12

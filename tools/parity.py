@@ -8,11 +8,14 @@ or `git archive HEAD~1 | tar -x -C ../parent`).  Each config of `CONFIGS`
 runs as `python -m nematicflow.cli run` in a fresh interpreter per
 checkout, importing from that checkout's `src/`, and the tool compares
 `timeseries.csv`, every snapshot, stdout and the exit status byte for
-byte.  Where a CSV differs it prints the largest relative change of each
-column, |b - a| / max(|a|, |b|) over the rows, and its largest absolute
-change |b - a|, since a column that moves from exact 0 to roundoff reads
-as a relative change of 1.  The bench workloads' config text comes from
-`perfbench/workloads.py` next to this tool.
+byte.  Each verify suite of `SUITES` runs the same way, as
+`python -m nematicflow.cli verify --suite NAME`, and the tool compares its
+stdout and exit status byte for byte.  Where a CSV differs it prints the
+largest relative change of each column, |b - a| / max(|a|, |b|) over the
+rows, and its largest absolute change |b - a|, since a column that moves
+from exact 0 to roundoff reads as a relative change of 1.  The bench
+workloads' config text comes from `perfbench/workloads.py` next to this
+tool.
 
 It also counts the code lines of each checkout's `src/nematicflow`: the
 non-blank lines that are neither comments nor docstrings (a module's,
@@ -32,8 +35,9 @@ The peaks are information only: they do not change the exit status.  A
 run that fails (a checkout whose package does not import) gives null
 peaks, printed as "n/a", and the report is still printed.
 
-It prints a short table and then, as its last line, one JSON object.  The
-exit status is 0 when every config is identical and 1 otherwise.
+It prints a short table, one row per config and per verify suite, and
+then, as its last line, one JSON object.  The exit status is 0 when every
+config and every suite is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -107,6 +111,22 @@ CONFIGS = {
 # the configs whose tracemalloc peaks are measured: the bench workloads
 PEAKED = ("rk4_2d_256", "rk2_3d_64", "monitor_2d_64")
 
+# the `simulate verify` suites; on a 2-core host energy takes about 40 s,
+# dynamics 6 s and the other two under 1 s
+SUITES = ("spectral", "dynamics", "energy", "monitor")
+
+
+def _env(checkout) -> dict:
+    """This environment, importing the package from `checkout`'s src/."""
+    return dict(os.environ, PYTHONPATH=str(Path(checkout).resolve() / "src"))
+
+
+def _cli(checkout, *args) -> subprocess.CompletedProcess:
+    """`python -m nematicflow.cli ARGS` with the package of `checkout`."""
+    return subprocess.run([sys.executable, "-m", "nematicflow.cli", *args],
+                          env=_env(checkout), capture_output=True,
+                          check=False)
+
 
 def run_config(checkout, name, output_dir) -> dict:
     """Runs config `name` with the package of `checkout` into `output_dir`:
@@ -115,14 +135,18 @@ def run_config(checkout, name, output_dir) -> dict:
     output_dir.mkdir(parents=True)
     path = output_dir / "run.cfg"
     path.write_text(CONFIGS[name](output_dir), encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(Path(checkout).resolve() / "src"))
-    done = subprocess.run(
-        [sys.executable, "-m", "nematicflow.cli", "run", "--config",
-         str(path)], env=env, capture_output=True, check=False)
+    done = _cli(checkout, "run", "--config", str(path))
     files = {p.name: p.read_bytes() for p in sorted(output_dir.iterdir())
              if p != path}
     return {"status": done.returncode, "stdout": done.stdout,
             "files": files}
+
+
+def run_suite(checkout, suite) -> dict:
+    """Runs verify suite `suite` with the package of `checkout`: {"status",
+    "stdout", "files"}, no files."""
+    done = _cli(checkout, "verify", "--suite", suite)
+    return {"status": done.returncode, "stdout": done.stdout, "files": {}}
 
 
 def _absolute(a: str, b: str):
@@ -188,6 +212,13 @@ def compare_outputs(parent: dict, change: dict) -> dict:
             "files": len(names)}
 
 
+def _compared(runs: list) -> dict:
+    """`compare_outputs` of the parent's and the change's run, with both
+    exit statuses."""
+    return {**compare_outputs(*runs),
+            "status": [run["status"] for run in runs]}
+
+
 def compare(parent, change, names=None) -> dict:
     """Runs each config of `names` (all of `CONFIGS` by default) with both
     checkouts and compares them (`compare_outputs`), by name."""
@@ -195,12 +226,18 @@ def compare(parent, change, names=None) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         results = {}
         for name in names:
-            runs = [run_config(root, name, Path(tmp) / side / name)
-                    for side, root in (("parent", parent),
-                                       ("change", change))]
-            results[name] = compare_outputs(*runs)
-            results[name]["status"] = [run["status"] for run in runs]
+            results[name] = _compared([
+                run_config(root, name, Path(tmp) / side / name)
+                for side, root in (("parent", parent), ("change", change))])
     return results
+
+
+def compare_suites(parent, change, suites=SUITES) -> dict:
+    """Runs each verify suite of `suites` with both checkouts and compares
+    their stdout and exit status, by "verify NAME"."""
+    return {f"verify {suite}": _compared([run_suite(root, suite)
+                                          for root in (parent, change)])
+            for suite in suites}
 
 
 def traced_peaks(name, phases: bool) -> dict:
@@ -258,12 +295,11 @@ def peaks(checkout, name) -> dict:
     `checkout`, in MB to 2 decimals: the whole run's ("run") and each
     phase's, from two fresh interpreters (`traced_peaks`); None for each
     peak of an interpreter that fails."""
-    env = dict(os.environ, PYTHONPATH=str(Path(checkout).resolve() / "src"))
     found = {}
     for mode, keys in (("run", ("run",)), ("phases", PHASES)):
         done = subprocess.run(
             [sys.executable, "-c", _PEAKS_MAIN, __file__, name, mode],
-            env=env, capture_output=True, check=False, text=True)
+            env=_env(checkout), capture_output=True, check=False, text=True)
         found.update(json.loads(done.stdout.splitlines()[-1])
                      if done.returncode == 0 else dict.fromkeys(keys))
     return {key: None if value is None else round(value / 1e6, 2)
@@ -335,13 +371,16 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path)
     args = parser.parse_args(argv)
     results = compare(args.parent, args.change)
+    suites = compare_suites(args.parent, args.change)
     lines = (package_lines(args.parent), package_lines(args.change))
     peak = {side: {name: peaks(root, name) for name in PEAKED}
             for side, root in (("parent", args.parent),
                                ("change", args.change))}
-    print(_table(results, lines, peak))
-    identical = all(result["identical"] for result in results.values())
+    print(_table({**results, **suites}, lines, peak))
+    identical = all(result["identical"]
+                    for result in (*results.values(), *suites.values()))
     print(json.dumps({"identical": identical, "configs": results,
+                      "suites": suites,
                       "code_lines": {"parent": lines[0],
                                      "change": lines[1]},
                       "peaks_mb": peak}))
