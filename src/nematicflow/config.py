@@ -147,10 +147,12 @@ def parse_pairs(text: str) -> dict:
     return values
 
 
-def from_values(values: dict) -> SimulationConfig:
-    """Validate a raw key dict and build a SimulationConfig.  Every range is
-    checked once, by the object that owns the value; a violation becomes a
-    ConfigRangeError naming the config key."""
+def load_config(text: str, overrides=()) -> SimulationConfig:
+    """Parse config text, apply `key=value` override strings, validate.
+    Every range is checked once, by the object that owns the value; a
+    violation becomes a ConfigRangeError naming the config key."""
+    values = parse_pairs(text)
+    values.update(_parse_pair(item) for item in overrides)
     for key in _REQUIRED:
         if key not in values:
             raise ConfigRangeError(key, "required key missing")
@@ -165,10 +167,3 @@ def from_values(values: dict) -> SimulationConfig:
     except ParameterRangeError as exc:
         raise ConfigRangeError(
             exc.name, f"must be {exc.expected}, got {exc.value}") from exc
-
-
-def load_config(text: str, overrides=()) -> SimulationConfig:
-    """Parse config text, apply `key=value` override strings, validate."""
-    values = parse_pairs(text)
-    values.update(_parse_pair(item) for item in overrides)
-    return from_values(values)

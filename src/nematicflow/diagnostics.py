@@ -15,8 +15,9 @@ singular time.
 max|grad d| comes from the state's one transform pass (`dynamics._pass`),
 which the next step's first stage also uses; max|omega| (a curl batch,
 every step in 3-D, only for a record in 2-D) and the oversampled maxima
-are kept in the named fields of the same per-state record
-(`dynamics._memo_of`).
+come from `dynamics._omega_linf` and `dynamics._grad_d_linf`, which keep
+them in the named fields of the same per-state record.  `dynamics` writes
+every field of that record; this module only reads it.
 
 `measure` is the one place a record is formed: the monitor maxima and
 the integrand formed from them (`_integrand`, as `blowup_integrand` forms
@@ -37,8 +38,8 @@ from dataclasses import dataclass, fields as dataclass_fields
 import numpy as np
 
 from .errors import EnvelopeUndefinedError
-from .dynamics import _memo_of, _pass
-from .spectral import Field, Grid, _fftn, _ifftn, curl, gradient, linf_norm
+from .dynamics import _grad_d_linf, _omega_linf, _pass
+from .spectral import Grid, _fftn, _ifftn
 from .state import FluidState
 
 __all__ = [
@@ -78,30 +79,6 @@ class DiagnosticsRecord:
 
     def as_tuple(self) -> tuple:
         return tuple(getattr(self, name) for name in self.field_names())
-
-
-def _omega_linf(s: FluidState, oversample: bool) -> float:
-    """max|omega| on the grid or, with `oversample`, on the 2x finer grid,
-    kept in the state's record."""
-    memo = _memo_of(s)
-    if oversample and memo.omega_fine is None:
-        memo.omega_fine = linf_norm(curl(s.u), oversample=True)
-    if not oversample and memo.omega_max is None:
-        memo.omega_max = linf_norm(curl(s.u))
-    return memo.omega_fine if oversample else memo.omega_max
-
-
-def _grad_d_linf(s: FluidState, oversample: bool) -> float:
-    """max|grad d|: the pass's or, with `oversample`, on the 2x finer grid,
-    kept in the state's record."""
-    if not oversample:
-        return _pass(s).grad_d_max
-    memo = _memo_of(s)
-    if memo.grad_d_fine is None:
-        grad_d = Field.from_spec(s.grid, np.concatenate(
-            [gradient(s.d, j).spec for j in range(s.grid.dim)]))
-        memo.grad_d_fine = linf_norm(grad_d, oversample=True)
-    return memo.grad_d_fine
 
 
 def _integrand(dim: int, g: float, omega) -> float:

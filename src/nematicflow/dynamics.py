@@ -29,13 +29,13 @@ p_hat = -i k . F_hat / |k|^2 + (|grad d|^2)_hat / 2 wherever the |k|^2 of
 the derivative tables is nonzero, and 0 elsewhere.
 
 A stage runs chunk by chunk of x0 rows (`_chunks`).  Its spectral batch
-holds [u, d, d d / d x_0] (dim + 6 components, `_batch`); the inverse's
-pass along axis 0 runs once on it, and then every x0 row is independent
-until the forward's pass along axis 0.  So each chunk of rows finishes its
-inverse (d d / d x_1 and d d / d x_2 are formed from d's partly
-transformed rows), forms sigma and N_d in a chunk-sized products buffer
-and is forward-transformed, band-limited, into the same rows of the batch,
-whose inputs it has consumed.  `_CHUNK_BYTES` sets the chunk height, and
+holds [u, d, d d / d x_0] (dim + 6 components); the inverse's pass along
+axis 0 runs once on it, and then every x0 row is independent until the
+forward's pass along axis 0.  So each chunk of rows finishes its inverse
+(d d / d x_1 and d d / d x_2 are formed from d's partly transformed
+rows), forms sigma and N_d in a chunk-sized products buffer and is
+forward-transformed, band-limited, into the same rows of the batch, whose
+inputs it has consumed.  `_CHUNK_BYTES` sets the chunk height, and
 the values do not depend on it; once a grid's fields outgrow it, no
 full-grid [u, d, grad d] or products array is built at all.  The batch and
 the chunk's buffers are a stage's `_workspace`.  After the last chunk the
@@ -50,17 +50,18 @@ the CFL step, the monitor, the record, the tendencies (`rhs`) and the
 pressure: it keeps [N_u, N_d, F] in its batch and folds |grad d|^2, max|u|
 and max|grad d| chunk by chunk.  The pass is memoized in a `_Memo`, the
 state's one record of what its consumers computed from it: the pass's
-workspace and maxima and the curl and oversampled maxima that
-`diagnostics` fills.  The record is kept in the state's instance dict, as
-`functools.cached_property` keeps a value, and this module alone creates,
-stores and empties it (`_memo_of`), so `state` holds the state alone and
-`dataclasses.replace` starts every new state without one.  A step empties
-the record and takes the workspace over, so a run holds one at a time,
-and a later consumer of the stepped state runs its pass again.  Every
-later stage is written into the batch's u and d slots, where the last
-tendency lies, and runs in the same workspace.  The sum terms, E y0 and
-the unprojected u of y1 are formed in the spare slots, over F, and u's y1
-is projected from there into the running sum.
+workspace and maxima, and max|omega| and the oversampled maxima, which
+`_omega_linf` and `_grad_d_linf` write and `diagnostics` reads.  The
+record is kept in the state's instance dict, as `functools.cached_property`
+keeps a value, and this module alone creates, fills and empties it
+(`_memo_of`), so `state` holds the state alone and `dataclasses.replace`
+starts every new state without one.  A step empties the record and takes
+the workspace over, so a run holds one at a time, and a later consumer of
+the stepped state runs its pass again.  Every later stage is written into
+the batch's u and d slots, where the last tendency lies, and runs in the
+same workspace.  The sum terms, E y0 and the unprojected u of y1 are
+formed in the spare slots, over F, and u's y1 is projected from there into
+the running sum.
 
 The director is renormalized to unit length once per full step, not per
 substage, so the formal RK order is preserved; the radial drift removed by
@@ -76,9 +77,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericalOverflowError, check_range, is_real
+from .errors import (NumericalOverflowError, check_positive, check_range,
+                     is_real)
 from .spectral import (Field, Grid, _fftn, _fftn_rows, _forward_pass,
-                       _ifftn, _inverse_pass, _irfft, project_spec)
+                       _ifftn, _inverse_pass, _irfft, curl, gradient,
+                       linf_norm, project_spec)
 from .state import FluidState, PhysicsParams, normalize_director
 
 __all__ = ["StepPolicy", "rhs", "step", "suggest_dt", "recover_pressure"]
@@ -117,11 +120,6 @@ _TABLEAUS = {
 INTEGRATORS = tuple(_TABLEAUS)
 
 
-def _check_dt(dt) -> None:
-    check_range("dt", dt, is_real(dt) and 0 < dt < math.inf,
-                "positive and finite")
-
-
 def _check_integrator(integrator) -> None:
     check_range("integrator", integrator, integrator in INTEGRATORS,
                 f"one of {INTEGRATORS}")
@@ -139,18 +137,11 @@ class StepPolicy:
 
     def __post_init__(self):
         if self.dt is not None:
-            _check_dt(self.dt)
+            check_positive("dt", self.dt)
         check_range("cfl_factor", self.cfl_factor, is_real(self.cfl_factor)
                     and 0 < self.cfl_factor <= 1, "in (0, 1]")
-        check_range("t_max", self.t_max, is_real(self.t_max)
-                    and 0 < self.t_max < math.inf, "positive and finite")
+        check_positive("t_max", self.t_max)
         _check_integrator(self.integrator)
-
-
-def _batch(grid: Grid) -> np.ndarray:
-    """An empty stage batch: [u, d, d d / d x_0], dim + 6 spectral
-    components."""
-    return np.empty((grid.dim + 6,) + grid.spec_shape, np.complex128)
 
 
 def _chunk_rows(grid: Grid) -> int:
@@ -164,11 +155,12 @@ def _chunk_rows(grid: Grid) -> int:
 
 def _workspace(grid: Grid) -> tuple:
     """Fresh buffers for a stage, (batch, blocks, fields, products): the
-    `_batch` and, for one chunk of `_chunk_rows` x0 rows, the gradient
-    blocks 1 .. dim-1 and the grid fields [u, d, grad d] of `_chunks` and
-    the products, dim(dim+1)/2 + 3 grid components."""
+    batch [u, d, d d / d x_0], dim + 6 spectral components, and, for one
+    chunk of `_chunk_rows` x0 rows, the gradient blocks 1 .. dim-1 and the
+    grid fields [u, d, grad d] of `_chunks` and the products,
+    dim(dim+1)/2 + 3 grid components."""
     dim, rows = grid.dim, _chunk_rows(grid)
-    return (_batch(grid),
+    return (np.empty((dim + 6,) + grid.spec_shape, np.complex128),
             np.empty((3 * (dim - 1), rows) + grid.spec_shape[1:],
                      np.complex128),
             np.empty((4 * dim + 3, rows) + grid.shape[1:]),
@@ -246,9 +238,9 @@ class _Memo:
     keeps [N_u, N_d, F] in the batch of `work`, a `_workspace`, until a
     step takes it over, with |grad d|^2 on the grid (`grad_sq`), max|u|
     and max|grad d| (`_stage`); and max|omega| on the grid and on the 2x
-    finer one and the finer max|grad d|, which `diagnostics` fills.  Every
-    field's default is a class attribute, so clearing an instance's dict
-    empties the record (`_stages`)."""
+    finer one (`_omega_linf`) and the finer max|grad d| (`_grad_d_linf`).
+    Every field's default is a class attribute, so clearing an instance's
+    dict empties the record (`_stages`)."""
 
     work: tuple | None = None
     grad_sq: np.ndarray | None = None
@@ -315,6 +307,30 @@ def _pass(s: FluidState) -> _Memo:
     return memo
 
 
+def _omega_linf(s: FluidState, oversample: bool) -> float:
+    """max|omega| on the grid or, with `oversample`, on the 2x finer grid,
+    kept in the state's record."""
+    memo = _memo_of(s)
+    if oversample and memo.omega_fine is None:
+        memo.omega_fine = linf_norm(curl(s.u), oversample=True)
+    if not oversample and memo.omega_max is None:
+        memo.omega_max = linf_norm(curl(s.u))
+    return memo.omega_fine if oversample else memo.omega_max
+
+
+def _grad_d_linf(s: FluidState, oversample: bool) -> float:
+    """max|grad d|: the pass's or, with `oversample`, on the 2x finer grid,
+    kept in the state's record."""
+    if not oversample:
+        return _pass(s).grad_d_max
+    memo = _memo_of(s)
+    if memo.grad_d_fine is None:
+        grad_d = Field.from_spec(s.grid, np.concatenate(
+            [gradient(s.d, j).spec for j in range(s.grid.dim)]))
+        memo.grad_d_fine = linf_norm(grad_d, oversample=True)
+    return memo.grad_d_fine
+
+
 def _nonlinear(grid: Grid, u_spec: np.ndarray, d_spec: np.ndarray,
                work: tuple) -> tuple:
     """Explicitly-treated tendencies (N_u_hat, N_d_hat), dealiased, as
@@ -364,7 +380,7 @@ def step(s: FluidState, params: PhysicsParams, dt: float,
     (reported upstream as suspected blow-up or under-resolution), and
     propagates DegenerateDirectorError from the renormalization.
     """
-    _check_dt(dt)
+    check_positive("dt", dt)
     _check_integrator(integrator)
     grid = s.grid
     u1, d1 = _stages(s, params, dt, _TABLEAUS[integrator])

@@ -1,5 +1,7 @@
-"""Exception types shared across the solver, and the range, integer and
-real-number rules that raise them."""
+"""Exception types shared across the solver, and the range, integer,
+real-number and positive-and-finite rules that raise them."""
+
+import math
 
 import numpy as np
 
@@ -45,6 +47,13 @@ def is_real(value) -> bool:
     (so True does not pass as 1.0 and a str fails before any comparison)."""
     return isinstance(value, (int, float, np.integer, np.floating)) \
         and not isinstance(value, bool)
+
+
+def check_positive(name, value) -> None:
+    """Raise ParameterRangeError for `name` unless `value` is a real number
+    (`is_real`) that is positive and finite."""
+    check_range(name, value, is_real(value) and 0 < value < math.inf,
+                "positive and finite")
 
 
 class UnderResolvedError(ParameterRangeError):

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConfigRangeError, UnderResolvedError, check_range,
-                     is_integer, is_real)
+from .errors import (ConfigRangeError, UnderResolvedError, check_positive,
+                     check_range, is_integer, is_real)
 from .spectral import Field, Grid, _fftn, _ifftn, project_spec
 from .state import FluidState, _magnitude, normalize_director
 
@@ -155,9 +155,7 @@ def _peak(noise: np.ndarray, slope: float) -> float:
 
 
 def _check_amplitude(grid: Grid, amplitude) -> None:
-    check_range("amplitude", amplitude,
-                is_real(amplitude) and 0 < amplitude < math.inf,
-                "positive and finite")
+    check_positive("amplitude", amplitude)
 
 
 def _integral(value) -> bool:

@@ -59,7 +59,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import check_range, is_integer, is_real
+from .errors import check_positive, check_range, is_integer
 
 __all__ = [
     "Grid",
@@ -106,8 +106,7 @@ class Grid:
         check_range("res", self.res, is_integer(self.res)
                     and self.res >= 8 and (self.res & (self.res - 1)) == 0,
                     "a power of two >= 8")
-        check_range("length", self.length, is_real(self.length)
-                    and 0 < self.length < math.inf, "positive and finite")
+        check_positive("length", self.length)
         # else `length**dim` raises OverflowError, or |k|^2 overflows or a
         # volume underflows and a run turns to nan; the products below
         # overflow to inf instead of raising

@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateDirectorError, check_range, is_real
-from .spectral import Field, Grid
+from .errors import DegenerateDirectorError, check_positive
+from .spectral import Field, Grid, _check_vector
 
 __all__ = ["PhysicsParams", "FluidState", "normalize_director"]
 
@@ -30,8 +30,7 @@ class PhysicsParams:
     nu: float = 1.0
 
     def __post_init__(self):
-        check_range("nu", self.nu, is_real(self.nu)
-                    and 0 < self.nu < math.inf, "positive and finite")
+        check_positive("nu", self.nu)
 
 
 @dataclass(frozen=True)
@@ -45,10 +44,7 @@ class FluidState:
     t: float = 0.0
 
     def __post_init__(self):
-        if self.u.ncomp != self.grid.dim:
-            raise ValueError(
-                f"velocity needs {self.grid.dim} components, got {self.u.ncomp}"
-            )
+        _check_vector("velocity", self.u)
         if self.d.ncomp != 3:
             raise ValueError(f"director needs 3 components, got {self.d.ncomp}")
         if not self.u.grid == self.d.grid == self.grid:

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nematicflow import diagnostics, spectral
+from nematicflow import diagnostics, dynamics, spectral
 from nematicflow.diagnostics import (DiagnosticsRecord, accumulate_monitor,
                                      blowup_integrand, energy_residual,
                                      gronwall_envelope, measure)
@@ -256,13 +256,13 @@ class TestRecordOracle:
     def test_vorticity_formed_once_per_state(self, dim, res, oversample,
                                              monkeypatch):
         calls = []
-        form = diagnostics.curl
+        form = dynamics.curl
 
         def counting(v):
             calls.append(v)
             return form(v)
 
-        monkeypatch.setattr(diagnostics, "curl", counting)
+        monkeypatch.setattr(dynamics, "curl", counting)
         s = random_smooth(Grid(dim, res), seed=5)
         blowup_integrand(s, oversample)
         measure(s, 0.0, oversample=oversample)

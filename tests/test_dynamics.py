@@ -1,6 +1,7 @@
 """Tests for the right-hand sides and integrating-factor time steppers."""
 
 import ast
+import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
@@ -719,3 +720,47 @@ def test_only_dynamics_keeps_the_state_record():
     assert {name: lines for name, lines in found.items() if lines} == {}
     state_source = (package / "state.py").read_text("utf-8")
     assert "memo" not in state_source.lower()
+
+
+def _record_writes(source):
+    """Line numbers at which `source` names `_memo_of`, or stores or
+    deletes an attribute named like a field of the record
+    (`dynamics._Memo`), directly or through setattr or delattr."""
+    names = {field.name for field in dataclasses.fields(dynamics._Memo)}
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found = node.id == "_memo_of"
+        elif isinstance(node, ast.alias):
+            found = node.name == "_memo_of"
+        elif isinstance(node, ast.Attribute):
+            found = node.attr == "_memo_of" or (
+                node.attr in names and not isinstance(node.ctx, ast.Load))
+        elif isinstance(node, ast.Call):
+            found = isinstance(node.func, ast.Name) \
+                and node.func.id in ("setattr", "delattr") \
+                and len(node.args) > 1 \
+                and isinstance(node.args[1], ast.Constant) \
+                and node.args[1].value in names
+        else:
+            continue
+        if found:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_dynamics_writes_the_state_record():
+    # one writer for each field of the per-state record, all in `dynamics`:
+    # every other module reads the record through `_pass`, `_omega_linf`
+    # and `_grad_d_linf` and never names `_memo_of`
+    assert _record_writes("from .dynamics import _memo_of\n") == [1]
+    assert _record_writes("m = dynamics._memo_of(s)\n") == [1]
+    assert _record_writes("x = 1\nm.omega_fine = linf_norm(w)\n") == [2]
+    assert _record_writes("m.u_max += 1.0\ndel m.work\n") == [1, 2]
+    assert _record_writes("setattr(m, 'grad_d_fine', g)\n") == [1]
+    assert _record_writes("g = _pass(s).grad_d_max\nw = m.work[0]\n") == []
+    package = Path(nematicflow.__file__).parent
+    found = {path.name: _record_writes(path.read_text("utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    assert found.pop("dynamics.py"), "the guard no longer sees the record"
+    assert {name: lines for name, lines in found.items() if lines} == {}

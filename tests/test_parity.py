@@ -57,6 +57,21 @@ def test_code_lines_skip_comments_docstrings_and_blanks():
     assert parity.code_lines(source) == 5
 
 
+def test_code_lines_per_module(tmp_path):
+    parity = _parity()
+    package = tmp_path / "src" / "nematicflow"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text('"""Package."""\nfrom . import a\n')
+    (package / "a.py").write_text("# a comment\nx = 1\n\ny = (x,\n     2)\n")
+    by_module = {"parent": parity.module_lines(tmp_path),
+                 "change": {"a.py": 2}}
+    assert by_module["parent"] == {"__init__.py": 1, "a.py": 3}
+    assert parity._module_table(by_module).splitlines() == [
+        "code lines by module:",
+        f"    {'__init__.py':<18} 1 -> -",
+        f"    {'a.py':<18} 3 -> 2"]
+
+
 def test_peaks_of_the_run_and_each_phase():
     parity = _parity()
     found = parity.peaks(ROOT, "winding_2d_32")

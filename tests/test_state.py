@@ -7,8 +7,8 @@ import pytest
 
 from nematicflow import dynamics
 from nematicflow.diagnostics import measure
-from nematicflow.dynamics import recover_pressure
-from nematicflow.errors import DegenerateDirectorError
+from nematicflow.dynamics import StepPolicy, recover_pressure, step
+from nematicflow.errors import DegenerateDirectorError, ParameterRangeError
 from nematicflow.scenarios import (random_smooth, taylor_green,
                                    winding_director)
 from nematicflow.spectral import Field, Grid, dealias, gradient, leray_project
@@ -47,6 +47,41 @@ def test_state_grid_validation(grid):
         FluidState(grid, taylor_green(grid).u, taylor_green(short).d)
     with pytest.raises(ValueError):
         FluidState(grid, taylor_green(coarse).u, taylor_green(coarse).d)
+
+
+# each parameter that must be positive and finite, as a call on a value,
+# and the name its error gives
+_POSITIVE = {
+    "StepPolicy(dt)": ("dt", lambda v: StepPolicy(t_max=1.0, dt=v)),
+    "StepPolicy(t_max)": ("t_max", lambda v: StepPolicy(t_max=v)),
+    "step(dt)": ("dt", lambda v: step(taylor_green(Grid(2, 8)),
+                                      PhysicsParams(), v)),
+    "Grid(length)": ("length", lambda v: Grid(2, 8, length=v)),
+    "PhysicsParams(nu)": ("nu", lambda v: PhysicsParams(nu=v)),
+    "taylor_green(amplitude)": (
+        "amplitude", lambda v: taylor_green(Grid(2, 8), amplitude=v)),
+    "random_smooth(amplitude)": (
+        "amplitude", lambda v: random_smooth(Grid(2, 8), amplitude=v)),
+}
+
+
+@pytest.mark.parametrize("value", [0, -1.0, float("inf"), float("nan"),
+                                   True, "1"])
+@pytest.mark.parametrize("caller", list(_POSITIVE))
+def test_positive_and_finite_rule(caller, value):
+    # one rule, `errors.check_positive`, and one message for all of them
+    name, call = _POSITIVE[caller]
+    with pytest.raises(ParameterRangeError) as info:
+        call(value)
+    assert str(info.value).startswith(
+        f"{name} must be positive and finite, got")
+
+
+def test_state_velocity_components_message(grid):
+    d = Field.zeros(grid, 3)
+    with pytest.raises(ValueError,
+                       match="^velocity needs 2 components, got 3$"):
+        FluidState(grid, d, d)
 
 
 class TestNormalize:

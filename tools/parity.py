@@ -17,9 +17,9 @@ from exact 0 to roundoff reads as a relative change of 1.  The bench
 workloads' config text comes from `perfbench/workloads.py` next to this
 tool.
 
-It also counts the code lines of each checkout's `src/nematicflow`: the
-non-blank lines that are neither comments nor docstrings (a module's,
-class's or function's leading string).
+It also counts the code lines of each checkout's `src/nematicflow`, in all
+and per module: the non-blank lines that are neither comments nor
+docstrings (a module's, class's or function's leading string).
 
 And it measures tracemalloc peaks on the three bench workloads (`PEAKED`),
 each in a fresh interpreter per checkout, after the imports and the config
@@ -333,11 +333,11 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-def package_lines(checkout) -> int:
-    """`code_lines` summed over the modules of `checkout`'s package."""
+def module_lines(checkout) -> dict:
+    """`code_lines` of each module of `checkout`'s package, by file name."""
     package = Path(checkout) / "src" / "nematicflow"
-    return sum(code_lines(path.read_text("utf-8"))
-               for path in sorted(package.glob("*.py")))
+    return {path.name: code_lines(path.read_text("utf-8"))
+            for path in sorted(package.glob("*.py"))}
 
 
 def _table(results: dict, lines: tuple, peak: dict) -> str:
@@ -365,6 +365,17 @@ def _table(results: dict, lines: tuple, peak: dict) -> str:
     return "\n".join(out)
 
 
+def _module_table(by_module: dict) -> str:
+    """The code lines of each module, parent -> change, "-" for a module
+    that one side does not have."""
+    out = ["code lines by module:"]
+    for name in sorted(set(by_module["parent"]) | set(by_module["change"])):
+        cells = (str(by_module[side].get(name, "-"))
+                 for side in ("parent", "change"))
+        out.append(f"    {name:<18} {' -> '.join(cells)}")
+    return "\n".join(out)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path)
@@ -372,17 +383,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     results = compare(args.parent, args.change)
     suites = compare_suites(args.parent, args.change)
-    lines = (package_lines(args.parent), package_lines(args.change))
+    by_module = {side: module_lines(root)
+                 for side, root in (("parent", args.parent),
+                                    ("change", args.change))}
+    lines = tuple(sum(found.values()) for found in by_module.values())
     peak = {side: {name: peaks(root, name) for name in PEAKED}
             for side, root in (("parent", args.parent),
                                ("change", args.change))}
     print(_table({**results, **suites}, lines, peak))
+    print(_module_table(by_module))
     identical = all(result["identical"]
                     for result in (*results.values(), *suites.values()))
     print(json.dumps({"identical": identical, "configs": results,
                       "suites": suites,
                       "code_lines": {"parent": lines[0],
                                      "change": lines[1]},
+                      "code_lines_by_module": by_module,
                       "peaks_mb": peak}))
     return 0 if identical else 1
 
